@@ -470,10 +470,10 @@ def enumerate_conditional_colorings(
         raise TooLarge("exact enumeration is limited to 12 vertices and outdegree 2")
     n, layers, width, d = params.n_blue, params.layers, params.width, params.outdeg
     total = params.v_count
-    vkg = sorted(history.vertices())
-    if not set(revealed) <= set(vkg):
-        raise ValueError("revealed colors must concern seen vertices")
     kg = knowledge_graph(history)
+    vkg = sorted(kg.vertices)
+    if not set(revealed) <= kg.vertices:
+        raise ValueError("revealed colors must concern seen vertices")
 
     def falling(a: int, k: int) -> int:
         out = 1
@@ -485,12 +485,6 @@ def enumerate_conditional_colorings(
     red_list_prob = Fraction(1, falling(width, d))
     capacity = {BLUE: n, **{i: width for i in range(1, layers + 1)}}
 
-    queried = [(rec.vertex, rec.answer) for rec in history]
-    answer_of = {rec.vertex: rec.answer for rec in history}
-    parents_of: dict[int, list[int]] = {}
-    for rec in history:
-        for w in rec.answer:
-            parents_of.setdefault(w, []).append(rec.vertex)
     weights: dict[tuple[tuple[int, int], ...], Fraction] = {}
     used = dict.fromkeys(capacity, 0)
     assignment: dict[int, int] = {}
@@ -505,7 +499,7 @@ def enumerate_conditional_colorings(
     def consistent_so_far(v: int) -> bool:
         # Checks every constraint whose endpoints are now both assigned.
         cv = assignment[v]
-        answer = answer_of.get(v)
+        answer = kg.out.get(v)
         if answer is not None:
             if cv == layers:
                 if answer:
@@ -516,7 +510,7 @@ def enumerate_conditional_colorings(
                 cw = assignment.get(w)
                 if cw is not None and not edge_ok(cv, cw):
                     return False
-        for u in parents_of.get(v, ()):
+        for u in kg.parents_of(v):
             cu = assignment.get(u)
             if cu is not None and u != v and not edge_ok(cu, cv):
                 return False
@@ -527,7 +521,7 @@ def enumerate_conditional_colorings(
         for c, k in used.items():
             prior *= falling(capacity[c], k)
         lists = Fraction(1)
-        for u, answer in queried:
+        for u in kg.out:
             cu = assignment[u]
             if cu == BLUE:
                 lists *= blue_list_prob

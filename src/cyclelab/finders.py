@@ -127,7 +127,7 @@ def run_random_walk_finder(
         aux["steps"] += 1
         budget.steps += 1
         if nxt in trail:
-            cycle = detect_cycle(oracle.kg, oracle.record_for(cur))
+            cycle = detect_cycle(oracle.kg, QueryRecord(cur, answer))
             assert cycle is not None, "trail collision must close a visible cycle"
             break
         trail.add(nxt)
@@ -158,7 +158,6 @@ def run_birthday_sampler(
     budget = _Budget(oracle, max_queries, deadline, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
     partial = KnowledgeGraph()
-    acc: dict[int, list[int]] = {}
     seen_cells: set[tuple[int, int]] = set()
     total_cells = v_count * d
     cycle = None
@@ -176,15 +175,50 @@ def run_birthday_sampler(
             continue
         if v in partial.vertices:
             aux["collisions"] += 1
-        partial.add_vertex(u)
-        partial.add_vertex(v)
-        acc.setdefault(u, []).append(v)
-        partial.out[u] = tuple(acc[u])
-        partial.in_edges.setdefault(v, []).append(u)
+        partial.add_edge(u, v)
         cycle = detect_cycle(partial, QueryRecord(u, (v,)))
         if cycle is not None:
             break
     return FinderOutcome(cycle, budget.used(), aux)
+
+
+def _implied_layers(
+    oracle: Oracle,
+    v: int,
+    member_layer: dict[int, int],
+    layers: int,
+    rng,
+    num_walks: int,
+    max_walk_len: int,
+    stop,
+) -> tuple[list[int], int]:
+    """Random walks from v; returns the start layers they imply and the walks tried.
+
+    A walk ends at a sink, implying L - steps, or on a wall member after at
+    least one step, implying that member's layer - steps.  Walks cut short
+    by max_walk_len or by stop() (polled before every query) imply nothing.
+    """
+    implied = []
+    attempted = 0
+    for _ in range(num_walks):
+        if stop is not None and stop():
+            break
+        attempted += 1
+        cur = v
+        steps = 0
+        while steps <= max_walk_len:
+            if steps >= 1 and cur in member_layer:
+                implied.append(member_layer[cur] - steps)
+                break
+            if stop is not None and stop():
+                break
+            answer = oracle.query_vertex(cur)
+            if not answer:
+                implied.append(layers - steps)
+                break
+            cur = answer[int(rng.integers(len(answer)))]
+            steps += 1
+    return implied, attempted
 
 
 def identify_color(
@@ -212,28 +246,14 @@ def identify_color(
         max_walk_len = 4 * layers
     if max_walk_len < layers:
         raise ValueError("max_walk_len must be at least the layer count")
-    lengths = []
-    attempted = 0
-    for _ in range(num_walks):
-        if stop is not None and stop():
-            break
-        attempted += 1
-        cur = v
-        steps = 0
-        while steps <= max_walk_len:
-            if stop is not None and stop():
-                break
-            answer = oracle.query_vertex(cur)
-            if not answer:
-                lengths.append(steps)
-                break
-            cur = answer[int(rng.integers(len(answer)))]
-            steps += 1
-    if not lengths:
+    implied, attempted = _implied_layers(
+        oracle, v, {}, layers, rng, num_walks, max_walk_len, stop
+    )
+    if not implied:
         return ColorEstimate(None, attempted)
-    if len(set(lengths)) > 1:
+    if len(set(implied)) > 1:
         return ColorEstimate(BLUE, attempted)
-    layer = layers - lengths[0]
+    layer = implied[0]
     if 1 <= layer <= layers:
         return ColorEstimate(layer, attempted)
     return ColorEstimate(BLUE, attempted)
@@ -281,9 +301,8 @@ def _grow_blue_path(
             continue
         head = path[-1]
         answer = oracle.query_vertex(head)
-        rec = oracle.record_for(head)
         if len(path) >= path_target or any(c in on_path for c in answer):
-            cycle = detect_cycle(oracle.kg, rec)
+            cycle = detect_cycle(oracle.kg, QueryRecord(head, answer))
             if cycle is not None:
                 return cycle
         if head not in pending:
@@ -414,26 +433,9 @@ def wall_identify(
         max_walk_len = 4 * layers
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
-    implied = []
-    attempted = 0
-    for _ in range(num_walks):
-        if stop is not None and stop():
-            break
-        attempted += 1
-        cur = v
-        steps = 0
-        while steps <= max_walk_len:
-            if steps >= 1 and cur in member_layer:
-                implied.append(member_layer[cur] - steps)
-                break
-            if stop is not None and stop():
-                break
-            answer = oracle.query_vertex(cur)
-            if not answer:
-                implied.append(layers - steps)
-                break
-            cur = answer[int(rng.integers(len(answer)))]
-            steps += 1
+    implied, attempted = _implied_layers(
+        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop
+    )
     if len(implied) < 2:
         return ColorEstimate(None, attempted)
     counts = Counter(implied)
@@ -574,7 +576,7 @@ def run_bfs_heuristic(
             answer = oracle.query_vertex(u)
             explored += 1
             aux["explored"] += 1
-            cycle = detect_cycle(oracle.kg, oracle.record_for(u))
+            cycle = detect_cycle(oracle.kg, QueryRecord(u, answer))
             if cycle is not None:
                 return FinderOutcome(cycle, budget.used(), aux)
             for w in answer:

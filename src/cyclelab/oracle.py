@@ -109,6 +109,12 @@ class KnowledgeGraph:
             self.vertices.add(v)
             self.in_edges.setdefault(v, []).append(rec.vertex)
 
+    def add_edge(self, u: int, v: int) -> None:
+        """Append one answer entry v to u's known out-list."""
+        self.vertices.update((u, v))
+        self.out[u] = self.out.get(u, ()) + (v,)
+        self.in_edges.setdefault(v, []).append(u)
+
     def out_of(self, v: int) -> tuple[int, ...]:
         return self.out.get(v, ())
 
@@ -180,10 +186,14 @@ def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecompositio
 
 
 class Oracle:
-    """Query counter and bookkeeper in front of a hidden graph.
+    """Query counter and transcript keeper in front of a hidden graph.
 
-    ``hidden_pair``/``hidden_graph`` exist for harnesses and tests (cycle
-    verification, accuracy scoring); finders must not touch them.
+    Each query record is stored once, in order; ``kg`` is their knowledge
+    graph and the answer cache, and an (end index, reason) pair marks each
+    closed epoch whenever an epoch cap is given.
+
+    ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
+    (cycle verification, accuracy scoring); finders must not touch them.
     """
 
     def __init__(
@@ -207,14 +217,9 @@ class Oracle:
         self.vertex_query_count = 0
         self.adj_query_count = 0
         self._records: list[QueryRecord] = []
-        self._answers: dict[int, tuple[int, ...]] = {}
-        self._record_by_vertex: dict[int, QueryRecord] = {}
         self.kg = KnowledgeGraph()
+        self._bounds: list[tuple[int, EpochReason]] = []
         self.revealed: dict[int, int] = {}
-        self._closed: list[QueryHistory] = []
-        self._reasons: list[EpochReason] = []
-        self._cur: list[QueryRecord] = []
-        self._events: list[tuple] = []
 
     # -- construction helpers -------------------------------------------
 
@@ -232,18 +237,17 @@ class Oracle:
 
     @property
     def epochs(self) -> EpochDecomposition:
+        closed = []
+        start = 0
+        for end, _ in self._bounds:
+            closed.append(QueryHistory(tuple(self._records[start:end])))
+            start = end
         return EpochDecomposition(
-            tuple(self._closed),
-            tuple(self._reasons),
-            QueryHistory(tuple(self._cur)),
+            tuple(closed),
+            tuple(reason for _, reason in self._bounds),
+            QueryHistory(tuple(self._records[start:])),
             self.epoch_cap if self.epoch_cap is not None else 0,
         )
-
-    def record_for(self, u: int) -> QueryRecord | None:
-        return self._record_by_vertex.get(u)
-
-    def known_answer(self, u: int) -> tuple[int, ...] | None:
-        return self._answers.get(u)
 
     # -- queries ---------------------------------------------------------
 
@@ -252,7 +256,7 @@ class Oracle:
             raise ValueError("vertex queries unavailable in the adjacency-list model")
         if not 0 <= u < self._graph.v_count:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
-        cached = self._answers.get(u)
+        cached = self.kg.out.get(u)
         if cached is not None:
             if not self.lenient:
                 raise RepeatedQuery(f"vertex {u} was already queried")
@@ -262,32 +266,23 @@ class Oracle:
         surprise = any(v in self.kg.vertices for v in answer)
         rec = QueryRecord(u, answer)
         self._records.append(rec)
-        self._answers[u] = answer
-        self._record_by_vertex[u] = rec
         self.kg.add_record(rec)
         self.vertex_query_count += 1
-        self._events.append(("q", rec))
 
-        if self.model is QueryModel.COLOR_REVELATION:
-            self._cur.append(rec)
-            if surprise or len(self._cur) == self.epoch_cap:
-                self._close_epoch(
-                    EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT
+        if self.epoch_cap is not None:
+            start = self._bounds[-1][0] if self._bounds else 0
+            end = len(self._records)
+            if surprise or end - start == self.epoch_cap:
+                self._bounds.append(
+                    (end, EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
                 )
+                if self.model is QueryModel.COLOR_REVELATION:
+                    # earlier closes revealed everything seen before start
+                    epoch = QueryHistory(tuple(self._records[start:]))
+                    fresh = [v for v in epoch.vertices() if v not in self.revealed]
+                    for v in sorted(fresh):
+                        self.revealed[v] = self._coloring.color(v)
         return answer
-
-    def _close_epoch(self, reason: EpochReason) -> None:
-        self._closed.append(QueryHistory(tuple(self._cur)))
-        self._reasons.append(reason)
-        self._cur = []
-        fresh = []
-        for v in self.kg.vertices:
-            if v not in self.revealed:
-                c = self._coloring.color(v)
-                self.revealed[v] = c
-                fresh.append((v, c))
-        fresh.sort()
-        self._events.append(("close", len(self._closed), reason, tuple(fresh)))
 
     def query_adj(self, u: int, i: int) -> int | None:
         """i-th (1-based) entry of u's list, or None past the end."""
@@ -304,18 +299,25 @@ class Oracle:
     # -- transcripts ------------------------------------------------------
 
     def transcript(self) -> str:
-        """Text dump: `q <u> : <answers>` lines plus epoch close markers."""
+        """Text dump: `q <u> : <answers>` lines plus epoch close markers.
+
+        Close markers, with the colors each close revealed, appear only in
+        the color revelation model.
+        """
+        dec = self.epochs
+        closes = dec.end_reasons if self.model is QueryModel.COLOR_REVELATION else ()
         lines = []
-        for ev in self._events:
-            if ev[0] == "q":
-                rec = ev[1]
+        shown: set[int] = set()
+        for n, epoch in enumerate((*dec.closed_epochs, dec.current_epoch), start=1):
+            for rec in epoch:
                 body = " ".join(str(v) for v in rec.answer)
                 lines.append(f"q {rec.vertex} : {body}".rstrip())
-            else:
-                _, n, reason, fresh = ev
-                lines.append(f"# epoch {n} closed: {reason.value}")
+            if n <= len(closes):
+                lines.append(f"# epoch {n} closed: {closes[n - 1].value}")
+                fresh = sorted(epoch.vertices() - shown)
+                shown.update(fresh)
                 if fresh:
-                    body = " ".join(f"{v}={color_token(c)}" for v, c in fresh)
+                    body = " ".join(f"{v}={color_token(self.revealed[v])}" for v in fresh)
                     lines.append(f"# reveal {body}")
         return "\n".join(lines) + ("\n" if lines else "")
 

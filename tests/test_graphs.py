@@ -136,6 +136,23 @@ def test_validate_flags_blue_sink():
     assert any("non-red_L sink" in v for v in violations)
 
 
+def test_validate_flags_mixed_degree_lists():
+    # One list of length d+1 next to a full list with a repeat and a
+    # self-loop: the rows are no longer uniform, and both faults must show.
+    pair = gen_br_pair(BRParams(4, 4, 2, 2), np.random.default_rng(3))
+    blues = [v for v in range(12) if pair.coloring.is_blue(v)]
+    long_v, loop_v = blues[0], blues[1]
+    rows = [list(pair.graph.out_list(u)) for u in range(12)]
+    rows[long_v].append(next(b for b in blues if b != long_v and b not in rows[long_v]))
+    rows[loop_v] = [loop_v, loop_v]
+    bad = BRPair(pair.params, pair.coloring, Digraph.from_lists(rows))
+    assert sorted(validate_br(bad)) == sorted([
+        f"vertex {long_v}: out-degree 3 not in {{0, 2}}",
+        f"vertex {loop_v}: repeated entry in adjacency list",
+        f"vertex {loop_v}: self-loop",
+    ])
+
+
 def test_layer_marginals_uniform():
     # Vertex 0 lands in each class with the hypergeometric marginal:
     # blue 4/12, each red layer 2/12.  3 sigma at 10^4 draws.

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
-from .oracle import KnowledgeGraph, QueryHistory, decompose_epochs, knowledge_graph
-from .oracle import EpochReason
+from .oracle import KnowledgeGraph, QueryHistory, knowledge_graph
+from .oracle import decompose_epochs  # noqa: F401  reference for epoch_stats, traced by name
 
 
 class TooLarge(ValueError):
@@ -233,6 +233,88 @@ def ancestor_count(kg: KnowledgeGraph, u: int) -> int:
     return len(seen) - 1
 
 
+def _edge_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Queried vertices, then sources and targets of every answer entry."""
+    vertices = np.fromiter((rec.vertex for rec in records), dtype=np.int64, count=len(records))
+    degrees = np.fromiter((len(rec.answer) for rec in records), dtype=np.int64, count=len(records))
+    targets = np.fromiter(
+        itertools.chain.from_iterable(rec.answer for rec in records), dtype=np.int64
+    )
+    return vertices, np.repeat(vertices, degrees), targets
+
+
+def _max_blue_ancestors(
+    sources: np.ndarray, targets: np.ndarray, layer: np.ndarray, blue: set[int]
+) -> int:
+    """Largest ancestor_count over the blue vertices, from the SCC condensation.
+
+    R, the blue vertices and all their ancestors, is closed under parents;
+    only edges into R are indexed, and when no red vertex points at a blue
+    one (so on every layered instance) R is the blue set itself.  An
+    iterative Tarjan over R's parent edges emits each SCC after every SCC
+    that reaches it, so the closure of an SCC C (the vertices with a path
+    to C, C included) is known from its parent SCCs when C is emitted:
+    |C| with none, |C| plus the parent's closure with one, and a walk over
+    the parents' union with more.  A blue v has closure of its SCC minus
+    one ancestors.
+    """
+    into_blue = layer[targets] == BLUE
+    if np.all(layer[sources[into_blue]] == BLUE):
+        sources, targets = sources[into_blue], targets[into_blue]
+    parents: dict[int, list[int]] = {}
+    for u, w in zip(sources.tolist(), targets.tolist()):
+        parents.setdefault(w, []).append(u)
+    index: dict[int, int] = {}  # DFS discovery order
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}  # vertex -> SCC id, set when its SCC is emitted
+    closure: list[int] = []  # SCC id -> closure size
+    stack: list[int] = []
+    for root in blue:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(parents.get(root, ())))]
+        while work:
+            v, it = work[-1]
+            for p in it:
+                if p not in index:
+                    index[p] = low[p] = len(index)
+                    stack.append(p)
+                    work.append((p, iter(parents.get(p, ()))))
+                    break
+                if p not in comp and index[p] < low[v]:
+                    low[v] = index[p]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                cid = len(closure)
+                members = []
+                while not members or members[-1] != v:
+                    members.append(stack.pop())
+                    comp[members[-1]] = cid
+                up = {comp[p] for x in members for p in parents.get(x, ())}
+                up.discard(cid)
+                if len(up) < 2:
+                    closure.append(len(members) + sum(closure[c] for c in up))
+                    continue
+                reach = set(members)
+                frontier = members
+                while frontier:
+                    nxt = []
+                    for x in frontier:
+                        for p in parents.get(x, ()):
+                            if p not in reach:
+                                reach.add(p)
+                                nxt.append(p)
+                    frontier = nxt
+                closure.append(len(reach))
+    return max((closure[comp[v]] for v in blue), default=1) - 1
+
+
 def epoch_stats(
     history: QueryHistory,
     coloring: Coloring,
@@ -242,32 +324,64 @@ def epoch_stats(
 ) -> EpochStats:
     """Post-hoc epoch/surprise/blue-path accounting for a finished run.
 
-    Ancestor counting visits every blue vertex's ancestor set; pass
-    include_ancestors=False on very large transcripts to skip it (the
-    field is then None).
+    Returns what decompose_epochs, max_blue_path of each epoch's knowledge
+    graph and ancestor_count of every blue vertex give, without building a
+    knowledge graph per epoch or a search per vertex.  One walk over the
+    records splits the epochs and counts the surprises.  Within an epoch,
+    a blue edge can point back at a vertex queried at or before its source
+    only on the closing surprise or as a self-loop, so query order is
+    otherwise a topological order of the epoch's blue edges and the walk
+    takes the longest path in passing; the rare epoch with such an edge
+    goes to max_blue_path.  Ancestor counts come from one pass over the
+    SCC condensation of the blue vertices and their ancestors.  Pass
+    include_ancestors=False to skip them (the field is then None).
     """
-    dec = decompose_epochs(history, epoch_cap)
-    num_surprise = sum(1 for r in dec.end_reasons if r is EpochReason.SURPRISE)
-    num_blue = sum(
-        1
-        for seg, r in zip(dec.closed_epochs, dec.end_reasons)
-        if r is EpochReason.SURPRISE and coloring.is_blue(seg[-1].vertex)
-    )
-    segments = list(dec.closed_epochs)
-    if len(dec.current_epoch):
-        segments.append(dec.current_epoch)
-    per_epoch = tuple(max_blue_path(knowledge_graph(seg), coloring) for seg in segments)
+    if epoch_cap < 1:
+        raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
+    records = history.records
+    layer = coloring.layer_by_vertex
+    vertices, sources, targets = _edge_arrays(records)
+    named = np.concatenate([vertices, targets])
+    blue = set(named[layer[named] == BLUE].tolist())
+    seen: set[int] = set()
+    per_epoch: list[int] = []
+    num_surprise = num_blue_surprise = 0
+    start = 0
+    dist: dict[int, int] = {}  # longest blue path ending at a blue vertex, this epoch
+    done: set[int] = set()  # blue vertices queried this epoch
+    best = 0
+    back = False  # a blue edge into a vertex queried earlier this epoch, or a self-loop
+    last = len(records)
+    for end, rec in enumerate(records, start=1):
+        u, answer = rec.vertex, rec.answer
+        surprise = not seen.isdisjoint(answer)
+        seen.add(u)
+        seen.update(answer)
+        if u in blue:
+            done.add(u)
+            step = dist.get(u, 0) + 1
+            for w in answer:
+                if w in done:
+                    back = True
+                elif w in blue and dist.get(w, 0) < step:
+                    dist[w] = step
+                    best = max(best, step)
+        if surprise or end - start == epoch_cap or end == last:
+            if back:
+                seg = QueryHistory(records[start:end])
+                best = max_blue_path(knowledge_graph(seg), coloring)
+            per_epoch.append(best)
+            if surprise:
+                num_surprise += 1
+                num_blue_surprise += u in blue
+            start, best, back = end, 0, False
+            dist.clear()
+            done.clear()
 
     max_anc = None
     if include_ancestors:
-        kg = knowledge_graph(history)
-        max_anc = 0
-        for v in kg.vertices:
-            if coloring.is_blue(v):
-                a = ancestor_count(kg, v)
-                if a > max_anc:
-                    max_anc = a
-    return EpochStats(dec.epoch_count(), num_surprise, num_blue, per_epoch, max_anc)
+        max_anc = _max_blue_ancestors(sources, targets, layer, blue)
+    return EpochStats(len(per_epoch), num_surprise, num_blue_surprise, tuple(per_epoch), max_anc)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-epoch-stats", action="store_true",
                         help="skip epoch statistics columns")
     parser.add_argument("--no-ancestors", action="store_true",
-                        help="skip the ancestor-count column (it scans every blue vertex)")
+                        help="skip the ancestor-count column (one SCC pass over the blue "
+                             "vertices and their ancestors)")
     parser.add_argument("--timings", action="store_true",
                         help="write real wall-clock ms (breaks byte-identical reruns)")
     return parser

@@ -276,7 +276,7 @@ def _grow_blue_path(
     query is followed by a cycle check; a child already on the path closes
     a cycle at any length.
     """
-    v_count = oracle.hidden_graph.v_count
+    v_count = params.v_count
     verdicts: dict[int, int | None] = {}
     exhausted: set[int] = set()
     pending: dict[int, list[int]] = {}
@@ -352,7 +352,7 @@ def run_algorithm1(
         path_target = math.ceil(2 * math.sqrt(n))
     if budget is None:
         budget = math.ceil(100 * layers * math.sqrt(n))
-    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * oracle.hidden_graph.v_count)
+    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * params.v_count)
     aux = {"walks": 0, "color_ids": 0, "seeds_tested": 0, "appends": 0, "backtracks": 0}
 
     def color_of(x: int) -> int | None:
@@ -487,7 +487,7 @@ def run_algorithm2(
         reach *= params.outdeg
         depth += 1
 
-    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * oracle.hidden_graph.v_count)
+    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * params.v_count)
     aux = {
         "walks": 0,
         "color_ids": 0,
@@ -500,7 +500,7 @@ def run_algorithm2(
         "stage1_queries": 0,
         "stage2_queries": 0,
     }
-    v_count = oracle.hidden_graph.v_count
+    v_count = params.v_count
 
     member_layer: dict[int, int] = {}
     walls: list[Wall] = []

@@ -98,30 +98,32 @@ class BRParams:
 def auto_params(n_blue: int, outdeg: int = 2) -> BRParams:
     """Pick the canonical layering for a given blue count.
 
-    The layer count L is the even divisor of 2N nearest to (2N)^(2/9)
-    (searching outward from the rounded target) whose width 2N/L can
-    accommodate the requested out-degree.  Raises NoValidLayering when no
-    candidate lies within a factor 4 of the target.
+    The layer count L is the even divisor of 2N nearest to (2N)^(2/9),
+    the smaller one on a tie, whose width 2N/L can accommodate the
+    requested out-degree.  Divisors come in pairs (i, 2N/i) with
+    i <= sqrt(2N), so only those i are tried.  Raises NoValidLayering
+    when no candidate lies within a factor 4 of the target.
     """
     if n_blue < 1:
         raise InvalidParams(f"n_blue must be positive, got {n_blue}")
     two_n = 2 * n_blue
     target = two_n ** (2.0 / 9.0)
     best = None
-    for l in range(2, two_n + 1, 2):
-        if two_n % l != 0:
+    for i in range(1, math.isqrt(two_n) + 1):
+        if two_n % i:
             continue
-        w = two_n // l
-        if w < max(2, outdeg):
-            continue
-        key = (abs(l - target), l)
-        if best is None or key < best[0]:
-            best = (key, l, w)
+        for l in (i, two_n // i):
+            if l % 2 or two_n // l < max(2, outdeg):
+                continue
+            key = (abs(l - target), l)
+            if best is None or key < best:
+                best = key
     if best is None or not (target / 4.0 <= best[1] <= target * 4.0):
         raise NoValidLayering(
             f"no even divisor of {two_n} within a factor 4 of {target:.3f}"
         )
-    return BRParams(n_blue=n_blue, layers=best[1], width=best[2], outdeg=outdeg)
+    layers = best[1]
+    return BRParams(n_blue=n_blue, layers=layers, width=two_n // layers, outdeg=outdeg)
 
 
 @dataclass(frozen=True)

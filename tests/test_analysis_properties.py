@@ -1,0 +1,131 @@
+"""Property tests: single-pass epoch_stats against the per-epoch rebuild."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cyclelab import (
+    BRParams,
+    Coloring,
+    EpochReason,
+    EpochStats,
+    QueryModel,
+    QueryRecord,
+    ancestor_count,
+    decompose_epochs,
+    epoch_stats,
+    gen_br_pair,
+    gen_br_simple,
+    gen_coloring,
+    knowledge_graph,
+    max_blue_path,
+    new_oracle,
+)
+from cyclelab.oracle import QueryHistory
+
+
+def reference_stats(history, coloring, cap, include_ancestors=True) -> EpochStats:
+    """One knowledge graph per epoch, one ancestor BFS per blue vertex."""
+    dec = decompose_epochs(history, cap)
+    surprises = [r is EpochReason.SURPRISE for r in dec.end_reasons]
+    blue_surprises = sum(
+        s and coloring.is_blue(seg[-1].vertex) for seg, s in zip(dec.closed_epochs, surprises)
+    )
+    segments = list(dec.closed_epochs)
+    if len(dec.current_epoch):
+        segments.append(dec.current_epoch)
+    per_epoch = tuple(max_blue_path(knowledge_graph(seg), coloring) for seg in segments)
+    max_anc = None
+    if include_ancestors:
+        kg = knowledge_graph(history)
+        max_anc = max(
+            (ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0
+        )
+    return EpochStats(dec.epoch_count(), sum(surprises), blue_surprises, per_epoch, max_anc)
+
+
+def walk(oracle, v_count: int, steps: list[int]) -> QueryHistory:
+    """Follow answer entries, jumping to a fresh start on a sink or every 8th draw.
+
+    Walks come back to vertices they have seen, so the history has
+    surprises and, on non-layered graphs, cycles through red vertices.
+    """
+    cur = steps[0] % v_count if steps else 0
+    for s in steps:
+        answer = oracle.query_vertex(cur)
+        cur = answer[s % len(answer)] if answer and s % 8 else s % v_count
+    return oracle.history
+
+
+small_params = st.builds(
+    lambda layers, width, d: BRParams(layers * width // 2, layers, width, min(d, width)),
+    st.sampled_from([2, 4, 6, 8]),
+    st.integers(2, 8),
+    st.integers(2, 4),
+)
+steps = st.lists(st.integers(0, 2**16), max_size=80)
+
+
+@given(small_params, st.integers(0, 2**32 - 1), steps, st.booleans())
+def test_layered_walks_match_reference(params, seed, walk_steps, include_ancestors):
+    pair = gen_br_pair(params, np.random.default_rng(seed))
+    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    history = walk(oracle, params.v_count, walk_steps)
+    cap = params.epoch_cap
+    got = epoch_stats(history, pair.coloring, cap, include_ancestors=include_ancestors)
+    assert got == reference_stats(history, pair.coloring, cap, include_ancestors)
+
+
+@given(
+    small_params,
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    steps,
+    st.integers(1, 6),
+)
+def test_nonlayered_walks_match_reference(params, d, seed, walk_steps, cap):
+    # 2N vertices in d random matchings each way, colored as a 3N-vertex
+    # layered instance: red -> blue edges and dense SCCs both occur.
+    rng = np.random.default_rng(seed)
+    graph = gen_br_simple(2 * params.n_blue, d, rng)
+    coloring = gen_coloring(params, rng)
+    history = walk(new_oracle(graph, QueryModel.VERTEX, lenient=True), graph.v_count, walk_steps)
+    assert epoch_stats(history, coloring, cap) == reference_stats(history, coloring, cap)
+
+
+def tiny_coloring() -> Coloring:
+    # BRParams(4, 4, 2, 2): vertices 0-3 blue, then layers 1-4 of width 2.
+    return Coloring(BRParams(4, 4, 2, 2), np.array([0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4]))
+
+
+def test_isolated_cycle_with_unit_indegrees():
+    # 0 -> 1 -> 2 -> 0, all blue: one SCC with no parent SCC.
+    recs = (QueryRecord(0, (1,)), QueryRecord(1, (2,)), QueryRecord(2, (0,)))
+    history = QueryHistory(recs)
+    coloring = tiny_coloring()
+    # the closing query 2 -> 0 is a blue surprise, and the epoch's blue
+    # part is cyclic, so its path entry is its blue vertex count
+    assert epoch_stats(history, coloring, 3) == EpochStats(1, 1, 1, (3,), 2)
+    assert epoch_stats(history, coloring, 3) == reference_stats(history, coloring, 3)
+
+
+def test_empty_history():
+    coloring = tiny_coloring()
+    assert epoch_stats(QueryHistory(()), coloring, 2) == EpochStats(0, 0, 0, (), 0)
+    stats = epoch_stats(QueryHistory(()), coloring, 2, include_ancestors=False)
+    assert stats == EpochStats(0, 0, 0, (), None)
+
+
+def test_include_ancestors_false_keeps_epoch_fields():
+    # red 4 -> blue 0 -> blue 1, then blue 1 -> blue 0 closes a cycle
+    recs = (QueryRecord(4, (0, 6)), QueryRecord(0, (1,)), QueryRecord(1, (0,)))
+    history = QueryHistory(recs)
+    coloring = tiny_coloring()
+    full = epoch_stats(history, coloring, 2)
+    assert full == reference_stats(history, coloring, 2)
+    assert full.max_ancestors_blue == 2
+    skipped = epoch_stats(history, coloring, 2, include_ancestors=False)
+    assert skipped == EpochStats(
+        full.num_epochs, full.num_surprise, full.num_blue_surprise,
+        full.max_blue_path_per_epoch, None,
+    )

@@ -46,6 +46,23 @@ def test_auto_params_rejects_degenerate_order():
         auto_params(1)
 
 
+def test_auto_params_matches_bruteforce():
+    # Reference: every even L in 2..2N, nearest to (2N)^(2/9), smaller L on a tie.
+    for n in range(1, 3001):
+        two_n = 2 * n
+        target = two_n ** (2.0 / 9.0)
+        even_divisors = [l for l in range(2, two_n + 1, 2) if two_n % l == 0]
+        for d in (2, 3, 8):
+            fits = [l for l in even_divisors if two_n // l >= max(2, d)]
+            best = min(fits, key=lambda l: (abs(l - target), l), default=None)
+            if best is None or not target / 4.0 <= best <= target * 4.0:
+                with pytest.raises(NoValidLayering):
+                    auto_params(n, d)
+                continue
+            p = auto_params(n, d)
+            assert (p.layers, p.width, p.outdeg) == (best, two_n // best, d), (n, d)
+
+
 def test_params_validation():
     with pytest.raises(InvalidParams):
         BRParams(4, 3, 2, 2)  # odd layer count

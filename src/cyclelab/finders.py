@@ -73,7 +73,13 @@ class _Budget:
     """Query budget plus an optional wall-clock deadline and a raw step cap.
 
     The step cap exists because lenient revisits cost no queries: a walk
-    looping through cached territory must still terminate.
+    looping through cached territory must still terminate.  Callers poll
+    ``exhausted()`` before they charge a query, so the budget is never
+    overdrawn.  Colour walks poll it only at each walk start and after
+    each charged query (see ``_implied_layers``): with no deadline that is
+    exact, because between those points neither the meter nor ``steps``
+    moves; with a deadline, a walk through cached answers can run up to
+    its ``max_walk_len`` steps past it.
     """
 
     def __init__(self, oracle: Oracle, max_queries: int, deadline: float | None, step_cap: int):
@@ -88,7 +94,9 @@ class _Budget:
         return self.oracle.vertex_query_count + self.oracle.adj_query_count - self.start
 
     def exhausted(self) -> bool:
-        if self.used() >= self.max_queries or self.steps >= self.step_cap:
+        oracle = self.oracle
+        used = oracle.vertex_query_count + oracle.adj_query_count - self.start
+        if used >= self.max_queries or self.steps >= self.step_cap:
             return True
         return self.deadline is not None and time.perf_counter() > self.deadline
 
@@ -109,7 +117,7 @@ def run_random_walk_finder(
         raise ValueError("max_queries must be >= 1")
     budget = _Budget(oracle, max_queries, deadline, step_cap=20 * max_queries)
     aux = {"walks": 0, "restarts": 0, "steps": 0}
-    v_count = oracle.hidden_graph.v_count
+    v_count = oracle.v_count
     cycle = None
     cur: int | None = None
     trail: set[int] = set()
@@ -153,8 +161,8 @@ def run_birthday_sampler(
         raise ValueError("the birthday sampler works in the adjacency-list model")
     if max_queries < 1:
         raise ValueError("max_queries must be >= 1")
-    v_count = oracle.hidden_graph.v_count
-    d = oracle.hidden_graph.max_out_degree()
+    v_count = oracle.v_count
+    d = oracle.max_out_degree
     budget = _Budget(oracle, max_queries, deadline, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
     partial = KnowledgeGraph()
@@ -196,27 +204,44 @@ def _implied_layers(
 
     A walk ends at a sink, implying L - steps, or on a wall member after at
     least one step, implying that member's layer - steps.  Walks cut short
-    by max_walk_len or by stop() (polled before every query) imply nothing.
+    by max_walk_len or by stop() imply nothing.
+
+    stop() is polled at each walk start and after each charged query; a
+    true result ends the walk before its next query, though a sink that
+    query found, or a wall member one step on, still ends it normally.
+    On a lenient oracle a vertex already queried is answered straight from
+    the oracle's answer cache, with no call and no poll; a strict oracle
+    is asked every time, so a revisit still raises RepeatedQuery.  The
+    meter and a step cap cannot move between polls, so a budget without a
+    deadline stops walks exactly as if it were polled before every step.
+    A deadline is read only at the polls, so a walk through cached answers
+    can overrun it by up to max_walk_len steps.
     """
     implied = []
     attempted = 0
+    cached = (oracle.kg.out if oracle.lenient else {}).get
+    draw = rng.integers
     for _ in range(num_walks):
         if stop is not None and stop():
             break
         attempted += 1
         cur = v
         steps = 0
+        halted = False
         while steps <= max_walk_len:
             if steps >= 1 and cur in member_layer:
                 implied.append(member_layer[cur] - steps)
                 break
-            if stop is not None and stop():
+            if halted:
                 break
-            answer = oracle.query_vertex(cur)
+            answer = cached(cur)
+            if answer is None:
+                answer = oracle.query_vertex(cur)
+                halted = stop is not None and stop()
             if not answer:
                 implied.append(layers - steps)
                 break
-            cur = answer[int(rng.integers(len(answer)))]
+            cur = answer[int(draw(len(answer)))]
             steps += 1
     return implied, attempted
 
@@ -238,9 +263,12 @@ def identify_color(
     is blue.  Walks that never reach a sink within max_walk_len are
     discarded; if none terminate the verdict is Unknown.
 
-    stop() is polled before every query so a caller's budget is never
-    overdrawn mid-identification; an interrupted walk counts as
-    non-terminating.
+    stop() is polled at each walk start and after each charged query, and
+    a true result ends the walk before its next query, so a caller's
+    budget is never overdrawn mid-identification; an interrupted walk
+    counts as non-terminating.  A deadline inside stop() is read only at
+    those polls, so walks through cached answers can pass it by up to
+    max_walk_len steps.
     """
     if max_walk_len is None:
         max_walk_len = 4 * layers
@@ -556,7 +584,7 @@ def run_bfs_heuristic(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    v_count = oracle.hidden_graph.v_count
+    v_count = oracle.v_count
     if explore_budget is None:
         explore_budget = math.ceil(repetitions * v_count / max(1.0, math.log2(v_count)))
     cap = max_queries if max_queries is not None else repetitions * explore_budget + 1

@@ -204,7 +204,7 @@ class Digraph:
         return cls(offsets, targets)
 
     def out_list(self, u: int) -> tuple:
-        return tuple(int(x) for x in self._targets[self._offsets[u]:self._offsets[u + 1]])
+        return tuple(self._targets[self._offsets[u]:self._offsets[u + 1]].tolist())
 
     def out_degree(self, u: int) -> int:
         return int(self._offsets[u + 1] - self._offsets[u])
@@ -266,13 +266,15 @@ def _distinct_rows(rng: np.random.Generator, rows: int, high: int, d: int) -> np
     Rows are ordered uniformly (iid draws conditioned on distinctness).
     Consumption order: one full matrix, then whole-row redraws for rows
     that contained repeats, repeated until clean.  Falls back to per-row
-    permutations when d is a large fraction of the range.
+    permutations when d is a large fraction of the range, or when a row of
+    iid draws is distinct with probability below 1e-3 (over a thousand
+    expected redraws per row).
     """
     if d > high:
         raise InfeasibleSampling(f"cannot draw {d} distinct values from {high}")
     if rows == 0:
         return np.empty((0, d), dtype=np.int64)
-    if d * 2 > high:
+    if d * 2 > high or math.prod(1 - k / high for k in range(d)) < 1e-3:
         out = np.empty((rows, d), dtype=np.int64)
         for i in range(rows):
             out[i] = rng.permutation(high)[:d]

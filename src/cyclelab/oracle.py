@@ -193,7 +193,8 @@ class Oracle:
     closed epoch whenever an epoch cap is given.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
-    (cycle verification, accuracy scoring); finders must not touch them.
+    (cycle verification, accuracy scoring); finders must not touch them,
+    and read the instance's shape from ``v_count`` and ``max_out_degree``.
     """
 
     def __init__(
@@ -224,6 +225,16 @@ class Oracle:
     # -- construction helpers -------------------------------------------
 
     @property
+    def v_count(self) -> int:
+        """Number of vertices; queries name vertices 0..v_count-1."""
+        return self._graph.v_count
+
+    @property
+    def max_out_degree(self) -> int:
+        """Longest out-list; adjacency slots run 1..max_out_degree."""
+        return self._max_deg
+
+    @property
     def hidden_graph(self) -> Digraph:
         return self._graph
 
@@ -252,18 +263,20 @@ class Oracle:
     # -- queries ---------------------------------------------------------
 
     def query_vertex(self, u: int) -> tuple[int, ...]:
-        if self.model is QueryModel.ADJ_LIST:
-            raise ValueError("vertex queries unavailable in the adjacency-list model")
-        if not 0 <= u < self._graph.v_count:
-            raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
+        # Only in-range vertex queries are ever cached (an ADJ_LIST oracle
+        # caches nothing), so a cache hit needs neither check.
         cached = self.kg.out.get(u)
         if cached is not None:
             if not self.lenient:
                 raise RepeatedQuery(f"vertex {u} was already queried")
             return cached
+        if self.model is QueryModel.ADJ_LIST:
+            raise ValueError("vertex queries unavailable in the adjacency-list model")
+        if not 0 <= u < self._graph.v_count:
+            raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        surprise = any(v in self.kg.vertices for v in answer)
+        surprise = not self.kg.vertices.isdisjoint(answer)
         rec = QueryRecord(u, answer)
         self._records.append(rec)
         self.kg.add_record(rec)

@@ -8,6 +8,7 @@ from cyclelab import (
     BRParams,
     Digraph,
     FinderOutcome,
+    Oracle,
     QueryModel,
     build_wall,
     gen_br_pair,
@@ -314,3 +315,32 @@ def test_bfs_finds_cycles_with_repetitions():
             wins += 1
         assert out.queries_used == oracle.vertex_query_count
     assert wins >= 1
+
+
+# -- oracle boundary ----------------------------------------------------------------
+
+
+def test_finders_never_read_the_hidden_graph(monkeypatch):
+    pair = gen_br_pair(BRParams(256, 4, 128, 3), np.random.default_rng(90))
+    simple = gen_br_simple(400, 3, np.random.default_rng(91))
+
+    def hidden(self):
+        raise AssertionError("a finder read the hidden graph")
+
+    monkeypatch.setattr(Oracle, "hidden_graph", property(hidden))
+    rng = np.random.default_rng(92)
+
+    def vertex_oracle(graph_or_pair):
+        return new_oracle(graph_or_pair, model=QueryModel.VERTEX, lenient=True)
+
+    runs = [
+        (simple, run_random_walk_finder(vertex_oracle(simple), 400, rng)),
+        (simple, run_birthday_sampler(
+            new_oracle(simple, model=QueryModel.ADJ_LIST, lenient=True), 400, rng)),
+        (pair.graph, run_algorithm1(vertex_oracle(pair), pair.params, rng)),
+        (pair.graph, run_algorithm2(vertex_oracle(pair), pair.params, rng)),
+        (pair.graph, run_bfs_heuristic(vertex_oracle(pair), 4, rng)),
+    ]
+    for graph, out in runs:
+        assert out.queries_used > 0
+        assert out.cycle is None or verify_cycle(graph, out.cycle)

@@ -98,6 +98,19 @@ def test_generation_is_deterministic():
         assert np.array_equal(left, right)
 
 
+def test_generation_terminates_when_distinct_rows_are_rare():
+    # 63 iid draws from the blue pool of 127 are distinct with probability
+    # about 7e-9, so rejection sampling would not finish
+    pair = gen_br_pair(BRParams(64, 2, 64, 63), np.random.default_rng(0))
+    assert validate_br(pair) == []
+
+
+def test_out_list_entries_are_python_ints():
+    pair = gen_br_pair(BRParams(16, 4, 8, 3), np.random.default_rng(5))
+    for v in range(pair.params.v_count):
+        assert all(type(x) is int for x in pair.graph.out_list(v))
+
+
 def test_sinks_and_blue_target_range():
     params = BRParams(32, 8, 8, 4)
     rng = np.random.default_rng(11)

@@ -145,7 +145,10 @@ class Coloring:
         expected = [self.params.n_blue] + [self.params.width] * self.params.layers
         if list(counts) != expected:
             raise InvalidParams(f"class sizes {list(counts)} != {expected}")
-        arr.setflags(write=False)
+        # a read-only view: the caller's own array stays writeable
+        view = arr.view()
+        view.setflags(write=False)
+        object.__setattr__(self, "layer_by_vertex", view)
 
     def color(self, v: int) -> int:
         return int(self.layer_by_vertex[v])
@@ -179,10 +182,11 @@ class Digraph:
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         self.v_count = len(offsets) - 1
-        self._offsets = offsets
-        self._targets = targets
-        offsets.setflags(write=False)
-        targets.setflags(write=False)
+        # read-only views: the caller's own arrays stay writeable
+        self._offsets = offsets.view()
+        self._targets = targets.view()
+        self._offsets.setflags(write=False)
+        self._targets.setflags(write=False)
 
     @classmethod
     def from_lists(cls, lists: list) -> "Digraph":

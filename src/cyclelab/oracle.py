@@ -19,9 +19,8 @@ cost, which the walk-based finders rely on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import BRPair, Coloring, Digraph, color_token
 
@@ -49,8 +48,7 @@ class EpochReason(enum.Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """One vertex query and its full answer list (empty for sinks)."""
 
     vertex: int
@@ -87,33 +85,46 @@ class QueryHistory:
 class KnowledgeGraph:
     """Everything a history has exposed: seen vertices, answer edges, sinks.
 
-    Can be built incrementally from records or assembled by hand for the
-    tree-classification helpers.
+    ``vertices`` is the seen set and ``out`` maps each queried vertex to its
+    answer, which makes it the oracle's answer cache too.  ``in_edges`` is
+    derived: built from ``out`` on first use after a change and kept until
+    the next add.  Can be built incrementally from records or assembled by
+    hand for the tree-classification helpers.
     """
 
     def __init__(self) -> None:
         self.vertices: set[int] = set()
         self.out: dict[int, tuple[int, ...]] = {}
-        self.in_edges: dict[int, list[int]] = {}
         self.sinks: set[int] = set()
+        self._in_edges: dict[int, list[int]] | None = None
 
     def add_vertex(self, v: int) -> None:
         self.vertices.add(v)
 
     def add_record(self, rec: QueryRecord) -> None:
-        self.vertices.add(rec.vertex)
-        self.out[rec.vertex] = rec.answer
-        if not rec.answer:
-            self.sinks.add(rec.vertex)
-        for v in rec.answer:
-            self.vertices.add(v)
-            self.in_edges.setdefault(v, []).append(rec.vertex)
+        u, answer = rec
+        self.vertices.add(u)
+        self.vertices.update(answer)
+        self.out[u] = answer
+        if not answer:
+            self.sinks.add(u)
+        self._in_edges = None
 
     def add_edge(self, u: int, v: int) -> None:
         """Append one answer entry v to u's known out-list."""
         self.vertices.update((u, v))
         self.out[u] = self.out.get(u, ()) + (v,)
-        self.in_edges.setdefault(v, []).append(u)
+        self._in_edges = None
+
+    @property
+    def in_edges(self) -> dict[int, list[int]]:
+        """Parents of each vertex, one per answer entry, in ``out`` order."""
+        if self._in_edges is None:
+            index: dict[int, list[int]] = {}
+            for u, v in self.edges():
+                index.setdefault(v, []).append(u)
+            self._in_edges = index
+        return self._in_edges
 
     def out_of(self, v: int) -> tuple[int, ...]:
         return self.out.get(v, ())
@@ -220,6 +231,7 @@ class Oracle:
         self._records: list[QueryRecord] = []
         self.kg = KnowledgeGraph()
         self._bounds: list[tuple[int, EpochReason]] = []
+        self._epoch_start = 0  # record index where the open epoch begins
         self.revealed: dict[int, int] = {}
 
     # -- construction helpers -------------------------------------------
@@ -276,19 +288,21 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        surprise = not self.kg.vertices.isdisjoint(answer)
+        kg = self.kg
+        surprise = not kg.vertices.isdisjoint(answer)
         rec = QueryRecord(u, answer)
         self._records.append(rec)
-        self.kg.add_record(rec)
+        kg.add_record(rec)
         self.vertex_query_count += 1
 
         if self.epoch_cap is not None:
-            start = self._bounds[-1][0] if self._bounds else 0
+            start = self._epoch_start
             end = len(self._records)
             if surprise or end - start == self.epoch_cap:
                 self._bounds.append(
                     (end, EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
                 )
+                self._epoch_start = end
                 if self.model is QueryModel.COLOR_REVELATION:
                     # earlier closes revealed everything seen before start
                     epoch = QueryHistory(tuple(self._records[start:]))
@@ -356,36 +370,36 @@ def new_oracle(
 
 
 def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
-    """Cycle through ``last.vertex`` if one is visible in the knowledge graph.
+    """A shortest cycle through ``last.vertex`` visible in the knowledge graph.
 
-    Looks for a path from any answer entry of ``last`` back to the queried
-    vertex, walking in-edges breadth-first (so the shortest such cycle is
-    returned).  Pure bookkeeping; costs no queries.
+    Searches breadth-first forward along ``kg.out`` from every answer entry
+    of ``last`` other than the queried vertex, and stops on reaching it; the
+    cycle starts at ``last.vertex``.  A self-loop alone is not a cycle.
+    Pure bookkeeping; costs no queries.
     """
-    u = last.vertex
-    targets = set(last.answer)
-    if not targets:
-        return None
-    # next_hop[x] = successor of x on a known path x -> ... -> u.
-    next_hop: dict[int, int] = {}
-    frontier = [u]
-    seen = {u}
+    u, answer = last
+    out = kg.out
+    # prev[x] = predecessor of x on a shortest path u -> answer entry -> ... -> x.
+    prev: dict[int, int] = {}
+    frontier = []
+    for x in answer:
+        if x != u and x not in prev:
+            prev[x] = u
+            frontier.append(x)
     while frontier:
         nxt = []
         for y in frontier:
-            for x in kg.parents_of(y):
-                if x in seen:
-                    continue
-                seen.add(x)
-                next_hop[x] = y
-                if x in targets:
-                    cycle = [u, x]
-                    step = next_hop[x]
-                    while step != u:
-                        cycle.append(step)
-                        step = next_hop[step]
+            for z in out.get(y, ()):
+                if z == u:
+                    cycle = [y]
+                    while (y := prev[y]) != u:
+                        cycle.append(y)
+                    cycle.append(u)
+                    cycle.reverse()
                     return cycle
-                nxt.append(x)
+                if z not in prev:
+                    prev[z] = y
+                    nxt.append(z)
         frontier = nxt
     return None
 

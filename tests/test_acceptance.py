@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from cyclelab import (
     BRParams,
@@ -44,6 +45,10 @@ from cyclelab import (
     wall_identify,
 )
 from cyclelab.graphs import Digraph
+
+# the whole module is the slow end-to-end tier; `pytest -m "not acceptance"`
+# skips it for a fast inner loop
+pytestmark = pytest.mark.acceptance
 
 # running tally for the soundness gate: every cycle any finder claims in this
 # module goes through verify_cycle and lands here

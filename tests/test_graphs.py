@@ -7,6 +7,7 @@ from cyclelab import (
     BLUE,
     BRPair,
     BRParams,
+    Coloring,
     Digraph,
     InvalidParams,
     NoValidLayering,
@@ -109,6 +110,21 @@ def test_out_list_entries_are_python_ints():
     pair = gen_br_pair(BRParams(16, 4, 8, 3), np.random.default_rng(5))
     for v in range(pair.params.v_count):
         assert all(type(x) is int for x in pair.graph.out_list(v))
+
+
+def test_instances_do_not_freeze_the_callers_arrays():
+    params = BRParams(16, 4, 8, 3)
+    layers = gen_coloring(params, np.random.default_rng(5)).layer_by_vertex.copy()
+    coloring = Coloring(params, layers)
+    offsets = np.array([0, 1, 2], dtype=np.int64)
+    targets = np.array([1, 0], dtype=np.int64)
+    graph = Digraph(offsets, targets)
+    for mine in (layers, offsets, targets):
+        assert mine.flags.writeable
+    for stored in (coloring.layer_by_vertex, graph._offsets, graph._targets):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = stored[0]
 
 
 def test_sinks_and_blue_target_range():

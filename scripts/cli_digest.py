@@ -1,0 +1,67 @@
+"""Byte-identity check of the command line: one SHA-256 per config.
+
+    python3 scripts/cli_digest.py > new.txt
+    python3 scripts/cli_digest.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+Each config runs ``python3 -m cyclelab`` in a fresh process with ``--src``
+first on ``PYTHONPATH`` (default: this checkout's ``src``), and its digest
+covers the process's stdout, stderr and exit status.  The configs are every
+finder on both distributions at three (n, d) sizes and three seeds, four
+trials each with the deadline off: 90 in all, some of them usage errors,
+whose stderr and exit status are compared too.  Two configs run at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ALGOS = ("alg1", "alg2", "walk", "bfs", "birthday")
+DISTS = ("br", "brsimple")
+SIZES = ((128, 3), (512, 2), (1024, 8))
+SEEDS = (11, 37, 4242)
+
+
+def configs() -> list[list[str]]:
+    return [
+        ["--algo", algo, "--dist", dist, "--n", str(n), "--d", str(d),
+         "--seed", str(seed), "--trials", "4", "--time-limit", "0"]
+        for algo, dist, (n, d), seed in itertools.product(ALGOS, DISTS, SIZES, SEEDS)
+    ]
+
+
+def digest(args: list[str], src: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclelab", *args], capture_output=True, env=env, check=False,
+    )
+    h = hashlib.sha256()
+    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the cyclelab package (default: this checkout's src)")
+    src = parser.parse_args().src.resolve()
+    runs = configs()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for args, sha in zip(runs, pool.map(lambda a: digest(a, src), runs)):
+            print(sha, " ".join(args))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,11 +22,14 @@ anyway.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+from ._draws import draw_source
 from .graphs import BLUE, BRParams
 from .oracle import KnowledgeGraph, Oracle, QueryModel, QueryRecord, detect_cycle
 
@@ -101,6 +104,28 @@ class _Budget:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
 
+def _with_draw_source(finder):
+    """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
+
+    The finder draws through ``rng.below``.  Whatever way it ends, a return
+    or an exception such as ``RepeatedQuery``, the caller's generator is
+    left exactly where ``int(rng.integers(k))`` draws would have left it.
+    """
+    signature = inspect.signature(finder)
+
+    @functools.wraps(finder)
+    def run(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        draws = bound.arguments["rng"] = draw_source(bound.arguments["rng"])
+        try:
+            return finder(*bound.args, **bound.kwargs)
+        finally:
+            draws.sync()
+
+    return run
+
+
+@_with_draw_source
 def run_random_walk_finder(
     oracle: Oracle,
     max_queries: int,
@@ -112,18 +137,22 @@ def run_random_walk_finder(
 
     One uniform random out-step per move; a sink aborts the trail and a
     fresh uniform start opens a new one.
+
+    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
+    ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be >= 1")
     budget = _Budget(oracle, max_queries, deadline, step_cap=20 * max_queries)
     aux = {"walks": 0, "restarts": 0, "steps": 0}
     v_count = oracle.v_count
+    draw = rng.below
     cycle = None
     cur: int | None = None
     trail: set[int] = set()
     while not budget.exhausted():
         if cur is None:
-            cur = int(rng.integers(v_count))
+            cur = draw(v_count)
             trail = {cur}
             aux["walks"] += 1
         answer = oracle.query_vertex(cur)
@@ -131,7 +160,7 @@ def run_random_walk_finder(
             aux["restarts"] += 1
             cur = None
             continue
-        nxt = answer[int(rng.integers(len(answer)))]
+        nxt = answer[draw(len(answer))]
         aux["steps"] += 1
         budget.steps += 1
         if nxt in trail:
@@ -143,6 +172,7 @@ def run_random_walk_finder(
     return FinderOutcome(cycle, budget.used(), aux)
 
 
+@_with_draw_source
 def run_birthday_sampler(
     oracle: Oracle,
     max_queries: int,
@@ -156,6 +186,9 @@ def run_birthday_sampler(
     answer or as a sampled vertex); the count lands in aux["collisions"].
     Detected cycles are reported, but this is mainly a statistics
     baseline.
+
+    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
+    ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     if oracle.model is not QueryModel.ADJ_LIST:
         raise ValueError("the birthday sampler works in the adjacency-list model")
@@ -163,6 +196,7 @@ def run_birthday_sampler(
         raise ValueError("max_queries must be >= 1")
     v_count = oracle.v_count
     d = oracle.max_out_degree
+    draw = rng.below
     budget = _Budget(oracle, max_queries, deadline, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
     partial = KnowledgeGraph()
@@ -171,7 +205,7 @@ def run_birthday_sampler(
     cycle = None
     while len(seen_cells) < total_cells and not budget.exhausted():
         budget.steps += 1
-        cell = (int(rng.integers(v_count)), 1 + int(rng.integers(d)))
+        cell = (draw(v_count), 1 + draw(d))
         if cell in seen_cells:
             continue
         seen_cells.add(cell)
@@ -216,11 +250,22 @@ def _implied_layers(
     deadline stops walks exactly as if it were polled before every step.
     A deadline is read only at the polls, so a walk through cached answers
     can overrun it by up to max_walk_len steps.
+
+    rng is a draw source (a finder's) or a Generator; a Generator gets a
+    source of its own for this call, synced back before returning.
     """
+    draws = draw_source(rng)
+    if draws is not rng:
+        try:
+            return _implied_layers(
+                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop
+            )
+        finally:
+            draws.sync()
     implied = []
     attempted = 0
     cached = (oracle.kg.out if oracle.lenient else {}).get
-    draw = rng.integers
+    draw = rng.below
     for _ in range(num_walks):
         if stop is not None and stop():
             break
@@ -241,7 +286,7 @@ def _implied_layers(
             if not answer:
                 implied.append(layers - steps)
                 break
-            cur = answer[int(draw(len(answer)))]
+            cur = answer[draw(len(answer))]
             steps += 1
     return implied, attempted
 
@@ -269,6 +314,8 @@ def identify_color(
     counts as non-terminating.  A deadline inside stop() is read only at
     those polls, so walks through cached answers can pass it by up to
     max_walk_len steps.
+
+    rng is a numpy Generator or a finder's draw source.
     """
     if max_walk_len is None:
         max_walk_len = 4 * layers
@@ -302,9 +349,10 @@ def _grow_blue_path(
     on a blue verdict.  Dead ends (all children non-blue) backtrack and
     are never re-entered.  Once the path passes path_target, every head
     query is followed by a cycle check; a child already on the path closes
-    a cycle at any length.
+    a cycle at any length.  rng is the finder's draw source.
     """
-    v_count = params.v_count
+    v_count = int(params.v_count)  # below() needs a Python int
+    draw = rng.below
     verdicts: dict[int, int | None] = {}
     exhausted: set[int] = set()
     pending: dict[int, list[int]] = {}
@@ -320,7 +368,7 @@ def _grow_blue_path(
     while not budget.exhausted():
         budget.steps += 1
         if not path:
-            cand = int(rng.integers(v_count))
+            cand = draw(v_count)
             aux["seeds_tested"] += 1
             if cand in exhausted or cached_color(cand) != BLUE:
                 continue
@@ -359,6 +407,7 @@ def _grow_blue_path(
     return None
 
 
+@_with_draw_source
 def run_algorithm1(
     oracle: Oracle,
     params: BRParams,
@@ -374,6 +423,9 @@ def run_algorithm1(
 
     Color tests walk to sinks.  Defaults: path target 2*sqrt(N) rounded
     up, budget 100*L*sqrt(N) queries.
+
+    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
+    ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     n, layers = params.n_blue, params.layers
     if path_target is None:
@@ -455,7 +507,8 @@ def wall_identify(
     in 1..L; blue on scatter or on agreement at a layer below 1 (only a
     blue prefix pushes the implied value that low); unknown with fewer
     than two terminated walks.  A start that is itself a wall member gets
-    that wall's layer for free.
+    that wall's layer for free.  rng is a numpy Generator or a finder's
+    draw source.
     """
     if max_walk_len is None:
         max_walk_len = 4 * layers
@@ -474,6 +527,7 @@ def wall_identify(
     return ColorEstimate(BLUE, attempted)
 
 
+@_with_draw_source
 def run_algorithm2(
     oracle: Oracle,
     params: BRParams,
@@ -497,6 +551,9 @@ def run_algorithm2(
     red when at least 80% of terminated walks agree on a layer >= 1, blue
     on scatter or agreement at an impossible layer, unknown with fewer
     than two terminated walks.
+
+    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
+    ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     n, layers = params.n_blue, params.layers
     if num_walls is None:
@@ -528,14 +585,14 @@ def run_algorithm2(
         "stage1_queries": 0,
         "stage2_queries": 0,
     }
-    v_count = params.v_count
+    v_count = int(params.v_count)  # below() needs a Python int
 
     member_layer: dict[int, int] = {}
     walls: list[Wall] = []
     attempts = 0
     while len(walls) < num_walls and attempts < 30 * num_walls + 60 and not tracker.exhausted():
         attempts += 1
-        cand = int(rng.integers(v_count))
+        cand = rng.below(v_count)
         est = identify_color(
             oracle, cand, layers, rng,
             num_walks=num_walks, max_walk_len=max_walk_len, stop=tracker.exhausted,
@@ -568,6 +625,7 @@ def run_algorithm2(
     return FinderOutcome(cycle, tracker.used(), aux)
 
 
+@_with_draw_source
 def run_bfs_heuristic(
     oracle: Oracle,
     repetitions: int,
@@ -581,6 +639,9 @@ def run_bfs_heuristic(
 
     Each repetition explores up to explore_budget vertices, defaulting to
     ceil(repetitions * V / log2 V).
+
+    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
+    ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -594,7 +655,7 @@ def run_bfs_heuristic(
         if budget.exhausted():
             break
         aux["reps_run"] += 1
-        start = int(rng.integers(v_count))
+        start = rng.below(v_count)
         visited = {start}
         frontier = deque([start])
         explored = 0

@@ -15,6 +15,7 @@ from cyclelab import (
     identify_color,
     new_oracle,
 )
+from cyclelab._draws import DrawSource
 from cyclelab.finders import _Budget, _implied_layers
 from cyclelab.oracle import RepeatedQuery, VertexOutOfRange
 
@@ -98,11 +99,14 @@ def walk_once(loop, oracle, v, member_layer, layers, rng, case, budget):
         return RepeatedQuery
 
 
-@given(walk_cases())
-def test_walk_loop_matches_reference(case):
+@given(walk_cases(), st.booleans())
+def test_walk_loop_matches_reference(case, fast):
+    # fast: the loop draws from a DrawSource over rng, synced after each
+    # start; otherwise it gets the Generator itself
     layers = case["params"].layers
     ref_oracle, ref_members, ref_rng, ref_budget = twin(case)
     oracle, members, rng, budget = twin(case)
+    walk_rng = DrawSource(rng) if fast else rng
     assert members == ref_members
     for v in case["starts"]:
         # one budget step per colour test, as in the path-growth loop
@@ -111,7 +115,9 @@ def test_walk_loop_matches_reference(case):
         want = walk_once(
             reference_implied_layers, ref_oracle, v, ref_members, layers, ref_rng, case, ref_budget
         )
-        got = walk_once(_implied_layers, oracle, v, members, layers, rng, case, budget)
+        got = walk_once(_implied_layers, oracle, v, members, layers, walk_rng, case, budget)
+        if fast:
+            walk_rng.sync()
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert oracle.vertex_query_count == ref_oracle.vertex_query_count

@@ -7,9 +7,11 @@
 Each config runs ``python3 -m cyclelab`` in a fresh process with ``--src``
 first on ``PYTHONPATH`` (default: this checkout's ``src``), and its digest
 covers the process's stdout, stderr and exit status.  The configs are every
-finder on both distributions at three (n, d) sizes and three seeds, four
-trials each with the deadline off: 90 in all, some of them usage errors,
-whose stderr and exit status are compared too.  Two configs run at a time.
+finder on both distributions at three (n, d) sizes, and on br at four
+(n, layers, d) shapes that reach every branch of the instance generator,
+each at three seeds, four trials each with the deadline off: 150 in all,
+some of them usage errors, whose stderr and exit status are compared too.
+Two configs run at a time.
 """
 
 from __future__ import annotations
@@ -26,15 +28,27 @@ from pathlib import Path
 ALGOS = ("alg1", "alg2", "walk", "bfs", "birthday")
 DISTS = ("br", "brsimple")
 SIZES = ((128, 3), (512, 2), (1024, 8))
+# br shapes (n, layers, d) with an explicit layer count, so that every
+# branch of the row sampler runs: narrow layers drawn by permutation
+# (W = 8 < 2d), iid rows with redraws in narrow layers (W = 128, d = 3),
+# the rare-distinct fallback at L = 2 (63 of a 127-vertex blue pool) and
+# d = W (W = 4)
+LAYERED = ((128, 32, 5), (2048, 32, 3), (64, 2, 63), (16, 8, 4))
 SEEDS = (11, 37, 4242)
+TAIL = ["--trials", "4", "--time-limit", "0"]
 
 
 def configs() -> list[list[str]]:
-    return [
-        ["--algo", algo, "--dist", dist, "--n", str(n), "--d", str(d),
-         "--seed", str(seed), "--trials", "4", "--time-limit", "0"]
+    sized = [
+        ["--algo", algo, "--dist", dist, "--n", str(n), "--d", str(d), "--seed", str(seed)]
         for algo, dist, (n, d), seed in itertools.product(ALGOS, DISTS, SIZES, SEEDS)
     ]
+    layered = [
+        ["--algo", algo, "--dist", "br", "--n", str(n), "--layers", str(layers), "--d", str(d),
+         "--seed", str(seed)]
+        for algo, (n, layers, d), seed in itertools.product(ALGOS, LAYERED, SEEDS)
+    ]
+    return [args + TAIL for args in sized + layered]
 
 
 def digest(args: list[str], src: Path) -> str:

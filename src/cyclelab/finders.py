@@ -111,14 +111,19 @@ def _with_draw_source(finder):
     or an exception such as ``RepeatedQuery``, the caller's generator is
     left exactly where ``int(rng.integers(k))`` draws would have left it.
     """
-    signature = inspect.signature(finder)
+    at = list(inspect.signature(finder).parameters).index("rng")
 
     @functools.wraps(finder)
     def run(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        draws = bound.arguments["rng"] = draw_source(bound.arguments["rng"])
+        if len(args) > at:
+            draws = draw_source(args[at])
+            args = (*args[:at], draws, *args[at + 1:])
+        elif "rng" in kwargs:
+            draws = kwargs["rng"] = draw_source(kwargs["rng"])
+        else:
+            return finder(*args, **kwargs)  # raises the missing-argument TypeError
         try:
-            return finder(*bound.args, **bound.kwargs)
+            return finder(*args, **kwargs)
         finally:
             draws.sync()
 

@@ -173,12 +173,18 @@ class Coloring:
 class Digraph:
     """Immutable digraph with per-vertex ordered adjacency lists.
 
-    Stored CSR-style so large instances stay compact.  Lists may contain
-    repeats for brsimple graphs (parallel matchings can reuse an edge);
-    BR graphs always have distinct entries, which validate_br checks.
+    Stored CSR-style so large instances stay compact: vertex u's list is
+    ``targets[offsets[u]:offsets[u + 1]]``.  Offsets are int64; the
+    generators write int32 targets (vertex ids stay below 2^31), and
+    ``from_lists`` int64 ones.  Both arrays are kept as read-only views,
+    together with a ``memoryview`` of each, so ``out_list`` slices a
+    memoryview and returns a tuple of Python ints without making a numpy
+    scalar.  Lists may contain repeats for brsimple graphs (parallel
+    matchings can reuse an edge); BR graphs always have distinct entries,
+    which validate_br checks.
     """
 
-    __slots__ = ("_offsets", "_targets", "v_count")
+    __slots__ = ("_offsets", "_targets", "_offset_view", "_target_view", "v_count")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         self.v_count = len(offsets) - 1
@@ -187,6 +193,12 @@ class Digraph:
         self._targets = targets.view()
         self._offsets.setflags(write=False)
         self._targets.setflags(write=False)
+        self._offset_view = memoryview(self._offsets)
+        self._target_view = memoryview(self._targets)
+
+    def __reduce__(self):
+        # memoryviews do not pickle: rebuild them from the arrays
+        return Digraph, (self._offsets, self._targets)
 
     @classmethod
     def from_lists(cls, lists: list) -> "Digraph":
@@ -198,17 +210,9 @@ class Digraph:
             targets[offsets[i]:offsets[i + 1]] = row
         return cls(offsets, targets)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, has_out: np.ndarray) -> "Digraph":
-        v, d = matrix.shape
-        lens = np.where(has_out, d, 0)
-        offsets = np.zeros(v + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        targets = matrix[has_out].ravel().astype(np.int64)
-        return cls(offsets, targets)
-
     def out_list(self, u: int) -> tuple:
-        return tuple(self._targets[self._offsets[u]:self._offsets[u + 1]].tolist())
+        om = self._offset_view
+        return tuple(self._target_view[om[u]:om[u + 1]])
 
     def out_degree(self, u: int) -> int:
         return int(self._offsets[u + 1] - self._offsets[u])
@@ -224,8 +228,8 @@ class Digraph:
     def edges(self):
         """Yield (u, v) pairs in adjacency order."""
         for u in range(self.v_count):
-            for j in range(self._offsets[u], self._offsets[u + 1]):
-                yield u, int(self._targets[j])
+            for v in self.out_list(u):
+                yield u, v
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized edge view: (sources, targets) arrays."""
@@ -264,15 +268,44 @@ def gen_coloring(params: BRParams, rng: np.random.Generator) -> Coloring:
     return Coloring(params, rng.permutation(pebbles))
 
 
+# Row-chunk for the pairwise repeat check: d columns of this many int64
+# values stay in cache while all of their pairs are compared.
+_CHUNK = 8192
+
+
+def _repeated_rows(block: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a (rows, d) block that repeat a value.
+
+    Two checks give the same answer at different costs.  Sorting each row
+    costs one sort call, about 0.1 us, per row.  Comparing every pair of
+    columns costs d(d-1)/2 passes of about 2 us each, and its per-row cost
+    grows as d^2, overtaking the sort near d = 14.  So columns are compared
+    when d <= 12 and the rows outnumber the passes twentyfold, rows are
+    sorted otherwise.
+    """
+    rows, d = block.shape
+    if d > 12 or rows < 10 * d * (d - 1):
+        s = np.sort(block, axis=1)
+        return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+    repeated = np.zeros(rows, dtype=bool)
+    for lo in range(0, rows, _CHUNK):
+        cols = block[lo:lo + _CHUNK].T.copy()
+        acc = repeated[lo:lo + _CHUNK]
+        for j in range(1, d):
+            for i in range(j):
+                acc |= cols[i] == cols[j]
+    return np.flatnonzero(repeated)
+
+
 def _distinct_rows(rng: np.random.Generator, rows: int, high: int, d: int) -> np.ndarray:
-    """rows x d matrix, each row d distinct uniform draws from range(high).
+    """rows x d int64 matrix, each row d distinct uniform draws from range(high).
 
     Rows are ordered uniformly (iid draws conditioned on distinctness).
-    Consumption order: one full matrix, then whole-row redraws for rows
-    that contained repeats, repeated until clean.  Falls back to per-row
-    permutations when d is a large fraction of the range, or when a row of
-    iid draws is distinct with probability below 1e-3 (over a thousand
-    expected redraws per row).
+    Consumption order: one full matrix, then whole-row redraws, in one call
+    and ascending row order, for the rows that contained repeats, repeated
+    until clean.  Falls back to per-row permutations when d is a large
+    fraction of the range, or when a row of iid draws is distinct with
+    probability below 1e-3 (over a thousand expected redraws per row).
     """
     if d > high:
         raise InfeasibleSampling(f"cannot draw {d} distinct values from {high}")
@@ -284,50 +317,55 @@ def _distinct_rows(rng: np.random.Generator, rows: int, high: int, d: int) -> np
             out[i] = rng.permutation(high)[:d]
         return out
     out = rng.integers(0, high, size=(rows, d), dtype=np.int64)
-    while True:
-        s = np.sort(out, axis=1)
-        bad = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
-        if bad.size == 0:
-            return out
-        out[bad] = rng.integers(0, high, size=(bad.size, d), dtype=np.int64)
+    bad = _repeated_rows(out)
+    while bad.size:
+        # rows outside bad are clean and stay so: only the redrawn ones are checked
+        out[bad] = redrawn = rng.integers(0, high, size=(bad.size, d), dtype=np.int64)
+        bad = bad[_repeated_rows(redrawn)]
+    return out
 
 
 def gen_br_graph(coloring: Coloring, rng: np.random.Generator) -> Digraph:
     """Draw the adjacency lists for a fixed coloring.
 
     Consumption order: blue rows in increasing vertex id, then red rows
-    layer by layer (1..L-1), each layer in increasing vertex id.
+    layer by layer (1..L-1), each layer in increasing vertex id.  Each
+    class's rows are drawn as index matrices (``_distinct_rows``) and
+    written, mapped to vertex ids, straight into one int32 block that holds
+    the non-sink rows in vertex order.
     """
     p = coloring.params
     n, l, w, d = p.n_blue, p.layers, p.width, p.outdeg
+    layer = coloring.layer_by_vertex
 
-    blue = coloring.blue_vertices()
-    top_red = np.flatnonzero(
-        (coloring.layer_by_vertex >= 1) & (coloring.layer_by_vertex <= l // 2)
-    )
-    pool = np.sort(np.concatenate([blue, top_red]))  # 2N vertices
+    # blue, then layers 1..L, each in increasing vertex id
+    by_class = np.argsort(layer, kind="stable")
+    pool = np.flatnonzero(layer <= l // 2).astype(np.int32)  # 2N vertices
     if len(pool) - 1 < d:
         raise InfeasibleSampling(f"blue pool {len(pool) - 1} smaller than outdeg {d}")
 
-    matrix = np.zeros((p.v_count, d), dtype=np.int64)
-    has_out = np.zeros(p.v_count, dtype=bool)
+    # every vertex but the bottom layer's sinks has d entries: rank counts
+    # the non-sinks up to and including each vertex, and once shifted down
+    # by one it gives each non-sink's row in the block
+    rank = np.cumsum(layer != l)
+    offsets = np.zeros(p.v_count + 1, dtype=np.int64)
+    np.multiply(rank, d, out=offsets[1:])
+    block = np.empty((int(rank[-1]), d), dtype=np.int32)
+    rank -= 1
 
     # Blue rows: sample from the pool minus the vertex itself by drawing
     # indices into a (2N-1)-element range and skipping the vertex's slot.
-    idx = _distinct_rows(rng, len(blue), len(pool) - 1, d)
-    pos = np.searchsorted(pool, blue)
-    idx = idx + (idx >= pos[:, None])
-    matrix[blue] = pool[idx]
-    has_out[blue] = True
+    blue = by_class[:n]
+    idx = _distinct_rows(rng, n, len(pool) - 1, d)
+    idx += idx >= np.searchsorted(pool, blue)[:, None]
+    block[rank[blue]] = pool[idx]
 
     for i in range(1, l):
-        src = coloring.layer_vertices(i)
-        dst = np.sort(coloring.layer_vertices(i + 1))
-        idx = _distinct_rows(rng, len(src), w, d)
-        matrix[src] = dst[idx]
-        has_out[src] = True
+        src = by_class[n + (i - 1) * w:n + i * w]
+        dst = by_class[n + i * w:n + (i + 1) * w]
+        block[rank[src]] = dst[_distinct_rows(rng, w, w, d)]
 
-    return Digraph.from_matrix(matrix, has_out)
+    return Digraph(offsets, block.reshape(-1))
 
 
 def gen_br_pair(params: BRParams, rng: np.random.Generator) -> BRPair:
@@ -350,12 +388,13 @@ def gen_br_simple(n: int, d: int, rng: np.random.Generator) -> Digraph:
     half = n // 2
     perm = rng.permutation(n)
     s1, s2 = perm[:half], perm[half:]
-    matrix = np.empty((n, d), dtype=np.int64)
+    # every list is full: the block's rows are the lists, in vertex order
+    block = np.empty((n, d), dtype=np.int32)
     for k in range(d):
-        matrix[s1, k] = s2[rng.permutation(half)]
+        block[s1, k] = s2[rng.permutation(half)]
     for k in range(d):
-        matrix[s2, k] = s1[rng.permutation(half)]
-    return Digraph.from_matrix(matrix, np.ones(n, dtype=bool))
+        block[s2, k] = s1[rng.permutation(half)]
+    return Digraph(np.arange(n + 1, dtype=np.int64) * d, block.reshape(-1))
 
 
 def validate_br(pair: BRPair) -> list[str]:

@@ -344,3 +344,19 @@ def test_finders_never_read_the_hidden_graph(monkeypatch):
     for graph, out in runs:
         assert out.queries_used > 0
         assert out.cycle is None or verify_cycle(graph, out.cycle)
+
+
+def test_finders_take_rng_by_position_or_keyword():
+    pair = gen_br_pair(BRParams(64, 4, 32, 3), np.random.default_rng(8))
+    runs = []
+    for by_keyword in (False, True):
+        oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+        rng = np.random.default_rng(9)
+        if by_keyword:
+            out = run_algorithm1(oracle, pair.params, rng=rng, budget=300)
+        else:
+            out = run_algorithm1(oracle, pair.params, rng, budget=300)
+        runs.append((out, oracle.history, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    with pytest.raises(TypeError):
+        run_algorithm1(new_oracle(pair, QueryModel.VERTEX), pair.params, budget=300)

@@ -9,7 +9,8 @@ first on ``PYTHONPATH`` (default: this checkout's ``src``), and its digest
 covers the process's stdout, stderr and exit status.  The configs are every
 finder on both distributions at three (n, d) sizes, and on br at four
 (n, layers, d) shapes that reach every branch of the instance generator,
-each at three seeds, four trials each with the deadline off: 150 in all,
+each at three seeds, plus alg1 and alg2 on br at the three sizes with
+``--no-ancestors``, four trials each with the deadline off: 168 in all,
 some of them usage errors, whose stderr and exit status are compared too.
 Two configs run at a time.
 """
@@ -48,7 +49,13 @@ def configs() -> list[list[str]]:
          "--seed", str(seed)]
         for algo, (n, layers, d), seed in itertools.product(ALGOS, LAYERED, SEEDS)
     ]
-    return [args + TAIL for args in sized + layered]
+    # the epoch columns without the ancestor pass
+    no_ancestors = [
+        ["--algo", algo, "--dist", "br", "--n", str(n), "--d", str(d), "--seed", str(seed),
+         "--no-ancestors"]
+        for algo, (n, d), seed in itertools.product(("alg1", "alg2"), SIZES, SEEDS)
+    ]
+    return [args + TAIL for args in sized + layered + no_ancestors]
 
 
 def digest(args: list[str], src: Path) -> str:

@@ -12,8 +12,10 @@ value draw for draw.
 While a source runs, its generator sits up to a block ahead.  ``sync()``
 puts it back exactly where the scalar draws would have left it, down to
 the buffered half (numpy keeps a stale ``uinteger`` when ``has_uint32`` is
-0, and so does ``sync``); the source then carries on from there.  Any
-other generator gets a ``ScalarDraws``, which calls ``rng.integers`` once a
+0, and so does ``sync``); the source then carries on from there.  A source
+that draws no more is put back with ``_put_back()``, which is ``sync()``
+without the snapshot the source would need to carry on.  Any other
+generator gets a ``ScalarDraws``, which calls ``rng.integers`` once a
 draw.  ``draw_source`` picks between them.
 """
 
@@ -43,6 +45,8 @@ class ScalarDraws:
 
     def sync(self) -> None:
         """Nothing to put back: every draw went through the generator itself."""
+
+    _put_back = sync
 
 
 class DrawSource(ScalarDraws):
@@ -106,18 +110,25 @@ class DrawSource(ScalarDraws):
         return m >> 32
 
     def _scalar(self, k: int) -> int:
-        self.sync()
+        self._put_back()
         try:
             return int(self.rng.integers(k))
         finally:
             self._start()
 
     def sync(self) -> None:
-        """Put the generator where scalar draws would have left it; keep drawing from there.
+        """Put the generator where scalar draws would have left it; keep drawing from there."""
+        self._put_back()
+        self._start()
 
-        That is the snapshot advanced by every 64-bit word the draws
-        started, with ``has_uint32`` set when the last word's high half is
-        still unused and ``uinteger`` holding that high half either way.
+    def _put_back(self) -> None:
+        """``sync()`` without the new snapshot: for a source that draws no more.
+
+        The generator goes to the snapshot advanced by every 64-bit word the
+        draws started, with ``has_uint32`` set when the last word's high half
+        is still unused and ``uinteger`` holding that high half either way.
+        The source itself is left stale: only ``_start()`` makes it usable
+        again.
         """
         fresh = self._base + len(self._halves) - length_hint(self._iter)
         bitgen = self._bitgen
@@ -133,7 +144,6 @@ class DrawSource(ScalarDraws):
             state = dict(self._entry)
             state["has_uint32"] = int(fresh < 0)
         bitgen.state = state
-        self._start()
 
 
 def draw_source(rng) -> ScalarDraws:

@@ -246,28 +246,39 @@ def _edge_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _max_blue_ancestors(
     sources: np.ndarray, targets: np.ndarray, layer: np.ndarray, blue: set[int]
 ) -> int:
-    """Largest ancestor_count over the blue vertices, from the SCC condensation.
+    """Largest ancestor_count over the blue vertices, by bitset closure over SCCs.
 
-    R, the blue vertices and all their ancestors, is closed under parents;
-    only edges into R are indexed, and when no red vertex points at a blue
-    one (so on every layered instance) R is the blue set itself.  An
-    iterative Tarjan over R's parent edges emits each SCC after every SCC
-    that reaches it, so the closure of an SCC C (the vertices with a path
-    to C, C included) is known from its parent SCCs when C is emitted:
-    |C| with none, |C| plus the parent's closure with one, and a walk over
-    the parents' union with more.  A blue v has closure of its SCC minus
-    one ancestors.
+    R is the blue vertices and all their ancestors.  It grows from the
+    blue set over the edges into it, and only edges into R are kept; when
+    no red vertex points at a blue one (so on every layered instance), R
+    is the blue set itself.  An iterative Tarjan over R's parent edges
+    emits each SCC after every SCC that reaches it.  Each vertex of R owns
+    one bit, its discovery index, and the closure of an SCC C (the
+    vertices with a path to C, C included) is the OR of its members' bits
+    and of its parent SCCs' closures, one OR per parent edge.  Shared
+    ancestors are counted once, so the count is exact however the parents
+    overlap: a blue v in C has the closure's bit count minus one
+    ancestors.  Every SCC of R reaches a blue vertex, whose closure holds
+    its own, so the largest closure of any SCC is a blue one's.  Each
+    member with an edge out into R holds its SCC's closure until every
+    such edge has been read, that is, until the last SCC that reads it is
+    emitted; none outlives the pass.
     """
-    into_blue = layer[targets] == BLUE
-    if np.all(layer[sources[into_blue]] == BLUE):
-        sources, targets = sources[into_blue], targets[into_blue]
+    in_r = layer == BLUE  # grows to R
+    into = in_r[targets]
+    while not in_r[sources[into]].all():
+        in_r[sources[into]] = True
+        into = in_r[targets]
     parents: dict[int, list[int]] = {}
-    for u, w in zip(sources.tolist(), targets.tolist()):
+    readers: dict[int, int] = {}  # vertex -> edges out of it into R not yet read
+    for u, w in zip(sources[into].tolist(), targets[into].tolist()):
         parents.setdefault(w, []).append(u)
-    index: dict[int, int] = {}  # DFS discovery order
+        readers[u] = readers.get(u, 0) + 1
+    index: dict[int, int] = {}  # DFS discovery order, also each vertex's bit
     low: dict[int, int] = {}
-    comp: dict[int, int] = {}  # vertex -> SCC id, set when its SCC is emitted
-    closure: list[int] = []  # SCC id -> closure size
+    comp: dict[int, int] = {}  # vertex -> its SCC's root, set when the SCC is emitted
+    closure: dict[int, int] = {}  # vertex -> its SCC's closure bitset, while it has readers
+    best = 1
     stack: list[int] = []
     for root in blue:
         if root in index:
@@ -291,28 +302,23 @@ def _max_blue_ancestors(
                     low[work[-1][0]] = low[v]
                 if low[v] != index[v]:
                     continue
-                cid = len(closure)
+                bits = 0
                 members = []
                 while not members or members[-1] != v:
-                    members.append(stack.pop())
-                    comp[members[-1]] = cid
-                up = {comp[p] for x in members for p in parents.get(x, ())}
-                up.discard(cid)
-                if len(up) < 2:
-                    closure.append(len(members) + sum(closure[c] for c in up))
-                    continue
-                reach = set(members)
-                frontier = members
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for p in parents.get(x, ()):
-                            if p not in reach:
-                                reach.add(p)
-                                nxt.append(p)
-                    frontier = nxt
-                closure.append(len(reach))
-    return max((closure[comp[v]] for v in blue), default=1) - 1
+                    x = stack.pop()
+                    comp[x] = v
+                    members.append(x)
+                    bits |= 1 << index[x]
+                    for p in parents.get(x, ()):
+                        readers[p] -= 1
+                        if comp.get(p, v) != v:  # a parent still on the stack is in this SCC
+                            bits |= closure[p] if readers[p] else closure.pop(p)
+                for x in members:
+                    if readers.get(x):
+                        closure[x] = bits
+                best = max(best, bits.bit_count())
+    assert not closure, "a closure outlived its last reader"
+    return best - 1
 
 
 def epoch_stats(
@@ -333,8 +339,11 @@ def epoch_stats(
     otherwise a topological order of the epoch's blue edges and the walk
     takes the longest path in passing; the rare epoch with such an edge
     goes to max_blue_path.  Ancestor counts come from one pass over the
-    SCC condensation of the blue vertices and their ancestors.  Pass
-    include_ancestors=False to skip them (the field is then None).
+    SCC condensation of the blue vertices and their ancestors, in which
+    each SCC's ancestor set is a bitset: the OR of its members' bits and
+    its parent SCCs' sets, each freed after its last reader (see
+    _max_blue_ancestors).  Pass include_ancestors=False to skip them (the
+    field is then None).
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")

@@ -110,22 +110,27 @@ def _with_draw_source(finder):
     The finder draws through ``rng.below``.  Whatever way it ends, a return
     or an exception such as ``RepeatedQuery``, the caller's generator is
     left exactly where ``int(rng.integers(k))`` draws would have left it.
+    A draw source passed as ``rng`` is used as it is, and its owner syncs it.
     """
     at = list(inspect.signature(finder).parameters).index("rng")
 
     @functools.wraps(finder)
     def run(*args, **kwargs):
         if len(args) > at:
-            draws = draw_source(args[at])
+            rng = args[at]
+            draws = draw_source(rng)
             args = (*args[:at], draws, *args[at + 1:])
         elif "rng" in kwargs:
-            draws = kwargs["rng"] = draw_source(kwargs["rng"])
+            rng = kwargs["rng"]
+            draws = kwargs["rng"] = draw_source(rng)
         else:
             return finder(*args, **kwargs)  # raises the missing-argument TypeError
+        if draws is rng:
+            return finder(*args, **kwargs)
         try:
             return finder(*args, **kwargs)
         finally:
-            draws.sync()
+            draws._put_back()
 
     return run
 
@@ -257,7 +262,7 @@ def _implied_layers(
     can overrun it by up to max_walk_len steps.
 
     rng is a draw source (a finder's) or a Generator; a Generator gets a
-    source of its own for this call, synced back before returning.
+    source of its own for this call, put back before returning.
     """
     draws = draw_source(rng)
     if draws is not rng:
@@ -266,7 +271,7 @@ def _implied_layers(
                 oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop
             )
         finally:
-            draws.sync()
+            draws._put_back()
     implied = []
     attempted = 0
     cached = (oracle.kg.out if oracle.lenient else {}).get

@@ -1,0 +1,91 @@
+"""The ancestor pass of epoch_stats against one ancestor BFS per blue vertex.
+
+Drawn transcripts are dense in SCCs with several parent SCCs: diamonds,
+ancestors shared by several cycles, nested cycles, parallel edges,
+self-loops and red -> blue edges.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cyclelab import BRParams, Coloring, QueryRecord, ancestor_count, epoch_stats, knowledge_graph
+from cyclelab.oracle import QueryHistory
+
+
+def bfs_max(history: QueryHistory, coloring: Coloring) -> int:
+    kg = knowledge_graph(history)
+    return max((ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0)
+
+
+def max_ancestors(history: QueryHistory, coloring: Coloring) -> int:
+    return epoch_stats(history, coloring, len(history) or 1).max_ancestors_blue
+
+
+@st.composite
+def transcripts(draw):
+    layers, width = draw(st.sampled_from([(4, 2), (4, 4), (6, 4), (8, 6)]))
+    params = BRParams(layers * width // 2, layers, width, 2)
+    base = [0] * params.n_blue + [i for i in range(1, layers + 1) for _ in range(width)]
+    coloring = Coloring(params, np.array(draw(st.permutations(base))))
+    vertex = st.integers(0, params.v_count - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * params.v_count))
+    for a, b, c, d in draw(st.lists(st.tuples(vertex, vertex, vertex, vertex), max_size=4)):
+        edges += [(a, b), (a, c), (b, d), (c, d)]
+    for cycle in draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=4)):
+        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if draw(st.booleans()):
+        # no red -> blue edge: the ancestors of the blue vertices are blue
+        edges = [(u, w) for u, w in edges if coloring.is_blue(u) or not coloring.is_blue(w)]
+    out: dict[int, list[int]] = {}
+    for u, w in edges:
+        out.setdefault(u, []).append(w)
+    sinks = draw(st.lists(vertex, max_size=3))
+    queried = list(out) + [v for v in dict.fromkeys(sinks) if v not in out]
+    order = draw(st.permutations(queried))
+    history = QueryHistory(tuple(QueryRecord(u, tuple(out.get(u, ()))) for u in order))
+    return history, coloring
+
+
+@given(transcripts())
+def test_max_ancestors_match_bfs(case):
+    history, coloring = case
+    assert max_ancestors(history, coloring) == bfs_max(history, coloring)
+
+
+def transcript(edges) -> QueryHistory:
+    out: dict[int, list[int]] = {}
+    for u, w in edges:
+        out.setdefault(u, []).append(w)
+    return QueryHistory(tuple(QueryRecord(u, tuple(row)) for u, row in out.items()))
+
+
+# BRParams(8, 4, 4, 2): vertices 0-7 blue, then red layers 1-4 of width 4
+EIGHT_BLUE = Coloring(
+    BRParams(8, 4, 4, 2), np.array([0] * 8 + [i for i in range(1, 5) for _ in range(4)])
+)
+
+
+def test_diamond_counts_the_union():
+    # d = 3 has ancestors 0, 1 and 2: its two parents share 0
+    history = transcript([(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert max_ancestors(history, EIGHT_BLUE) == 3 == bfs_max(history, EIGHT_BLUE)
+
+
+def test_two_cycles_sharing_an_ancestor():
+    # 0 -> the cycles 1 <-> 2 and 3 <-> 4, both of which feed 5:
+    # 5 has the five ancestors 0-4, not 3 + 3
+    edges = [(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 3), (2, 5), (4, 5)]
+    history = transcript(edges)
+    assert max_ancestors(history, EIGHT_BLUE) == 5 == bfs_max(history, EIGHT_BLUE)
+    # a red vertex above the shared ancestor is an ancestor of them all
+    history = transcript([(8, 0), *edges])
+    assert max_ancestors(history, EIGHT_BLUE) == 6 == bfs_max(history, EIGHT_BLUE)
+
+
+def test_nested_cycles_under_a_red_cycle():
+    # red 8 <-> 9 feeds blue 0, which closes the cycle 0 -> 1 -> 2 -> 0
+    # around the inner cycle 1 <-> 2; 3 hangs below both
+    edges = [(8, 9), (9, 8), (9, 0), (0, 1), (1, 2), (2, 1), (2, 0), (1, 3), (2, 3)]
+    history = transcript(edges)
+    assert max_ancestors(history, EIGHT_BLUE) == 5 == bfs_max(history, EIGHT_BLUE)

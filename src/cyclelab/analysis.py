@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
-from .oracle import KnowledgeGraph, QueryHistory, knowledge_graph
+from .oracle import KnowledgeGraph, QueryHistory, _epoch_ends, knowledge_graph
 from .oracle import decompose_epochs  # noqa: F401  reference for epoch_stats, traced by name
 
 
@@ -332,16 +332,18 @@ def epoch_stats(
 
     Returns what decompose_epochs, max_blue_path of each epoch's knowledge
     graph and ancestor_count of every blue vertex give, without building a
-    knowledge graph per epoch or a search per vertex.  One walk over the
-    records splits the epochs and counts the surprises.  Within an epoch,
-    a blue edge can point back at a vertex queried at or before its source
-    only on the closing surprise or as a self-loop, so query order is
-    otherwise a topological order of the epoch's blue edges and the walk
-    takes the longest path in passing; the rare epoch with such an edge
-    goes to max_blue_path.  Ancestor counts come from one pass over the
-    SCC condensation of the blue vertices and their ancestors, in which
-    each SCC's ancestor set is a bitset: the OR of its members' bits and
-    its parent SCCs' sets, each freed after its last reader (see
+    knowledge graph per epoch or a search per vertex.  The epochs end at
+    the closes of _epoch_ends, where decompose_epochs slices, and at the
+    last record.  One walk over the records, in step with those closes,
+    takes each epoch's longest blue path: within an epoch, a blue edge can
+    point back at a vertex queried at or before its source only on the
+    closing surprise or as a self-loop, so query order is otherwise a
+    topological order of the epoch's blue edges and the walk takes the
+    longest path in passing; the rare epoch with such an edge goes to
+    max_blue_path.  Ancestor counts come from one pass over the SCC
+    condensation of the blue vertices and their ancestors, in which each
+    SCC's ancestor set is a bitset: the OR of its members' bits and its
+    parent SCCs' sets, each freed after its last reader (see
     _max_blue_ancestors).  Pass include_ancestors=False to skip them (the
     field is then None).
     """
@@ -352,20 +354,17 @@ def epoch_stats(
     vertices, sources, targets = _edge_arrays(records)
     named = np.concatenate([vertices, targets])
     blue = set(named[layer[named] == BLUE].tolist())
-    seen: set[int] = set()
     per_epoch: list[int] = []
     num_surprise = num_blue_surprise = 0
+    ends = _epoch_ends(records, epoch_cap)
+    close, surprise = next(ends, (0, False))
     start = 0
     dist: dict[int, int] = {}  # longest blue path ending at a blue vertex, this epoch
     done: set[int] = set()  # blue vertices queried this epoch
     best = 0
     back = False  # a blue edge into a vertex queried earlier this epoch, or a self-loop
     last = len(records)
-    for end, rec in enumerate(records, start=1):
-        u, answer = rec.vertex, rec.answer
-        surprise = not seen.isdisjoint(answer)
-        seen.add(u)
-        seen.update(answer)
+    for end, (u, answer) in enumerate(records, start=1):
         if u in blue:
             done.add(u)
             step = dist.get(u, 0) + 1
@@ -375,14 +374,16 @@ def epoch_stats(
                 elif w in blue and dist.get(w, 0) < step:
                     dist[w] = step
                     best = max(best, step)
-        if surprise or end - start == epoch_cap or end == last:
+        if end == close or end == last:
             if back:
                 seg = QueryHistory(records[start:end])
                 best = max_blue_path(knowledge_graph(seg), coloring)
             per_epoch.append(best)
-            if surprise:
-                num_surprise += 1
-                num_blue_surprise += u in blue
+            if end == close:
+                if surprise:
+                    num_surprise += 1
+                    num_blue_surprise += u in blue
+                close, surprise = next(ends, (0, False))
             start, best, back = end, 0, False
             dist.clear()
             done.clear()

@@ -99,6 +99,12 @@ class ExperimentConfig:
             raise ConfigError("budget must be >= 1")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.num_walks < 1:
+            raise ConfigError("num_walks must be >= 1")
+        if self.explore_budget is not None and self.explore_budget < 1:
+            raise ConfigError("explore_budget must be >= 1")
+        if self.time_limit is not None and self.time_limit < 0:
+            raise ConfigError("time_limit must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Three access models:
   feed: queries are grouped into epochs of at most L/2; an epoch closes
   early when a query answer contains an already-seen vertex (a
   "surprise"), and at every close the hidden colors of all vertices seen
-  so far are revealed.
+  so far are revealed.  Only ``_epoch_ends`` applies this rule.
 
 A query history never repeats a vertex.  In the default strict mode a
 repeat raises; the lenient mode instead returns the cached answer at zero
@@ -148,16 +148,25 @@ def knowledge_graph(history: QueryHistory) -> KnowledgeGraph:
     return kg
 
 
-def is_surprise(history: QueryHistory, k: int) -> bool:
-    """Whether the k-th record (1-based) answered with an already-seen vertex.
+def _epoch_ends(records, epoch_cap: int):
+    """The epoch rule: ``(end, surprise)`` for each close, in order.
 
-    Only answer entries count; re-encountering the queried vertex itself
-    does not.  The first record is never a surprise.
+    An epoch closes after the record that makes it epoch_cap records long,
+    or earlier after a surprise: a record whose answer names a vertex seen
+    before it, as a queried vertex or an answer entry.  Re-encountering
+    the queried vertex itself is not a surprise.  ``end`` is the 1-based
+    index of the closing record, and a record that is both a surprise and
+    the cap-filling one closes with surprise True.
     """
-    if not 1 <= k <= len(history):
-        raise IndexOutOfRange(f"record index {k} outside 1..{len(history)}")
-    seen = history.prefix(k - 1).vertices()
-    return any(v in seen for v in history[k - 1].answer)
+    seen: set[int] = set()
+    start = 0
+    for end, (u, answer) in enumerate(records, start=1):
+        surprise = not seen.isdisjoint(answer)
+        seen.add(u)
+        seen.update(answer)
+        if surprise or end - start == epoch_cap:
+            yield end, surprise
+            start = end
 
 
 @dataclass(frozen=True)
@@ -175,33 +184,31 @@ class EpochDecomposition:
 def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecomposition:
     """Split a history into surprise/timeout epochs of at most epoch_cap.
 
-    A query that is both a surprise and the cap-filling query closes its
-    epoch with reason SURPRISE.
+    The closes are those of ``_epoch_ends``; the records after the last
+    close form the current epoch.  A query that is both a surprise and the
+    cap-filling query closes its epoch with reason SURPRISE.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
+    records = history.records
     closed: list[QueryHistory] = []
     reasons: list[EpochReason] = []
-    cur: list[QueryRecord] = []
-    seen: set[int] = set()
-    for rec in history:
-        surprise = any(v in seen for v in rec.answer)
-        cur.append(rec)
-        seen.add(rec.vertex)
-        seen.update(rec.answer)
-        if surprise or len(cur) == epoch_cap:
-            closed.append(QueryHistory(tuple(cur)))
-            reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
-            cur = []
-    return EpochDecomposition(tuple(closed), tuple(reasons), QueryHistory(tuple(cur)), epoch_cap)
+    start = 0
+    for end, surprise in _epoch_ends(records, epoch_cap):
+        closed.append(QueryHistory(tuple(records[start:end])))
+        reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
+        start = end
+    return EpochDecomposition(
+        tuple(closed), tuple(reasons), QueryHistory(tuple(records[start:])), epoch_cap
+    )
 
 
 class Oracle:
     """Query counter and transcript keeper in front of a hidden graph.
 
-    Each query record is stored once, in order; ``kg`` is their knowledge
-    graph and the answer cache, and an (end index, reason) pair marks each
-    closed epoch whenever an epoch cap is given.
+    Each query record is stored once, in order, and ``kg`` is their
+    knowledge graph and the answer cache; nothing else is kept.  The epoch
+    views (``epochs``, ``revealed``, ``transcript``) cost O(q) a read.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -230,9 +237,6 @@ class Oracle:
         self.adj_query_count = 0
         self._records: list[QueryRecord] = []
         self.kg = KnowledgeGraph()
-        self._bounds: list[tuple[int, EpochReason]] = []
-        self._epoch_start = 0  # record index where the open epoch begins
-        self.revealed: dict[int, int] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -260,17 +264,22 @@ class Oracle:
 
     @property
     def epochs(self) -> EpochDecomposition:
-        closed = []
-        start = 0
-        for end, _ in self._bounds:
-            closed.append(QueryHistory(tuple(self._records[start:end])))
-            start = end
-        return EpochDecomposition(
-            tuple(closed),
-            tuple(reason for _, reason in self._bounds),
-            QueryHistory(tuple(self._records[start:])),
-            self.epoch_cap if self.epoch_cap is not None else 0,
-        )
+        """decompose_epochs of the history; one open epoch when there is no cap."""
+        if self.epoch_cap is None:
+            return EpochDecomposition((), (), self.history, 0)
+        return decompose_epochs(self.history, self.epoch_cap)
+
+    @property
+    def revealed(self) -> dict[int, int]:
+        """Every vertex seen up to the last epoch close, with its hidden color.
+
+        ``{}`` outside the color revelation model.  No finder reads it.
+        """
+        if self.model is not QueryModel.COLOR_REVELATION:
+            return {}
+        last = max((end for end, _ in _epoch_ends(self._records, self.epoch_cap)), default=0)
+        seen = QueryHistory(tuple(self._records[:last])).vertices()
+        return {v: self._coloring.color(v) for v in sorted(seen)}
 
     # -- queries ---------------------------------------------------------
 
@@ -288,27 +297,10 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        kg = self.kg
-        surprise = not kg.vertices.isdisjoint(answer)
         rec = QueryRecord(u, answer)
         self._records.append(rec)
-        kg.add_record(rec)
+        self.kg.add_record(rec)
         self.vertex_query_count += 1
-
-        if self.epoch_cap is not None:
-            start = self._epoch_start
-            end = len(self._records)
-            if surprise or end - start == self.epoch_cap:
-                self._bounds.append(
-                    (end, EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
-                )
-                self._epoch_start = end
-                if self.model is QueryModel.COLOR_REVELATION:
-                    # earlier closes revealed everything seen before start
-                    epoch = QueryHistory(tuple(self._records[start:]))
-                    fresh = [v for v in epoch.vertices() if v not in self.revealed]
-                    for v in sorted(fresh):
-                        self.revealed[v] = self._coloring.color(v)
         return answer
 
     def query_adj(self, u: int, i: int) -> int | None:
@@ -328,8 +320,8 @@ class Oracle:
     def transcript(self) -> str:
         """Text dump: `q <u> : <answers>` lines plus epoch close markers.
 
-        Close markers, with the colors each close revealed, appear only in
-        the color revelation model.
+        Close markers, with the colors each close revealed (read from the
+        hidden coloring), appear only in the color revelation model.
         """
         dec = self.epochs
         closes = dec.end_reasons if self.model is QueryModel.COLOR_REVELATION else ()
@@ -344,7 +336,7 @@ class Oracle:
                 fresh = sorted(epoch.vertices() - shown)
                 shown.update(fresh)
                 if fresh:
-                    body = " ".join(f"{v}={color_token(self.revealed[v])}" for v in fresh)
+                    body = " ".join(f"{v}={color_token(self._coloring.color(v))}" for v in fresh)
                     lines.append(f"# reveal {body}")
         return "\n".join(lines) + ("\n" if lines else "")
 

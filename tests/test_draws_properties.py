@@ -174,6 +174,12 @@ def test_finders_match_their_scalar_twin(name, data):
     assert got == want
     assert oracle.history == ref_oracle.history
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    # the finder reports the oracle's meter and never overdraws, even when
+    # a strict oracle stops it with RepeatedQuery
+    meter = oracle.vertex_query_count + oracle.adj_query_count
+    assert meter <= case["budget"]
+    if got is not RepeatedQuery:
+        assert got.queries_used == meter
 
 
 @pytest.mark.parametrize("name", FINDERS)

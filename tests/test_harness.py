@@ -50,7 +50,14 @@ def test_config_rejects_bad_combinations():
         walk_config(trials=-1).validate()
     with pytest.raises(ConfigError):
         walk_config(budget=0).validate()
+    with pytest.raises(ConfigError):
+        walk_config(time_limit=-5).validate()  # a deadline already passed
+    with pytest.raises(ConfigError):
+        walk_config(num_walks=0).validate()  # every color test inconclusive
+    with pytest.raises(ConfigError):
+        walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
     walk_config().validate()
+    walk_config(time_limit=0).validate()  # no deadline
 
 
 def test_layer_divisibility_checked():
@@ -309,6 +316,13 @@ def test_cli_rejects_bad_combination(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "layered" in captured.err
+    # a deadline that has already passed would zero every trial
+    code = main(["--dist", "brsimple", "--algo", "walk", "--n", "64", "--trials", "2",
+                 "--time-limit", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "cyclelab: time_limit must be >= 0\n"
 
 
 def test_cli_unknown_algo_is_usage_error():

@@ -17,7 +17,6 @@ from cyclelab import (
     decompose_epochs,
     detect_cycle,
     gen_br_pair,
-    is_surprise,
     knowledge_graph,
     new_oracle,
     validate_br,
@@ -166,29 +165,6 @@ def test_adjacency_simulation_costs_factor_d():
     assert adj_oracle.adj_query_count <= d * vertex_oracle.vertex_query_count
 
 
-def test_is_surprise_first_record_never():
-    h = QueryHistory((QueryRecord(0, (1, 2)),))
-    assert not is_surprise(h, 1)
-
-
-def test_is_surprise_counts_answer_entries_only():
-    # Vertex 1 was seen as an answer entry; querying it is fine, but a
-    # later answer naming vertex 1 again is a surprise.
-    h = QueryHistory(
-        (
-            QueryRecord(0, (1, 2)),
-            QueryRecord(1, (3, 4)),
-            QueryRecord(6, (1, 7)),
-        )
-    )
-    assert not is_surprise(h, 2)
-    assert is_surprise(h, 3)
-    with pytest.raises(IndexOutOfRange):
-        is_surprise(h, 4)
-    with pytest.raises(IndexOutOfRange):
-        is_surprise(h, 0)
-
-
 def _fresh_records(count, start=0):
     # disjoint answers so no record is a surprise
     recs = []
@@ -223,6 +199,23 @@ def test_decompose_surprise_wins_tie_at_cap():
     dec = decompose_epochs(QueryHistory(tuple(recs)), epoch_cap=3)
     assert dec.end_reasons == (EpochReason.SURPRISE,)
     assert dec.epoch_count() == 1
+
+
+def test_decompose_counts_answer_entries_only():
+    # Vertex 1 was seen as an answer entry; querying it is no surprise, and
+    # neither is the first record's self-loop, but a later answer naming
+    # vertex 1 again is a surprise.
+    h = QueryHistory(
+        (
+            QueryRecord(0, (0, 1)),
+            QueryRecord(1, (3, 4)),
+            QueryRecord(6, (1, 7)),
+        )
+    )
+    dec = decompose_epochs(h, epoch_cap=10)
+    assert dec.closed_epochs == (h,)
+    assert dec.end_reasons == (EpochReason.SURPRISE,)
+    assert len(dec.current_epoch) == 0
 
 
 def test_decompose_matches_live_tracking():

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
-from .oracle import KnowledgeGraph, QueryHistory, _epoch_ends, knowledge_graph
+from .oracle import KnowledgeGraph, QueryHistory, _epoch_ends, _record_arrays, knowledge_graph
 from .oracle import decompose_epochs  # noqa: F401  reference for epoch_stats, traced by name
 
 
@@ -233,16 +233,6 @@ def ancestor_count(kg: KnowledgeGraph, u: int) -> int:
     return len(seen) - 1
 
 
-def _edge_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Queried vertices, then sources and targets of every answer entry."""
-    vertices = np.fromiter((rec.vertex for rec in records), dtype=np.int64, count=len(records))
-    degrees = np.fromiter((len(rec.answer) for rec in records), dtype=np.int64, count=len(records))
-    targets = np.fromiter(
-        itertools.chain.from_iterable(rec.answer for rec in records), dtype=np.int64
-    )
-    return vertices, np.repeat(vertices, degrees), targets
-
-
 def _max_blue_ancestors(
     sources: np.ndarray, targets: np.ndarray, layer: np.ndarray, blue: set[int]
 ) -> int:
@@ -332,66 +322,70 @@ def epoch_stats(
 
     Returns what decompose_epochs, max_blue_path of each epoch's knowledge
     graph and ancestor_count of every blue vertex give, without building a
-    knowledge graph per epoch or a search per vertex.  The epochs end at
-    the closes of _epoch_ends, where decompose_epochs slices, and at the
-    last record.  One walk over the records, in step with those closes,
-    takes each epoch's longest blue path: within an epoch, a blue edge can
-    point back at a vertex queried at or before its source only on the
-    closing surprise or as a self-loop, so query order is otherwise a
-    topological order of the epoch's blue edges and the walk takes the
-    longest path in passing; the rare epoch with such an edge goes to
-    max_blue_path.  Ancestor counts come from one pass over the SCC
-    condensation of the blue vertices and their ancestors, in which each
-    SCC's ancestor set is a bitset: the OR of its members' bits and its
-    parent SCCs' sets, each freed after its last reader (see
-    _max_blue_ancestors).  Pass include_ancestors=False to skip them (the
-    field is then None).
+    knowledge graph per epoch or a search per vertex.  The record arrays
+    are built once and shared by the epoch rule (_epoch_ends, whose ends
+    are where decompose_epochs slices), the blue set and the ancestor
+    pass.  Surprise counts are read off the closing records.  Only records
+    that query a blue vertex can start a blue edge, so one walk over those
+    records alone, each mapped to its epoch by searchsorted over the ends,
+    takes each epoch's longest blue path; an epoch none of them falls in
+    has 0.  Within an epoch, a blue edge can point back at a vertex queried
+    at or before its source only on the closing surprise or as a
+    self-loop, so query order is otherwise a topological order of the
+    epoch's blue edges and the walk takes the longest path in passing; the
+    rare epoch with such an edge goes to max_blue_path.  Ancestor counts
+    come from one pass over the SCC condensation of the blue vertices and
+    their ancestors, in which each SCC's ancestor set is a bitset: the OR
+    of its members' bits and its parent SCCs' sets, each freed after its
+    last reader (see _max_blue_ancestors).  Pass include_ancestors=False
+    to skip them (the field is then None).
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
     records = history.records
     layer = coloring.layer_by_vertex
-    vertices, sources, targets = _edge_arrays(records)
+    arrays = _record_arrays(records)
+    vertices, degrees, targets = arrays
+    ends, surprise = _epoch_ends(arrays, epoch_cap)
     named = np.concatenate([vertices, targets])
     blue = set(named[layer[named] == BLUE].tolist())
-    per_epoch: list[int] = []
-    num_surprise = num_blue_surprise = 0
-    ends = _epoch_ends(records, epoch_cap)
-    close, surprise = next(ends, (0, False))
-    start = 0
-    dist: dict[int, int] = {}  # longest blue path ending at a blue vertex, this epoch
-    done: set[int] = set()  # blue vertices queried this epoch
-    best = 0
-    back = False  # a blue edge into a vertex queried earlier this epoch, or a self-loop
-    last = len(records)
-    for end, (u, answer) in enumerate(records, start=1):
-        if u in blue:
-            done.add(u)
-            step = dist.get(u, 0) + 1
-            for w in answer:
-                if w in done:
-                    back = True
-                elif w in blue and dist.get(w, 0) < step:
-                    dist[w] = step
-                    best = max(best, step)
-        if end == close or end == last:
-            if back:
-                seg = QueryHistory(records[start:end])
-                best = max_blue_path(knowledge_graph(seg), coloring)
-            per_epoch.append(best)
-            if end == close:
-                if surprise:
-                    num_surprise += 1
-                    num_blue_surprise += u in blue
-                close, surprise = next(ends, (0, False))
-            start, best, back = end, 0, False
-            dist.clear()
-            done.clear()
-
+    bounds = [0, *ends.tolist()]
+    if bounds[-1] < len(records):
+        bounds.append(len(records))
+    per_epoch = [0] * (len(bounds) - 1)
+    back: set[int] = set()  # epochs with a blue edge back into the epoch, or a self-loop
+    rows = np.flatnonzero(layer[vertices] == BLUE)
+    current = -1
+    for k, e in zip(rows.tolist(), np.searchsorted(ends, rows, side="right").tolist()):
+        if e != current:
+            current = e
+            dist: dict[int, int] = {}  # longest blue path ending at a blue vertex, this epoch
+            done: set[int] = set()  # blue vertices queried this epoch
+        u, answer = records[k]
+        done.add(u)
+        step = dist.get(u, 0) + 1
+        for w in answer:
+            if w in done:
+                back.add(e)
+            elif w in blue and dist.get(w, 0) < step:
+                dist[w] = step
+                if per_epoch[e] < step:
+                    per_epoch[e] = step
+    for e in back:
+        seg = QueryHistory(records[bounds[e]:bounds[e + 1]])
+        per_epoch[e] = max_blue_path(knowledge_graph(seg), coloring)
+    closing_blue = layer[vertices[ends[surprise] - 1]] == BLUE
     max_anc = None
     if include_ancestors:
+        sources = np.repeat(vertices, degrees)
         max_anc = _max_blue_ancestors(sources, targets, layer, blue)
-    return EpochStats(len(per_epoch), num_surprise, num_blue_surprise, tuple(per_epoch), max_anc)
+    return EpochStats(
+        len(per_epoch),
+        int(np.count_nonzero(surprise)),
+        int(np.count_nonzero(closing_blue)),
+        tuple(per_epoch),
+        max_anc,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--num-walks", type=int, default=6,
                         help="walks per color identification (default 6)")
     parser.add_argument("--walls", type=int, default=None,
-                        help="alg2: wall count (default: N^(1/4)*L/sqrt(N+L^2))")
+                        help="alg2: wall count, 0 for a wallless run "
+                             "(default: N^(1/4)*L/sqrt(N+L^2))")
     parser.add_argument("--wall-p", type=int, default=None,
                         help="alg2: per-wall fan-out budget P (default W*ceil(log2 W))")
     parser.add_argument("--path-target-mult", type=float, default=None,

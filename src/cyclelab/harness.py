@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError("explore_budget must be >= 1")
         if self.time_limit is not None and self.time_limit < 0:
             raise ConfigError("time_limit must be >= 0")
+        if self.walls is not None and self.walls < 0:
+            raise ConfigError("walls must be >= 0")
+        if self.path_target_mult is not None and self.path_target_mult <= 0:
+            raise ConfigError("path_target_mult must be > 0")
 
 
 @dataclass(frozen=True)

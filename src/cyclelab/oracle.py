@@ -9,7 +9,10 @@ Three access models:
   feed: queries are grouped into epochs of at most L/2; an epoch closes
   early when a query answer contains an already-seen vertex (a
   "surprise"), and at every close the hidden colors of all vertices seen
-  so far are revealed.  Only ``_epoch_ends`` applies this rule.
+  so far are revealed.  Only ``_epoch_ends`` applies this rule, on
+  arrays of the records: a record is a surprise iff one of its answer
+  entries was first named by an earlier record, and the cap closes fall
+  at fixed strides between surprises.
 
 A query history never repeats a vertex.  In the default strict mode a
 repeat raises; the lenient mode instead returns the cached answer at zero
@@ -19,8 +22,12 @@ cost, which the walk-based finders rely on.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .graphs import BRPair, Coloring, Digraph, color_token
 
@@ -148,25 +155,59 @@ def knowledge_graph(history: QueryHistory) -> KnowledgeGraph:
     return kg
 
 
-def _epoch_ends(records, epoch_cap: int):
-    """The epoch rule: ``(end, surprise)`` for each close, in order.
+def _record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Queried vertices, answer lengths and the flat answer entries, in record order."""
+    answers = list(map(itemgetter(1), records))
+    vertices = np.fromiter(map(itemgetter(0), records), dtype=np.int64, count=len(records))
+    degrees = np.fromiter(map(len, answers), dtype=np.int64, count=len(answers))
+    targets = np.fromiter(
+        itertools.chain.from_iterable(answers), dtype=np.int64, count=int(degrees.sum())
+    )
+    return vertices, degrees, targets
 
-    An epoch closes after the record that makes it epoch_cap records long,
-    or earlier after a surprise: a record whose answer names a vertex seen
-    before it, as a queried vertex or an answer entry.  Re-encountering
-    the queried vertex itself is not a surprise.  ``end`` is the 1-based
-    index of the closing record, and a record that is both a surprise and
-    the cap-filling one closes with surprise True.
+
+def _epoch_ends(
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray], epoch_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The epoch rule: the ends of the closes, in order, and which are surprises.
+
+    ``arrays`` is ``_record_arrays(records)``.  An epoch closes after the
+    record that makes it epoch_cap records long, or earlier after a
+    surprise: a record whose answer names a vertex seen before it, as a
+    queried vertex or an answer entry.  Re-encountering the queried vertex
+    itself is not a surprise.  An end is the 1-based index of the closing
+    record, and a record that is both a surprise and the cap-filling one
+    closes as a surprise.
+
+    On arrays: ``np.minimum.at`` over the queried vertices and the answer
+    entries gives each vertex's first naming record, in an array sized by
+    the largest id, and record k (0-based) is a surprise iff one of its
+    entries was first named before k.  Between consecutive surprise ends
+    prev < next (with 0 before the first and n + 1 after the last record)
+    the cap closes are ``prev + j * epoch_cap`` for j >= 1 below next;
+    ``repeat`` and ``cumsum`` lay them out, and each surprise goes in after
+    the cap closes before it.  Returns int64 ends and a bool surprise flag
+    for each.
     """
-    seen: set[int] = set()
-    start = 0
-    for end, (u, answer) in enumerate(records, start=1):
-        surprise = not seen.isdisjoint(answer)
-        seen.add(u)
-        seen.update(answer)
-        if surprise or end - start == epoch_cap:
-            yield end, surprise
-            start = end
+    vertices, degrees, targets = arrays
+    n = len(vertices)
+    entry_rec = np.repeat(np.arange(n), degrees)
+    first = np.full(max(vertices.max(initial=-1), targets.max(initial=-1)) + 1, n)
+    np.minimum.at(first, vertices, np.arange(n))
+    np.minimum.at(first, targets, entry_rec)
+    hit = np.zeros(n, dtype=bool)
+    hit[entry_rec[first[targets] < entry_rec]] = True
+    surprises = np.flatnonzero(hit) + 1
+    prev = np.concatenate(([0], surprises))
+    caps = (np.append(surprises, n + 1) - prev - 1) // epoch_cap
+    upto = np.cumsum(caps)  # cap closes up to each surprise, and in all
+    step = np.arange(1, upto[-1] + 1) - np.repeat(upto - caps, caps)
+    surprise = np.zeros(upto[-1] + len(surprises), dtype=bool)
+    surprise[upto[:-1] + np.arange(len(surprises))] = True
+    ends = np.empty(len(surprise), dtype=np.int64)
+    ends[surprise] = surprises
+    ends[~surprise] = np.repeat(prev, caps) + step * epoch_cap
+    return ends, surprise
 
 
 @dataclass(frozen=True)
@@ -184,17 +225,19 @@ class EpochDecomposition:
 def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecomposition:
     """Split a history into surprise/timeout epochs of at most epoch_cap.
 
-    The closes are those of ``_epoch_ends``; the records after the last
-    close form the current epoch.  A query that is both a surprise and the
-    cap-filling query closes its epoch with reason SURPRISE.
+    Slices the records at the ends ``_epoch_ends`` computes from their
+    arrays; the records after the last close form the current epoch.  A
+    query that is both a surprise and the cap-filling query closes its
+    epoch with reason SURPRISE.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
     records = history.records
+    ends, surprises = _epoch_ends(_record_arrays(records), epoch_cap)
     closed: list[QueryHistory] = []
     reasons: list[EpochReason] = []
     start = 0
-    for end, surprise in _epoch_ends(records, epoch_cap):
+    for end, surprise in zip(ends.tolist(), surprises.tolist()):
         closed.append(QueryHistory(tuple(records[start:end])))
         reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
         start = end
@@ -277,7 +320,8 @@ class Oracle:
         """
         if self.model is not QueryModel.COLOR_REVELATION:
             return {}
-        last = max((end for end, _ in _epoch_ends(self._records, self.epoch_cap)), default=0)
+        ends, _ = _epoch_ends(_record_arrays(self._records), self.epoch_cap)
+        last = int(ends[-1]) if len(ends) else 0
         seen = QueryHistory(tuple(self._records[:last])).vertices()
         return {v: self._coloring.color(v) for v in sorted(seen)}
 

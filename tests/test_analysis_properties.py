@@ -66,12 +66,11 @@ small_params = st.builds(
 steps = st.lists(st.integers(0, 2**16), max_size=80)
 
 
-@given(small_params, st.integers(0, 2**32 - 1), steps, st.booleans())
-def test_layered_walks_match_reference(params, seed, walk_steps, include_ancestors):
+@given(small_params, st.integers(0, 2**32 - 1), steps, st.booleans(), st.integers(1, 6))
+def test_layered_walks_match_reference(params, seed, walk_steps, include_ancestors, cap):
     pair = gen_br_pair(params, np.random.default_rng(seed))
     oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
     history = walk(oracle, params.v_count, walk_steps)
-    cap = params.epoch_cap
     got = epoch_stats(history, pair.coloring, cap, include_ancestors=include_ancestors)
     assert got == reference_stats(history, pair.coloring, cap, include_ancestors)
 

@@ -56,8 +56,15 @@ def test_config_rejects_bad_combinations():
         walk_config(num_walks=0).validate()  # every color test inconclusive
     with pytest.raises(ConfigError):
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
+    with pytest.raises(ConfigError):
+        walk_config(walls=-1).validate()  # used to run as zero walls
+    with pytest.raises(ConfigError):
+        walk_config(path_target_mult=0).validate()  # a path target of zero
+    with pytest.raises(ConfigError):
+        walk_config(path_target_mult=-1).validate()
     walk_config().validate()
     walk_config(time_limit=0).validate()  # no deadline
+    walk_config(walls=0).validate()  # a wallless alg2 run
 
 
 def test_layer_divisibility_checked():
@@ -323,6 +330,12 @@ def test_cli_rejects_bad_combination(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "cyclelab: time_limit must be >= 0\n"
+    code = main(["--dist", "br", "--algo", "alg2", "--n", "64", "--trials", "1",
+                 "--walls", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "cyclelab: walls must be >= 0\n"
 
 
 def test_cli_unknown_algo_is_usage_error():

@@ -218,6 +218,70 @@ def test_decompose_counts_answer_entries_only():
     assert len(dec.current_epoch) == 0
 
 
+def _splits(records, cap):
+    """Closed epoch lengths with their reasons, then the current epoch's length."""
+    dec = decompose_epochs(QueryHistory(tuple(records)), cap)
+    closed = [(len(e), r.value) for e, r in zip(dec.closed_epochs, dec.end_reasons)]
+    return closed, len(dec.current_epoch)
+
+
+def test_decompose_empty_history():
+    dec = decompose_epochs(QueryHistory(()), epoch_cap=3)
+    assert (dec.closed_epochs, dec.end_reasons) == ((), ())
+    assert len(dec.current_epoch) == 0 and dec.epoch_count() == 0
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.COLOR_REVELATION)
+    assert oracle.revealed == {}
+    assert oracle.epochs == decompose_epochs(QueryHistory(()), oracle.epoch_cap)
+
+
+def test_decompose_one_record():
+    rec = [QueryRecord(0, (1, 2))]
+    assert _splits(rec, 3) == ([], 1)
+    assert _splits(rec, 1) == ([(1, "timeout")], 0)
+    assert _splits([QueryRecord(4, ())], 2) == ([], 1)  # a sink
+
+
+def test_decompose_cap_one_closes_every_record():
+    recs = [QueryRecord(0, (1,)), QueryRecord(2, (3,)), QueryRecord(4, (0,)), QueryRecord(5, ())]
+    assert _splits(recs, 1) == (
+        [(1, "timeout"), (1, "timeout"), (1, "surprise"), (1, "timeout")], 0
+    )
+
+
+def test_decompose_every_later_record_a_surprise():
+    # The first record has nothing before it; each later one names the
+    # vertex queried just before it.
+    recs = [QueryRecord(0, (1,))] + [QueryRecord(v, (v - 1,)) for v in range(2, 7)]
+    recs[1] = QueryRecord(2, (0,))
+    assert _splits(recs, 10) == ([(2, "surprise")] + [(1, "surprise")] * 4, 0)
+    assert _splits(recs, 2) == ([(2, "surprise")] + [(1, "surprise")] * 4, 0)
+
+
+def test_decompose_surprise_on_a_cap_fill_after_a_timeout():
+    recs = _fresh_records(3)
+    recs.append(QueryRecord(100, (1, 101)))  # 4th record: cap-filling and a surprise
+    recs.extend(_fresh_records(3, start=200))
+    assert _splits(recs, 2) == ([(2, "timeout"), (2, "surprise"), (2, "timeout")], 1)
+
+
+def test_decompose_self_loops():
+    # A self-loop on a vertex first named by its own record is no surprise;
+    # one on a vertex named by an earlier answer is.
+    recs = [QueryRecord(5, (5, 6)), QueryRecord(7, (7, 7)), QueryRecord(6, (6,))]
+    assert _splits(recs, 10) == ([(3, "surprise")], 0)
+    assert _splits(recs[:2], 10) == ([], 2)
+
+
+def test_decompose_answer_ids_far_above_the_queries():
+    big = 2**20
+    recs = [QueryRecord(0, (big, big + 3)), QueryRecord(1, (2,)), QueryRecord(2, (big + 3,))]
+    assert _splits(recs, 10) == ([(3, "surprise")], 0)
+    assert _splits(recs[:2], 10) == ([], 2)
+    assert _splits([QueryRecord(big, (big + 1,)), QueryRecord(3, (big,))], 5) == (
+        [(2, "surprise")], 0
+    )
+
+
 def test_decompose_matches_live_tracking():
     params = BRParams(32, 4, 16, 2)
     rng = np.random.default_rng(9)

@@ -10,8 +10,10 @@ covers the process's stdout, stderr and exit status.  The configs are every
 finder on both distributions at three (n, d) sizes, and on br at four
 (n, layers, d) shapes that reach every branch of the instance generator,
 each at three seeds, plus alg1 and alg2 on br at the three sizes with
-``--no-ancestors``, four trials each with the deadline off: 168 in all,
-some of them usage errors, whose stderr and exit status are compared too.
+``--no-ancestors``, four trials each with the deadline off, plus alg1 and
+alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each:
+170 in all, some of them usage errors, whose stderr and exit status are
+compared too.
 Two configs run at a time.
 """
 
@@ -37,6 +39,8 @@ SIZES = ((128, 3), (512, 2), (1024, 8))
 LAYERED = ((128, 32, 5), (2048, 32, 3), (64, 2, 63), (16, 8, 4))
 SEEDS = (11, 37, 4242)
 TAIL = ["--trials", "4", "--time-limit", "0"]
+# N = 2^20 costs a few seconds and about 400 MB a trial, so two trials
+PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2", "--time-limit", "0"]
 
 
 def configs() -> list[list[str]]:
@@ -55,7 +59,8 @@ def configs() -> list[list[str]]:
          "--no-ancestors"]
         for algo, (n, d), seed in itertools.product(("alg1", "alg2"), SIZES, SEEDS)
     ]
-    return [args + TAIL for args in sized + layered + no_ancestors]
+    paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
+    return [args + TAIL for args in sized + layered + no_ancestors] + paper
 
 
 def digest(args: list[str], src: Path) -> str:

@@ -210,6 +210,7 @@ def run_birthday_sampler(
     budget = _Budget(oracle, max_queries, deadline, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
     partial = KnowledgeGraph()
+    seen: set[int] = set()  # sampled vertices and answers, for the collision count
     seen_cells: set[tuple[int, int]] = set()
     total_cells = v_count * d
     cycle = None
@@ -223,10 +224,11 @@ def run_birthday_sampler(
         u, i = cell
         v = oracle.query_adj(u, i)
         if v is None:
-            partial.add_vertex(u)
+            seen.add(u)
             continue
-        if v in partial.vertices:
+        if v in seen:
             aux["collisions"] += 1
+        seen.update((u, v))
         partial.add_edge(u, v)
         cycle = detect_cycle(partial, QueryRecord(u, (v,)))
         if cycle is not None:
@@ -359,18 +361,24 @@ def _grow_blue_path(
     on a blue verdict.  Dead ends (all children non-blue) backtrack and
     are never re-entered.  Once the path passes path_target, every head
     query is followed by a cycle check; a child already on the path closes
-    a cycle at any length.  rng is the finder's draw source.
+    a cycle at any length.  Gives up, with no further draw, once every
+    vertex has a non-blue verdict or is exhausted while the path is empty,
+    since no seed can start a path then.  rng is the finder's draw source.
     """
     v_count = int(params.v_count)  # below() needs a Python int
     draw = rng.below
     verdicts: dict[int, int | None] = {}
     exhausted: set[int] = set()
     pending: dict[int, list[int]] = {}
+    unseedable = 0  # vertices with a non-blue verdict, plus exhausted ones
 
     def cached_color(x: int) -> int | None:
+        nonlocal unseedable
         if x not in verdicts:
             verdicts[x] = color_of(x)
             aux["color_ids"] += 1
+            if verdicts[x] != BLUE:
+                unseedable += 1
         return verdicts[x]
 
     path: list[int] = []
@@ -378,6 +386,8 @@ def _grow_blue_path(
     while not budget.exhausted():
         budget.steps += 1
         if not path:
+            if unseedable == v_count:
+                break
             cand = draw(v_count)
             aux["seeds_tested"] += 1
             if cand in exhausted or cached_color(cand) != BLUE:
@@ -411,6 +421,7 @@ def _grow_blue_path(
             aux["appends"] += 1
         elif not queue:
             exhausted.add(head)
+            unseedable += 1
             path.pop()
             on_path.discard(head)
             aux["backtracks"] += 1

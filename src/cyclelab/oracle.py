@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -82,56 +83,81 @@ class QueryHistory:
 
     def vertices(self) -> set[int]:
         """VKG: every vertex queried or returned so far."""
-        seen: set[int] = set()
-        for rec in self.records:
-            seen.add(rec.vertex)
-            seen.update(rec.answer)
-        return seen
+        return _seen_set(self.records)
+
+
+_Pairs = Iterable[tuple[int, tuple[int, ...]]]  # (vertex, answer) in record order
+
+
+def _seen_set(records: _Pairs) -> set[int]:
+    # added record by record, so a set derived from a knowledge graph's
+    # out-lists iterates as one kept up to date query by query would
+    seen: set[int] = set()
+    for u, row in records:
+        seen.add(u)
+        seen.update(row)
+    return seen
+
+
+def _sink_set(records: _Pairs) -> set[int]:
+    return {u for u, row in records if not row}
+
+
+def _parent_index(records: _Pairs) -> dict[int, list[int]]:
+    index: dict[int, list[int]] = {}
+    for u, row in records:
+        for v in row:
+            index.setdefault(v, []).append(u)
+    return index
 
 
 class KnowledgeGraph:
-    """Everything a history has exposed: seen vertices, answer edges, sinks.
+    """Everything a history has exposed: answer edges, seen vertices, sinks.
 
-    ``vertices`` is the seen set and ``out`` maps each queried vertex to its
-    answer, which makes it the oracle's answer cache too.  ``in_edges`` is
-    derived: built from ``out`` on first use after a change and kept until
-    the next add.  Can be built incrementally from records or assembled by
-    hand for the tree-classification helpers.
+    ``out`` maps each queried vertex to its answer, in the order they were
+    added, and is the only thing stored; it is the oracle's answer cache
+    and transcript too.  ``vertices`` (the seen set), ``sinks`` and
+    ``in_edges`` are derived: built from ``out`` on their first read after
+    a change and kept until the next add.  Can be built incrementally from
+    records or assembled by hand for the tree-classification helpers.
     """
 
     def __init__(self) -> None:
-        self.vertices: set[int] = set()
         self.out: dict[int, tuple[int, ...]] = {}
-        self.sinks: set[int] = set()
-        self._in_edges: dict[int, list[int]] | None = None
+        self._derived: dict[str, object] | None = None
 
-    def add_vertex(self, v: int) -> None:
-        self.vertices.add(v)
-
-    def add_record(self, rec: QueryRecord) -> None:
+    def add_record(self, rec: tuple[int, tuple[int, ...]]) -> None:
         u, answer = rec
-        self.vertices.add(u)
-        self.vertices.update(answer)
         self.out[u] = answer
-        if not answer:
-            self.sinks.add(u)
-        self._in_edges = None
+        self._derived = None
 
     def add_edge(self, u: int, v: int) -> None:
         """Append one answer entry v to u's known out-list."""
-        self.vertices.update((u, v))
         self.out[u] = self.out.get(u, ()) + (v,)
-        self._in_edges = None
+        self._derived = None
+
+    def _view(self, name: str, derive):
+        derived = self._derived
+        if derived is None:
+            derived = self._derived = {}
+        if name not in derived:
+            derived[name] = derive(self.out.items())
+        return derived[name]
+
+    @property
+    def vertices(self) -> set[int]:
+        """VKG: every vertex queried or named in an answer."""
+        return self._view("vertices", _seen_set)
+
+    @property
+    def sinks(self) -> set[int]:
+        """Queried vertices whose answer was empty."""
+        return self._view("sinks", _sink_set)
 
     @property
     def in_edges(self) -> dict[int, list[int]]:
         """Parents of each vertex, one per answer entry, in ``out`` order."""
-        if self._in_edges is None:
-            index: dict[int, list[int]] = {}
-            for u, v in self.edges():
-                index.setdefault(v, []).append(u)
-            self._in_edges = index
-        return self._in_edges
+        return self._view("in_edges", _parent_index)
 
     def out_of(self, v: int) -> tuple[int, ...]:
         return self.out.get(v, ())
@@ -249,9 +275,11 @@ def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecompositio
 class Oracle:
     """Query counter and transcript keeper in front of a hidden graph.
 
-    Each query record is stored once, in order, and ``kg`` is their
-    knowledge graph and the answer cache; nothing else is kept.  The epoch
-    views (``epochs``, ``revealed``, ``transcript``) cost O(q) a read.
+    A charged query stores its answer in ``kg.out`` and nothing else.  The
+    oracle never queries a vertex twice, so ``kg.out`` is at once the answer
+    cache and the transcript in query order; ``history`` builds its records
+    from it on each read.  The views built on ``history`` (``epochs``,
+    ``revealed``, ``transcript``) cost O(q) a read.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -278,7 +306,6 @@ class Oracle:
         self.epoch_cap = epoch_cap
         self.vertex_query_count = 0
         self.adj_query_count = 0
-        self._records: list[QueryRecord] = []
         self.kg = KnowledgeGraph()
 
     # -- construction helpers -------------------------------------------
@@ -303,7 +330,7 @@ class Oracle:
 
     @property
     def history(self) -> QueryHistory:
-        return QueryHistory(tuple(self._records))
+        return QueryHistory(tuple(itertools.starmap(QueryRecord, self.kg.out.items())))
 
     @property
     def epochs(self) -> EpochDecomposition:
@@ -320,9 +347,10 @@ class Oracle:
         """
         if self.model is not QueryModel.COLOR_REVELATION:
             return {}
-        ends, _ = _epoch_ends(_record_arrays(self._records), self.epoch_cap)
+        history = self.history
+        ends, _ = _epoch_ends(_record_arrays(history.records), self.epoch_cap)
         last = int(ends[-1]) if len(ends) else 0
-        seen = QueryHistory(tuple(self._records[:last])).vertices()
+        seen = history.prefix(last).vertices()
         return {v: self._coloring.color(v) for v in sorted(seen)}
 
     # -- queries ---------------------------------------------------------
@@ -341,9 +369,7 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        rec = QueryRecord(u, answer)
-        self._records.append(rec)
-        self.kg.add_record(rec)
+        self.kg.add_record((u, answer))
         self.vertex_query_count += 1
         return answer
 

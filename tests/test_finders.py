@@ -10,6 +10,7 @@ from cyclelab import (
     FinderOutcome,
     Oracle,
     QueryModel,
+    auto_params,
     build_wall,
     gen_br_pair,
     gen_br_simple,
@@ -110,6 +111,23 @@ def test_birthday_collisions_grow_past_sqrt():
             total += run_birthday_sampler(oracle, budget, rng).aux["collisions"]
         means.append(total / 30)
     assert means[0] < means[1] < means[2]
+
+
+def test_birthday_collision_counts_are_pinned():
+    # frozen counts; the br instances have sinks, whose empty cells still
+    # make the sampled vertex seen
+    cases = []
+    for seed in (5, 6, 7):
+        rng = np.random.default_rng(seed)
+        g = gen_br_simple(2000, 3, rng)
+        oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+        cases.append(run_birthday_sampler(oracle, 400, rng).aux["collisions"])
+    for seed in (5, 6, 7):
+        rng = np.random.default_rng(seed)
+        pair = gen_br_pair(auto_params(512, 2), rng)
+        oracle = new_oracle(pair, model=QueryModel.ADJ_LIST, lenient=True)
+        cases.append(run_birthday_sampler(oracle, 300, rng).aux["collisions"])
+    assert cases == [61, 63, 65, 50, 47, 43]
 
 
 def test_birthday_claimed_cycles_verify():
@@ -229,6 +247,19 @@ def test_algorithm1_respects_budget():
     oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
     out = run_algorithm1(oracle, pair.params, rng, budget=50)
     assert out.queries_used <= 50
+
+
+def test_algorithm1_stops_seeding_when_no_seed_can_start_a_path():
+    # at d=2 this instance has every vertex queried, and every blue one
+    # exhausted, long before the budget; the seed search must then stop
+    # instead of drawing seeds that cannot start a path until the step cap
+    rng = np.random.default_rng(2008)
+    pair = gen_br_pair(auto_params(4096, 2), rng)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    out = run_algorithm1(oracle, pair.params, rng)
+    assert not out.success
+    assert out.queries_used == oracle.vertex_query_count == pair.graph.v_count == 12288
+    assert out.aux["seeds_tested"] < 200_000
 
 
 # -- walls ------------------------------------------------------------------------

@@ -151,13 +151,19 @@ def test_detect_cycle_is_shortest_through_the_queried_vertex():
 @given(graphs(), plans, st.lists(st.booleans(), min_size=150, max_size=150))
 def test_in_edges_follow_the_history(instance, plan, reads):
     oracle = new_oracle(instance, QueryModel.VERTEX, lenient=True)
+    first_visits: dict[int, None] = {}
     for (u, _), read in zip(walk(oracle, plan), reads):
+        first_visits.setdefault(u)
         # reading only some of the time leaves several adds between reads
         if not read:
             continue
         history = oracle.history
+        # cached replays neither append to the transcript nor reorder it
+        assert [rec.vertex for rec in history] == list(first_visits)
         rebuilt = knowledge_graph(history)
         assert oracle.kg.in_edges == rebuilt.in_edges
+        assert oracle.kg.vertices == rebuilt.vertices
+        assert oracle.kg.sinks == rebuilt.sinks
         entries = sorted((rec.vertex, v) for rec in history for v in rec.answer)
         assert sorted((p, v) for v, ps in oracle.kg.in_edges.items() for p in ps) == entries
         for v in (*rebuilt.vertices, -1):
@@ -176,6 +182,7 @@ def test_in_edges_follow_added_edges(edges, reads):
         parents.setdefault(v, []).append(u)
         if not read:
             continue
+        assert kg.vertices == set(parents).union(*parents.values())
         # one parent per added entry; the index lists them in out order
         assert {v: sorted(p) for v, p in kg.in_edges.items()} == {
             v: sorted(p) for v, p in parents.items()

@@ -11,9 +11,14 @@ finder on both distributions at three (n, d) sizes, and on br at four
 (n, layers, d) shapes that reach every branch of the instance generator,
 each at three seeds, plus alg1 and alg2 on br at the three sizes with
 ``--no-ancestors``, four trials each with the deadline off, plus alg1 and
-alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each:
-170 in all, some of them usage errors, whose stderr and exit status are
-compared too.
+alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
+plus six instance shapes that no instance can have (``--layers 0``, a
+negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
+layer count, an odd brsimple n): 176 in all, some of them usage errors,
+whose stderr and exit status are compared too.  The six bad shapes exit 2
+with one ``cyclelab:`` line; before the shape check in
+``ExperimentConfig.validate`` they ended in a traceback, so their digests
+differ from those of older checkouts.
 Two configs run at a time.
 """
 
@@ -41,6 +46,14 @@ SEEDS = (11, 37, 4242)
 TAIL = ["--trials", "4", "--time-limit", "0"]
 # N = 2^20 costs a few seconds and about 400 MB a trial, so two trials
 PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2", "--time-limit", "0"]
+BAD_SHAPES = (
+    ["--dist", "br", "--n", "2048", "--layers", "0"],
+    ["--dist", "br", "--n", "2048", "--layers", "-4"],
+    ["--dist", "br", "--n", "2048", "--d", "1"],
+    ["--dist", "br", "--n", "2048", "--layers", "4096"],
+    ["--dist", "br", "--n", "3", "--d", "8"],
+    ["--dist", "brsimple", "--n", "3"],
+)
 
 
 def configs() -> list[list[str]]:
@@ -60,7 +73,10 @@ def configs() -> list[list[str]]:
         for algo, (n, d), seed in itertools.product(("alg1", "alg2"), SIZES, SEEDS)
     ]
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
-    return [args + TAIL for args in sized + layered + no_ancestors] + paper
+    bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
+    return [args + TAIL for args in sized + layered + no_ancestors] + paper + [
+        args + TAIL for args in bad
+    ]
 
 
 def digest(args: list[str], src: Path) -> str:

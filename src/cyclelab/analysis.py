@@ -27,7 +27,14 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
-from .oracle import KnowledgeGraph, QueryHistory, _epoch_ends, _record_arrays, knowledge_graph
+from .oracle import (
+    KnowledgeGraph,
+    QueryHistory,
+    _epoch_ends,
+    _Pairs,
+    _record_arrays,
+    knowledge_graph,
+)
 from .oracle import decompose_epochs  # noqa: F401  reference for epoch_stats, traced by name
 
 
@@ -241,16 +248,21 @@ def _max_blue_ancestors(
     R is the blue vertices and all their ancestors.  It grows from the
     blue set over the edges into it, and only edges into R are kept; when
     no red vertex points at a blue one (so on every layered instance), R
-    is the blue set itself.  An iterative Tarjan over R's parent edges
-    emits each SCC after every SCC that reaches it.  Each vertex of R owns
-    one bit, its discovery index, and the closure of an SCC C (the
-    vertices with a path to C, C included) is the OR of its members' bits
-    and of its parent SCCs' closures, one OR per parent edge.  Shared
-    ancestors are counted once, so the count is exact however the parents
-    overlap: a blue v in C has the closure's bit count minus one
-    ancestors.  Every SCC of R reaches a blue vertex, whose closure holds
-    its own, so the largest closure of any SCC is a blue one's.  Each
-    member with an edge out into R holds its SCC's closure until every
+    is the blue set itself.  A leaf is a vertex of R with no edge out into
+    R and exactly one edge into it (so blue, and most of R on a layered
+    run): its ancestors are its parent's SCC's closure, so it takes no part
+    in the pass below, and its parent's SCC, when emitted, counts the
+    closure plus one for it.  An iterative Tarjan over the other vertices'
+    parent edges, rooted at the blue vertices that are not leaves and at
+    the leaves' parents, emits each SCC after every SCC that reaches it.
+    Each vertex it visits owns one bit, its discovery index, and the
+    closure of an SCC C (the vertices with a path to C, C included) is the
+    OR of its members' bits and of its parent SCCs' closures, one OR per
+    parent edge.  Shared ancestors are counted once, so the count is exact
+    however the parents overlap: a blue v in C has the closure's bit count
+    minus one ancestors.  Every SCC of R reaches a blue vertex, whose
+    closure holds its own, so the largest closure is a blue vertex's.
+    Each member with an edge out into R holds its SCC's closure until every
     such edge has been read, that is, until the last SCC that reads it is
     emitted; none outlives the pass.
     """
@@ -259,9 +271,18 @@ def _max_blue_ancestors(
     while not in_r[sources[into]].all():
         in_r[sources[into]] = True
         into = in_r[targets]
+    src, dst = sources[into], targets[into]
+    heads, counts = np.unique(dst, return_counts=True)
+    has_out = np.zeros(len(layer), dtype=bool)
+    has_out[src] = True
+    leaves = heads[(counts == 1) & ~has_out[heads]]
+    is_leaf = np.zeros(len(layer), dtype=bool)
+    is_leaf[leaves] = True
+    cut = is_leaf[dst]
+    feeds = set(src[cut].tolist())  # the leaves' parents
     parents: dict[int, list[int]] = {}
     readers: dict[int, int] = {}  # vertex -> edges out of it into R not yet read
-    for u, w in zip(sources[into].tolist(), targets[into].tolist()):
+    for u, w in zip(src[~cut].tolist(), dst[~cut].tolist()):
         parents.setdefault(w, []).append(u)
         readers[u] = readers.get(u, 0) + 1
     index: dict[int, int] = {}  # DFS discovery order, also each vertex's bit
@@ -270,7 +291,7 @@ def _max_blue_ancestors(
     closure: dict[int, int] = {}  # vertex -> its SCC's closure bitset, while it has readers
     best = 1
     stack: list[int] = []
-    for root in blue:
+    for root in itertools.chain(blue.difference(leaves.tolist()), feeds):
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -293,12 +314,14 @@ def _max_blue_ancestors(
                 if low[v] != index[v]:
                     continue
                 bits = 0
+                fed = False  # some member is a leaf's parent
                 members = []
                 while not members or members[-1] != v:
                     x = stack.pop()
                     comp[x] = v
                     members.append(x)
                     bits |= 1 << index[x]
+                    fed = fed or x in feeds
                     for p in parents.get(x, ()):
                         readers[p] -= 1
                         if comp.get(p, v) != v:  # a parent still on the stack is in this SCC
@@ -306,19 +329,24 @@ def _max_blue_ancestors(
                 for x in members:
                     if readers.get(x):
                         closure[x] = bits
-                best = max(best, bits.bit_count())
+                best = max(best, bits.bit_count() + fed)
     assert not closure, "a closure outlived its last reader"
     return best - 1
 
 
 def epoch_stats(
-    history: QueryHistory,
+    history: _Pairs,
     coloring: Coloring,
     epoch_cap: int,
     *,
     include_ancestors: bool = True,
 ) -> EpochStats:
     """Post-hoc epoch/surprise/blue-path accounting for a finished run.
+
+    The transcript is any iterable of (vertex, answer) pairs in query
+    order: a QueryHistory, or an oracle's answer map as
+    ``oracle.kg.out.items()``, the same transcript with no QueryRecord
+    built per pair.  It is read into a tuple once.
 
     Returns what decompose_epochs, max_blue_path of each epoch's knowledge
     graph and ancestor_count of every blue vertex give, without building a
@@ -333,16 +361,18 @@ def epoch_stats(
     at or before its source only on the closing surprise or as a
     self-loop, so query order is otherwise a topological order of the
     epoch's blue edges and the walk takes the longest path in passing; the
-    rare epoch with such an edge goes to max_blue_path.  Ancestor counts
-    come from one pass over the SCC condensation of the blue vertices and
-    their ancestors, in which each SCC's ancestor set is a bitset: the OR
-    of its members' bits and its parent SCCs' sets, each freed after its
-    last reader (see _max_blue_ancestors).  Pass include_ancestors=False
-    to skip them (the field is then None).
+    rare epoch with such an edge goes to max_blue_path, on a knowledge
+    graph of that epoch's pairs.  Ancestor counts come from one pass over
+    the SCC condensation of the blue vertices and their ancestors, in which
+    each SCC's ancestor set is a bitset: the OR of its members' bits and
+    its parent SCCs' sets, each freed after its last reader.  Blue leaves
+    with a single parent skip the pass and count as their parent's set plus
+    one (see _max_blue_ancestors).  Pass include_ancestors=False to skip
+    them (the field is then None).
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    records = history.records
+    records = tuple(history)
     layer = coloring.layer_by_vertex
     arrays = _record_arrays(records)
     vertices, degrees, targets = arrays
@@ -372,8 +402,7 @@ def epoch_stats(
                 if per_epoch[e] < step:
                     per_epoch[e] = step
     for e in back:
-        seg = QueryHistory(records[bounds[e]:bounds[e + 1]])
-        per_epoch[e] = max_blue_path(knowledge_graph(seg), coloring)
+        per_epoch[e] = max_blue_path(knowledge_graph(records[bounds[e]:bounds[e + 1]]), coloring)
     closing_blue = layer[vertices[ends[surprise] - 1]] == BLUE
     max_anc = None
     if include_ancestors:

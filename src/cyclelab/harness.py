@@ -29,6 +29,8 @@ from .graphs import (
     BRParams,
     Coloring,
     Digraph,
+    InvalidParams,
+    NoValidLayering,
     auto_params,
     gen_br_pair,
     gen_br_simple,
@@ -109,6 +111,10 @@ class ExperimentConfig:
             raise ConfigError("walls must be >= 0")
         if self.path_target_mult is not None and self.path_target_mult <= 0:
             raise ConfigError("path_target_mult must be > 0")
+        if self.dist == "brsimple" and self.n % 2:
+            raise ConfigError(f"brsimple needs an even n, got {self.n}")
+        if self.dist == "br":
+            _br_params(self)  # the instance shape, checked before any trial runs
 
 
 @dataclass(frozen=True)
@@ -140,11 +146,16 @@ class ScalingFit:
 
 
 def _br_params(config: ExperimentConfig) -> BRParams:
-    if config.layers is None:
-        return auto_params(config.n, config.d)
-    if (2 * config.n) % config.layers:
-        raise ConfigError(f"layers={config.layers} does not divide {2 * config.n}")
-    return BRParams(config.n, config.layers, 2 * config.n // config.layers, config.d)
+    try:
+        if config.layers is None:
+            return auto_params(config.n, config.d)
+        if config.layers < 2:
+            raise ConfigError(f"layers must be even and >= 2, got {config.layers}")
+        if (2 * config.n) % config.layers:
+            raise ConfigError(f"layers={config.layers} does not divide {2 * config.n}")
+        return BRParams(config.n, config.layers, 2 * config.n // config.layers, config.d)
+    except (InvalidParams, NoValidLayering) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
@@ -227,7 +238,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
         and coloring is not None
     ):
         stats = epoch_stats(
-            oracle.history,
+            oracle.kg.out.items(),
             coloring,
             params.epoch_cap,
             include_ancestors=config.include_ancestors,

@@ -174,7 +174,7 @@ class KnowledgeGraph:
         return sum(len(row) for row in self.out.values())
 
 
-def knowledge_graph(history: QueryHistory) -> KnowledgeGraph:
+def knowledge_graph(history: _Pairs) -> KnowledgeGraph:
     kg = KnowledgeGraph()
     for rec in history:
         kg.add_record(rec)

@@ -1,12 +1,19 @@
-"""Property tests: single-pass epoch_stats against the per-epoch rebuild."""
+"""Property tests: single-pass epoch_stats against the per-epoch rebuild.
+
+Also checks that epoch_stats reads an oracle's answer map
+(``oracle.kg.out.items()``, what the harness passes) exactly as it reads
+the oracle's QueryHistory.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelab import (
     BRParams,
     Coloring,
+    Digraph,
     EpochReason,
     EpochStats,
     QueryModel,
@@ -21,6 +28,7 @@ from cyclelab import (
     max_blue_path,
     new_oracle,
 )
+from cyclelab import analysis
 from cyclelab.oracle import QueryHistory
 
 
@@ -90,6 +98,44 @@ def test_nonlayered_walks_match_reference(params, d, seed, walk_steps, cap):
     coloring = gen_coloring(params, rng)
     history = walk(new_oracle(graph, QueryModel.VERTEX, lenient=True), graph.v_count, walk_steps)
     assert epoch_stats(history, coloring, cap) == reference_stats(history, coloring, cap)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_answer_map_reads_like_the_history(seed):
+    rng = np.random.default_rng(seed)
+    params = BRParams(32, 4, 16, 3)
+    walk_steps = rng.integers(0, 2**16, size=120).tolist()
+    pair = gen_br_pair(params, rng)
+    graph = gen_br_simple(2 * params.n_blue, 2, rng)
+    for instance, coloring, v_count in (
+        (pair, pair.coloring, params.v_count),
+        (graph, gen_coloring(params, rng), graph.v_count),
+    ):
+        oracle = new_oracle(instance, QueryModel.VERTEX, lenient=True)
+        walk(oracle, v_count, walk_steps)
+        for cap in (1, 3, 6):
+            got = epoch_stats(oracle.kg.out.items(), coloring, cap)
+            assert got == epoch_stats(oracle.history, coloring, cap)
+
+
+def test_answer_map_reads_like_the_history_on_the_fallback(monkeypatch):
+    # the blue cycle 0 -> 1 -> 2 -> 0 closes on a blue edge back into its
+    # epoch, so that epoch's path goes to max_blue_path on a slice of pairs
+    calls = []
+
+    def counted(kg, coloring):
+        calls.append(kg)
+        return max_blue_path(kg, coloring)
+
+    monkeypatch.setattr(analysis, "max_blue_path", counted)
+    rows = [[1], [2], [0]] + [[4]] * 9
+    oracle = new_oracle(Digraph.from_lists(rows), QueryModel.VERTEX, lenient=True)
+    for v in (0, 1, 2):
+        oracle.query_vertex(v)
+    coloring = tiny_coloring()
+    got = epoch_stats(oracle.kg.out.items(), coloring, 3)
+    assert len(calls) == 1
+    assert got == epoch_stats(oracle.history, coloring, 3) == EpochStats(1, 1, 1, (3,), 2)
 
 
 def tiny_coloring() -> Coloring:

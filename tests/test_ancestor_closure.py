@@ -2,10 +2,12 @@
 
 Drawn transcripts are dense in SCCs with several parent SCCs: diamonds,
 ancestors shared by several cycles, nested cycles, parallel edges,
-self-loops and red -> blue edges.
+self-loops and red -> blue edges, and in single-parent leaves, which the
+pass counts from their parent's closure without visiting them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -34,6 +36,13 @@ def transcripts(draw):
         edges += [(a, b), (a, c), (b, d), (c, d)]
     for cycle in draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=4)):
         edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if draw(st.booleans()):
+        # hang every vertex no edge touches under one drawn vertex: mostly
+        # single-parent leaves, but a parent may be one of them (a chain)
+        # or the vertex itself (a self-loop)
+        used = {v for edge in edges for v in edge}
+        fresh = [v for v in range(params.v_count) if v not in used]
+        edges += zip(draw(st.lists(vertex, min_size=len(fresh), max_size=len(fresh))), fresh)
     if draw(st.booleans()):
         # no red -> blue edge: the ancestors of the blue vertices are blue
         edges = [(u, w) for u, w in edges if coloring.is_blue(u) or not coloring.is_blue(w)]
@@ -89,3 +98,21 @@ def test_nested_cycles_under_a_red_cycle():
     edges = [(8, 9), (9, 8), (9, 0), (0, 1), (1, 2), (2, 1), (2, 0), (1, 3), (2, 3)]
     history = transcript(edges)
     assert max_ancestors(history, EIGHT_BLUE) == 5 == bfs_max(history, EIGHT_BLUE)
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # blue 0 hangs under red 8 alone: 8 is a root though no blue vertex is
+        ([(8, 0)], 1),
+        # the red cycle 8 <-> 9 above blue leaf 0
+        ([(8, 9), (9, 8), (9, 0)], 2),
+        # 2 and 3 are leaves of 1, which is not a leaf: it has edges out
+        ([(0, 1), (1, 2), (1, 3)], 2),
+        # 1 has in-degree 2 from the one parent 0, so it is not a leaf
+        ([(0, 1), (0, 1)], 1),
+    ],
+)
+def test_single_parent_leaves(edges, expected):
+    history = transcript(edges)
+    assert max_ancestors(history, EIGHT_BLUE) == expected == bfs_max(history, EIGHT_BLUE)

@@ -338,6 +338,26 @@ def test_cli_rejects_bad_combination(capsys):
     assert captured.err == "cyclelab: walls must be >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--layers", "0"], "layers must be even and >= 2, got 0"),
+        (["--layers", "-4"], "layers must be even and >= 2, got -4"),
+        (["--d", "1"], "outdeg must be >= 2, got 1"),
+        (["--layers", "4096"], "outdeg 2 exceeds layer width 1"),
+        (["--n", "3", "--d", "8"], "no even divisor of 6 within a factor 4 of 1.489"),
+        (["--dist", "brsimple", "--n", "3"], "brsimple needs an even n, got 3"),
+    ],
+)
+def test_cli_rejects_bad_instance_shapes(args, message, capsys):
+    # checked up front, so even a run of no trials is refused with one line
+    code = main(["--algo", "walk", "--n", "2048", "--trials", "0", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cyclelab: {message}\n"
+
+
 def test_cli_unknown_algo_is_usage_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--dist", "br", "--algo", "dijkstra", "--n", "4"])

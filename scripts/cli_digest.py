@@ -14,11 +14,15 @@ each at three seeds, plus alg1 and alg2 on br at the three sizes with
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n): 176 in all, some of them usage errors,
-whose stderr and exit status are compared too.  The six bad shapes exit 2
-with one ``cyclelab:`` line; before the shape check in
+layer count, an odd brsimple n), plus two values refused before any trial
+runs (``--seed -1``, and ``--wall-p -5`` on alg2): 178 in all, some of them
+usage errors, whose stderr and exit status are compared too.  The six bad
+shapes exit 2 with one ``cyclelab:`` line; before the shape check in
 ``ExperimentConfig.validate`` they ended in a traceback, so their digests
-differ from those of older checkouts.
+differ from those of older checkouts.  The two bad values also exit 2 with
+one ``cyclelab:`` line; before ``validate`` checked them, ``--seed -1``
+ended in numpy's traceback and ``--wall-p -5`` ran as depth-0 walls, so
+their digests differ from those of older checkouts too.
 Two configs run at a time.
 """
 
@@ -54,6 +58,11 @@ BAD_SHAPES = (
     ["--dist", "br", "--n", "3", "--d", "8"],
     ["--dist", "brsimple", "--n", "3"],
 )
+# values refused before any trial runs; each config ends with its own seed
+BAD_VALUES = (
+    ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
+    ["--algo", "alg2", "--dist", "br", "--n", "2048", "--wall-p", "-5", "--seed", "0"],
+)
 
 
 def configs() -> list[list[str]]:
@@ -75,7 +84,7 @@ def configs() -> list[list[str]]:
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
     return [args + TAIL for args in sized + layered + no_ancestors] + paper + [
-        args + TAIL for args in bad
+        args + TAIL for args in bad + list(BAD_VALUES)
     ]
 
 

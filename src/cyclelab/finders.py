@@ -107,9 +107,10 @@ class _Budget:
 def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
 
-    The finder draws through ``rng.below``.  Whatever way it ends, a return
-    or an exception such as ``RepeatedQuery``, the caller's generator is
-    left exactly where ``int(rng.integers(k))`` draws would have left it.
+    The finder draws through ``rng.below`` and ``rng.stream``.  Whatever
+    way it ends, a return or an exception such as ``RepeatedQuery``, the
+    caller's generator is left exactly where ``int(rng.integers(k))`` draws
+    would have left it.
     A draw source passed as ``rng`` is used as it is, and its owner syncs it.
     """
     at = list(inspect.signature(finder).parameters).index("rng")
@@ -263,6 +264,9 @@ def _implied_layers(
     A deadline is read only at the polls, so a walk through cached answers
     can overrun it by up to max_walk_len steps.
 
+    Each step draws from ``rng.stream(len(answer))`` (see ``_draws``),
+    reopened only when an answer's length differs from the last one's,
+    which never happens on br or brsimple; the draws equal ``below``'s.
     rng is a draw source (a finder's) or a Generator; a Generator gets a
     source of its own for this call, put back before returning.
     """
@@ -277,7 +281,8 @@ def _implied_layers(
     implied = []
     attempted = 0
     cached = (oracle.kg.out if oracle.lenient else {}).get
-    draw = rng.below
+    stream = rng.stream
+    bound = 0  # the bound take() serves; reopened when an answer's length differs
     for _ in range(num_walks):
         if stop is not None and stop():
             break
@@ -298,7 +303,10 @@ def _implied_layers(
             if not answer:
                 implied.append(layers - steps)
                 break
-            cur = answer[draw(len(answer))]
+            if len(answer) != bound:
+                bound = len(answer)
+                take = stream(bound)
+            cur = answer[take()]
             steps += 1
     return implied, attempted
 

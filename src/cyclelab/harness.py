@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
+        if self.base_seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.budget is not None and self.budget < 1:
@@ -109,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError("time_limit must be >= 0")
         if self.walls is not None and self.walls < 0:
             raise ConfigError("walls must be >= 0")
+        if self.wall_p is not None and self.wall_p < 1:
+            raise ConfigError("wall_p must be >= 1")
         if self.path_target_mult is not None and self.path_target_mult <= 0:
             raise ConfigError("path_target_mult must be > 0")
         if self.dist == "brsimple" and self.n % 2:

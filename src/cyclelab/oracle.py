@@ -437,6 +437,9 @@ def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
     Searches breadth-first forward along ``kg.out`` from every answer entry
     of ``last`` other than the queried vertex, and stops on reaching it; the
     cycle starts at ``last.vertex``.  A self-loop alone is not a cycle.
+    Only queried vertices (keys of ``kg.out``) join the frontier: a vertex
+    with no known out-edge cannot lead back, and leaving it out changes no
+    other vertex's BFS order or predecessor, so the same cycle comes back.
     Pure bookkeeping; costs no queries.
     """
     u, answer = last
@@ -445,13 +448,13 @@ def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
     prev: dict[int, int] = {}
     frontier = []
     for x in answer:
-        if x != u and x not in prev:
+        if x != u and x not in prev and x in out:
             prev[x] = u
             frontier.append(x)
     while frontier:
         nxt = []
         for y in frontier:
-            for z in out.get(y, ()):
+            for z in out[y]:
                 if z == u:
                     cycle = [y]
                     while (y := prev[y]) != u:
@@ -459,7 +462,7 @@ def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
                     cycle.append(u)
                     cycle.reverse()
                     return cycle
-                if z not in prev:
+                if z not in prev and z in out:
                     prev[z] = y
                     nxt.append(z)
         frontier = nxt

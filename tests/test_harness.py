@@ -59,12 +59,20 @@ def test_config_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         walk_config(walls=-1).validate()  # used to run as zero walls
     with pytest.raises(ConfigError):
+        walk_config(wall_p=0).validate()  # used to run as depth-0 walls
+    with pytest.raises(ConfigError):
+        walk_config(wall_p=-5).validate()
+    with pytest.raises(ConfigError):
+        walk_config(base_seed=-1).validate()  # numpy refuses a negative seed
+    with pytest.raises(ConfigError):
         walk_config(path_target_mult=0).validate()  # a path target of zero
     with pytest.raises(ConfigError):
         walk_config(path_target_mult=-1).validate()
     walk_config().validate()
     walk_config(time_limit=0).validate()  # no deadline
     walk_config(walls=0).validate()  # a wallless alg2 run
+    walk_config(wall_p=1).validate()
+    walk_config(base_seed=0).validate()
 
 
 def test_layer_divisibility_checked():
@@ -347,6 +355,10 @@ def test_cli_rejects_bad_combination(capsys):
         (["--layers", "4096"], "outdeg 2 exceeds layer width 1"),
         (["--n", "3", "--d", "8"], "no even divisor of 6 within a factor 4 of 1.489"),
         (["--dist", "brsimple", "--n", "3"], "brsimple needs an even n, got 3"),
+        # values that ran as depth-0 walls or ended in numpy's seed traceback
+        (["--algo", "alg2", "--wall-p", "-5"], "wall_p must be >= 1"),
+        (["--algo", "alg2", "--wall-p", "0"], "wall_p must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_cli_rejects_bad_instance_shapes(args, message, capsys):

@@ -3,6 +3,8 @@
 ``reference_detect_cycle`` is the earlier backward search over in-edges;
 the forward search must agree with it on whether a cycle exists and on its
 length, and must return a real simple cycle through the queried vertex.
+``forward_detect_cycle`` is the forward search before it left unqueried
+vertices off its frontier; ``detect_cycle`` must return its very list.
 """
 
 import numpy as np
@@ -54,8 +56,38 @@ def reference_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] |
     return None
 
 
+def forward_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
+    """Shortest cycle through last.vertex by a forward BFS over every vertex it meets."""
+    u, answer = last
+    out = kg.out
+    prev: dict[int, int] = {}
+    frontier = []
+    for x in answer:
+        if x != u and x not in prev:
+            prev[x] = u
+            frontier.append(x)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for z in out.get(y, ()):
+                if z == u:
+                    cycle = [y]
+                    while (y := prev[y]) != u:
+                        cycle.append(y)
+                    cycle.append(u)
+                    cycle.reverse()
+                    return cycle
+                if z not in prev:
+                    prev[z] = y
+                    nxt.append(z)
+        frontier = nxt
+    return None
+
+
 def check_against_reference(kg: KnowledgeGraph, last: QueryRecord, hidden: Digraph) -> None:
     got = detect_cycle(kg, last)
+    # the same list, vertex for vertex, as the search over every vertex it meets
+    assert got == forward_detect_cycle(kg, last)
     want = reference_detect_cycle(kg, last)
     assert (got is None) == (want is None)
     if got is None:

@@ -14,15 +14,17 @@ each at three seeds, plus alg1 and alg2 on br at the three sizes with
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus two values refused before any trial
-runs (``--seed -1``, and ``--wall-p -5`` on alg2): 178 in all, some of them
+layer count, an odd brsimple n), plus three values refused before any trial
+runs (``--seed -1``, ``--wall-p -5`` on alg2, and ``--walls 3 --wall-p 5``
+on alg1, which reads neither): 179 in all, some of them
 usage errors, whose stderr and exit status are compared too.  The six bad
 shapes exit 2 with one ``cyclelab:`` line; before the shape check in
 ``ExperimentConfig.validate`` they ended in a traceback, so their digests
 differ from those of older checkouts.  The two bad values also exit 2 with
 one ``cyclelab:`` line; before ``validate`` checked them, ``--seed -1``
-ended in numpy's traceback and ``--wall-p -5`` ran as depth-0 walls, so
-their digests differ from those of older checkouts too.
+ended in numpy's traceback, ``--wall-p -5`` ran as depth-0 walls and alg1
+ran as if it had no wall options, so their digests differ from those of
+older checkouts too.
 Two configs run at a time.
 """
 
@@ -62,6 +64,8 @@ BAD_SHAPES = (
 BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
     ["--algo", "alg2", "--dist", "br", "--n", "2048", "--wall-p", "-5", "--seed", "0"],
+    ["--algo", "alg1", "--dist", "br", "--n", "2048", "--walls", "3", "--wall-p", "5",
+     "--seed", "0"],
 )
 
 

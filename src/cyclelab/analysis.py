@@ -19,17 +19,17 @@ Three groups of tools:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
 from .oracle import (
     KnowledgeGraph,
+    Oracle,
     QueryHistory,
+    QueryModel,
     _epoch_ends,
     _Pairs,
     _record_arrays,
@@ -132,29 +132,6 @@ def min_fas_exact(graph: Digraph) -> FasResult:
     return FasResult(best, witness, _epsilon(graph, best))
 
 
-@lru_cache(maxsize=4)
-def _perm_tables(v_count: int):
-    perms = np.array(list(itertools.permutations(range(v_count))), dtype=np.int8)
-    positions = np.argsort(perms, axis=1).astype(np.int8)
-    perms.setflags(write=False)
-    positions.setflags(write=False)
-    return perms, positions
-
-
-def min_fas_bruteforce(graph: Digraph) -> FasResult:
-    """Exact minimum by scoring every ordering; cross-check for the DP."""
-    v_count = graph.v_count
-    if v_count > 9:
-        raise TooLarge(f"factorial enumeration supports at most 9 vertices, got {v_count}")
-    perms, positions = _perm_tables(v_count)
-    counts = np.zeros(len(perms), dtype=np.int32)
-    for u, v in _dedup_edges(graph):
-        counts += positions[:, u] > positions[:, v]
-    i = int(np.argmin(counts))
-    best = int(counts[i])
-    return FasResult(best, tuple(int(x) for x in perms[i]), _epsilon(graph, best))
-
-
 def partition_cross_min(graph: Digraph, num_samples: int, rng) -> int:
     """Minimum V1->V2 edge count over sampled balanced partitions.
 
@@ -240,31 +217,35 @@ def ancestor_count(kg: KnowledgeGraph, u: int) -> int:
     return len(seen) - 1
 
 
-def _max_blue_ancestors(
-    sources: np.ndarray, targets: np.ndarray, layer: np.ndarray, blue: set[int]
-) -> int:
+def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndarray) -> int:
     """Largest ancestor_count over the blue vertices, by bitset closure over SCCs.
 
     R is the blue vertices and all their ancestors.  It grows from the
     blue set over the edges into it, and only edges into R are kept; when
     no red vertex points at a blue one (so on every layered instance), R
-    is the blue set itself.  A leaf is a vertex of R with no edge out into
-    R and exactly one edge into it (so blue, and most of R on a layered
-    run): its ancestors are its parent's SCC's closure, so it takes no part
-    in the pass below, and its parent's SCC, when emitted, counts the
-    closure plus one for it.  An iterative Tarjan over the other vertices'
-    parent edges, rooted at the blue vertices that are not leaves and at
-    the leaves' parents, emits each SCC after every SCC that reaches it.
-    Each vertex it visits owns one bit, its discovery index, and the
-    closure of an SCC C (the vertices with a path to C, C included) is the
-    OR of its members' bits and of its parent SCCs' closures, one OR per
-    parent edge.  Shared ancestors are counted once, so the count is exact
-    however the parents overlap: a blue v in C has the closure's bit count
-    minus one ancestors.  Every SCC of R reaches a blue vertex, whose
-    closure holds its own, so the largest closure is a blue vertex's.
-    Each member with an edge out into R holds its SCC's closure until every
-    such edge has been read, that is, until the last SCC that reads it is
-    emitted; none outlives the pass.
+    is the blue set itself.  The closure of a vertex is the set of
+    vertices with a path to it, itself included, and the answer is the
+    largest closure's size minus one: every vertex of R reaches a blue
+    vertex, whose closure holds its own.
+
+    A vertex with exactly one edge into it from R, not a self-loop, is
+    single, and its closure is its parent's plus its own bit, whether or
+    not it shares its parent's SCC (if it does, its bit is already there).
+    Following parents up from a single vertex ends at its head, a vertex
+    that is not single; on a cycle of single vertices with no other way
+    in, one of them is made a head.  A leaf, a single vertex with no edge
+    out into R (most of R on a layered run), is counted as its parent's
+    closure plus one and is not touched otherwise.  An iterative Tarjan
+    over the heads alone, reading each edge x -> h into a head as one from
+    x's head, emits each SCC after every SCC that reaches it.  Each vertex
+    but the leaves owns one bit, and an SCC's closure is the OR of its
+    heads' bits and, for each edge x -> h into it, x's closure, or, when
+    x's head is in the same SCC, the bits of the single vertices from x up
+    to that head (they lie on a cycle through it).  Right after its
+    closure, the SCC's chains of single vertices take theirs top-down, by
+    inheritance.  A vertex with an edge into a head holds its closure until
+    every such edge has been read, that is, until the last SCC that reads
+    it is emitted; none outlives the pass.
     """
     in_r = layer == BLUE  # grows to R
     into = in_r[targets]
@@ -272,26 +253,52 @@ def _max_blue_ancestors(
         in_r[sources[into]] = True
         into = in_r[targets]
     src, dst = sources[into], targets[into]
-    heads, counts = np.unique(dst, return_counts=True)
+    named, counts = np.unique(dst, return_counts=True)
+    single = np.zeros(len(layer), dtype=bool)
+    single[named[counts == 1]] = True
+    single[src[src == dst]] = False
     has_out = np.zeros(len(layer), dtype=bool)
     has_out[src] = True
-    leaves = heads[(counts == 1) & ~has_out[heads]]
-    is_leaf = np.zeros(len(layer), dtype=bool)
-    is_leaf[leaves] = True
-    cut = is_leaf[dst]
-    feeds = set(src[cut].tolist())  # the leaves' parents
-    parents: dict[int, list[int]] = {}
-    readers: dict[int, int] = {}  # vertex -> edges out of it into R not yet read
-    for u, w in zip(src[~cut].tolist(), dst[~cut].tolist()):
+    to_single = single[dst]
+    to_leaf = to_single & ~has_out[dst]
+    to_chain = to_single & ~to_leaf
+    feeds = set(src[to_leaf].tolist())  # the leaves' parents
+    up = dict(zip(dst[to_chain].tolist(), src[to_chain].tolist()))  # single, not leaf -> parent
+    parents: dict[int, list[int]] = {}  # head -> the sources of its edges
+    readers: dict[int, int] = {}  # vertex -> edges out of it into heads not yet read
+    for u, w in zip(src[~to_single].tolist(), dst[~to_single].tolist()):
         parents.setdefault(w, []).append(u)
         readers[u] = readers.get(u, 0) + 1
-    index: dict[int, int] = {}  # DFS discovery order, also each vertex's bit
+    has_out[dst] = True  # from here on: has an edge in R
+    heads = np.flatnonzero(has_out & ~single).tolist()  # R's heads, but blue ones with no edge
+    head_of: dict[int, int] = {}  # single vertex, not leaf -> its head
+    for v in list(up):
+        path = []
+        while v in up and v not in head_of:
+            head_of[v] = -1  # on this walk
+            path.append(v)
+            v = up[v]
+        if head_of.get(v) == -1:  # a cycle of single vertices: v becomes its head
+            p = up.pop(v)
+            parents[v] = [p]
+            readers[p] = readers.get(p, 0) + 1
+            heads.append(v)
+            path.remove(v)
+            del head_of[v]
+        else:
+            v = head_of.get(v, v)
+        for x in path:
+            head_of[x] = v
+    kids: dict[int, list[int]] = {}
+    for x, p in up.items():
+        kids.setdefault(p, []).append(x)
+    index: dict[int, int] = {}  # each vertex's bit; for heads, the DFS discovery order
     low: dict[int, int] = {}
-    comp: dict[int, int] = {}  # vertex -> its SCC's root, set when the SCC is emitted
-    closure: dict[int, int] = {}  # vertex -> its SCC's closure bitset, while it has readers
+    comp: dict[int, int] = {}  # head -> its SCC's root, set when the SCC is emitted
+    closure: dict[int, int] = {}  # vertex -> its closure, while it has readers
     best = 1
     stack: list[int] = []
-    for root in itertools.chain(blue.difference(leaves.tolist()), feeds):
+    for root in heads:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -300,6 +307,7 @@ def _max_blue_ancestors(
         while work:
             v, it = work[-1]
             for p in it:
+                p = head_of.get(p, p)
                 if p not in index:
                     index[p] = low[p] = len(index)
                     stack.append(p)
@@ -324,18 +332,38 @@ def _max_blue_ancestors(
                     fed = fed or x in feeds
                     for p in parents.get(x, ()):
                         readers[p] -= 1
-                        if comp.get(p, v) != v:  # a parent still on the stack is in this SCC
+                        # a head still on the stack is in this SCC
+                        if comp.get(head_of.get(p, p), v) != v:
                             bits |= closure[p] if readers[p] else closure.pop(p)
+                            continue
+                        while p in up and p not in index:  # up to the head, in this SCC
+                            index[p] = len(index)
+                            bits |= 1 << index[p]
+                            p = up[p]
+                best = max(best, bits.bit_count() + fed)
+                chains = []
                 for x in members:
                     if readers.get(x):
                         closure[x] = bits
-                best = max(best, bits.bit_count() + fed)
+                    for y in kids.get(x, ()):
+                        chains.append((y, bits))
+                while chains:
+                    y, bits = chains.pop()
+                    bits |= 1 << index.setdefault(y, len(index))
+                    if readers.get(y):
+                        closure[y] = bits
+                    below = kids.get(y)
+                    if below:
+                        for z in below:
+                            chains.append((z, bits))
+                    if y in feeds or not below:
+                        best = max(best, bits.bit_count() + (y in feeds))
     assert not closure, "a closure outlived its last reader"
     return best - 1
 
 
 def epoch_stats(
-    history: _Pairs,
+    history: Oracle | _Pairs,
     coloring: Coloring,
     epoch_cap: int,
     *,
@@ -343,10 +371,15 @@ def epoch_stats(
 ) -> EpochStats:
     """Post-hoc epoch/surprise/blue-path accounting for a finished run.
 
-    The transcript is any iterable of (vertex, answer) pairs in query
-    order: a QueryHistory, or an oracle's answer map as
-    ``oracle.kg.out.items()``, the same transcript with no QueryRecord
-    built per pair.  It is read into a tuple once.
+    The transcript is a finished run's oracle, or any iterable of
+    (vertex, answer) pairs in query order, such as a QueryHistory or
+    ``oracle.kg.out.items()``.  Pairs are read into a tuple once and their
+    answers into arrays entry by entry.  An oracle's answers are its hidden
+    graph's out-lists, so its arrays come from ``kg.out``'s keys and one
+    gather of those rows (Digraph.rows), and its transcript is not copied;
+    an adjacency-list oracle, whose answers are single entries, is refused
+    with ValueError.  From the arrays on, both take one path, and a record
+    is read again only by the blue walk and the back-edge fallback below.
 
     Returns what decompose_epochs, max_blue_path of each epoch's knowledge
     graph and ancestor_count of every blue vertex give, without building a
@@ -365,33 +398,47 @@ def epoch_stats(
     graph of that epoch's pairs.  Ancestor counts come from one pass over
     the SCC condensation of the blue vertices and their ancestors, in which
     each SCC's ancestor set is a bitset: the OR of its members' bits and
-    its parent SCCs' sets, each freed after its last reader.  Blue leaves
-    with a single parent skip the pass and count as their parent's set plus
-    one (see _max_blue_ancestors).  Pass include_ancestors=False to skip
-    them (the field is then None).
+    its parent SCCs' sets, each freed after its last reader.  Vertices with
+    a single parent skip the SCC search and inherit their parent's set (see
+    _max_blue_ancestors).  Pass include_ancestors=False to skip them (the
+    field is then None).
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    records = tuple(history)
+    if isinstance(history, Oracle):
+        if history.model is QueryModel.ADJ_LIST:
+            raise ValueError("an adjacency-list oracle answers single entries, not out-lists")
+        out = history.kg.out
+        vertices = np.fromiter(out, dtype=np.int64, count=len(out))
+        degrees, targets = history.hidden_graph.rows(vertices)
+
+        def pairs_at(rows: np.ndarray):
+            us = vertices[rows].tolist()
+            return zip(us, map(out.__getitem__, us))
+    else:
+        records = tuple(history)
+        vertices, degrees, targets = _record_arrays(records)
+
+        def pairs_at(rows: np.ndarray):
+            return map(records.__getitem__, rows.tolist())
+
     layer = coloring.layer_by_vertex
-    arrays = _record_arrays(records)
-    vertices, degrees, targets = arrays
-    ends, surprise = _epoch_ends(arrays, epoch_cap)
+    ends, surprise = _epoch_ends((vertices, degrees, targets), epoch_cap)
     named = np.concatenate([vertices, targets])
     blue = set(named[layer[named] == BLUE].tolist())
     bounds = [0, *ends.tolist()]
-    if bounds[-1] < len(records):
-        bounds.append(len(records))
+    if bounds[-1] < len(vertices):
+        bounds.append(len(vertices))
     per_epoch = [0] * (len(bounds) - 1)
     back: set[int] = set()  # epochs with a blue edge back into the epoch, or a self-loop
     rows = np.flatnonzero(layer[vertices] == BLUE)
     current = -1
-    for k, e in zip(rows.tolist(), np.searchsorted(ends, rows, side="right").tolist()):
+    epoch_of = np.searchsorted(ends, rows, side="right").tolist()
+    for (u, answer), e in zip(pairs_at(rows), epoch_of):
         if e != current:
             current = e
             dist: dict[int, int] = {}  # longest blue path ending at a blue vertex, this epoch
             done: set[int] = set()  # blue vertices queried this epoch
-        u, answer = records[k]
         done.add(u)
         step = dist.get(u, 0) + 1
         for w in answer:
@@ -402,12 +449,13 @@ def epoch_stats(
                 if per_epoch[e] < step:
                     per_epoch[e] = step
     for e in back:
-        per_epoch[e] = max_blue_path(knowledge_graph(records[bounds[e]:bounds[e + 1]]), coloring)
+        epoch = knowledge_graph(pairs_at(np.arange(bounds[e], bounds[e + 1])))
+        per_epoch[e] = max_blue_path(epoch, coloring)
     closing_blue = layer[vertices[ends[surprise] - 1]] == BLUE
     max_anc = None
     if include_ancestors:
         sources = np.repeat(vertices, degrees)
-        max_anc = _max_blue_ancestors(sources, targets, layer, blue)
+        max_anc = _max_blue_ancestors(sources, targets, layer)
     return EpochStats(
         len(per_epoch),
         int(np.count_nonzero(surprise)),

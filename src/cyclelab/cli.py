@@ -38,19 +38,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query budget per trial (default: per-algorithm)")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     parser.add_argument("--num-walks", type=int, default=6,
-                        help="walks per color identification (default 6)")
+                        help="alg1, alg2: walks per color identification (default 6)")
     parser.add_argument("--walls", type=int, default=None,
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")
     parser.add_argument("--wall-p", type=int, default=None,
                         help="alg2: per-wall fan-out budget P (default W*ceil(log2 W))")
     parser.add_argument("--path-target-mult", type=float, default=None,
-                        help="path target as a multiple of sqrt(N) (default 2)")
+                        help="alg1, alg2: path target as a multiple of sqrt(N) (default 2)")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
     parser.add_argument("--explore-budget", type=int, default=None,
                         help="bfs: vertices explored per repetition (default C*V/log2 V)")
-    parser.add_argument("--time-limit", type=float, default=60.0,
-                        help="wall-clock seconds per trial, 0 disables (default 60)")
+    parser.add_argument("--time-limit", type=float, default=0,
+                        help="wall-clock seconds per trial, which makes a trial's result "
+                             "depend on machine speed; 0 for none (default 0)")
     parser.add_argument("--no-epoch-stats", action="store_true",
                         help="skip epoch statistics columns")
     parser.add_argument("--no-ancestors", action="store_true",

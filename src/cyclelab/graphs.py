@@ -214,6 +214,18 @@ class Digraph:
         om = self._offset_view
         return tuple(self._target_view[om[u]:om[u + 1]])
 
+    def rows(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The out-lists of many vertices at once: their lengths, and their
+        entries concatenated in the order of ``vertices``, both int64.
+
+        One gather over the CSR arrays.
+        """
+        starts = self._offsets[vertices]
+        degrees = self._offsets[vertices + 1] - starts
+        ends = np.cumsum(degrees)
+        shift = np.repeat(starts - (ends - degrees), degrees)  # row start minus its output start
+        return degrees, self._targets[np.arange(len(shift)) + shift].astype(np.int64)
+
     def out_degree(self, u: int) -> int:
         return int(self._offsets[u + 1] - self._offsets[u])
 

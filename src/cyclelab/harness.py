@@ -48,6 +48,18 @@ CSV_COLUMNS = (
 )
 
 
+# each finder option, and the finders that read it; any other finder runs
+# the same with or without it, so a non-default value there is refused
+_FINDER_OPTIONS = (
+    ("walls", ("alg2",)),
+    ("wall_p", ("alg2",)),
+    ("reps", ("bfs",)),
+    ("explore_budget", ("bfs",)),
+    ("num_walks", ("alg1", "alg2")),
+    ("path_target_mult", ("alg1", "alg2")),
+)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -78,7 +90,7 @@ class ExperimentConfig:
     path_target_mult: float | None = None
     reps: int = 1
     explore_budget: int | None = None
-    time_limit: float | None = 60.0
+    time_limit: float | None = None
     collect_epoch_stats: bool = True
     include_ancestors: bool = True
 
@@ -115,6 +127,9 @@ class ExperimentConfig:
             raise ConfigError("wall_p must be >= 1")
         if self.path_target_mult is not None and self.path_target_mult <= 0:
             raise ConfigError("path_target_mult must be > 0")
+        for name, algos in _FINDER_OPTIONS:
+            if self.algo not in algos and getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ConfigError(f"{name} applies only to {' and '.join(algos)}, not {self.algo}")
         if self.dist == "brsimple" and self.n % 2:
             raise ConfigError(f"brsimple needs an even n, got {self.n}")
         if self.dist == "br":
@@ -242,7 +257,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
         and coloring is not None
     ):
         stats = epoch_stats(
-            oracle.kg.out.items(),
+            oracle,
             coloring,
             params.epoch_cap,
             include_ancestors=config.include_ancestors,

@@ -30,7 +30,6 @@ from cyclelab import (
     identify_color,
     knowledge_graph,
     max_blue_path,
-    min_fas_bruteforce,
     min_fas_exact,
     new_oracle,
     records_to_csv,
@@ -45,6 +44,8 @@ from cyclelab import (
     wall_identify,
 )
 from cyclelab.graphs import Digraph
+
+from fas_reference import min_fas_bruteforce
 
 # the whole module is the slow end-to-end tier; `pytest -m "not acceptance"`
 # skips it for a fast inner loop

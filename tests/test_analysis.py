@@ -25,13 +25,13 @@ from cyclelab import (
     is_good_partial,
     knowledge_graph,
     max_blue_path,
-    min_fas_bruteforce,
     min_fas_exact,
     partition_cross_min,
     sample_naive_coloring,
 )
 from cyclelab.oracle import QueryHistory
 
+from fas_reference import min_fas_bruteforce
 from test_oracle import hand_pair_l8
 
 TINY = BRParams(4, 4, 2, 2)

@@ -1,8 +1,9 @@
 """Property tests: single-pass epoch_stats against the per-epoch rebuild.
 
-Also checks that epoch_stats reads an oracle's answer map
-(``oracle.kg.out.items()``, what the harness passes) exactly as it reads
-the oracle's QueryHistory.
+Also checks that epoch_stats reads a finished run's oracle (what the
+harness passes: record arrays gathered from the hidden graph's rows) and
+its answer map (``oracle.kg.out.items()``) exactly as it reads the
+oracle's QueryHistory.
 """
 
 import numpy as np
@@ -100,6 +101,57 @@ def test_nonlayered_walks_match_reference(params, d, seed, walk_steps, cap):
     assert epoch_stats(history, coloring, cap) == reference_stats(history, coloring, cap)
 
 
+@st.composite
+def walked_oracles(draw):
+    """An oracle after a walk, and a coloring that covers its graph's vertices.
+
+    The graph is a layered instance (behind a vertex or a color revelation
+    oracle), a brsimple one on few vertices with up to four matchings each
+    way (so rows repeat entries), or hand-drawn lists with sinks,
+    self-loops and repeats (from_lists: int64 targets), colored at random.
+    Drawn lists may give every blue vertex a self-loop, so that every
+    epoch that queries one takes the back-edge fallback.
+    """
+    params = draw(small_params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["br", "colorrev", "brsimple", "lists"]))
+    if kind in ("br", "colorrev"):
+        pair = gen_br_pair(params, rng)
+        model = QueryModel.COLOR_REVELATION if kind == "colorrev" else QueryModel.VERTEX
+        oracle, coloring = new_oracle(pair, model, lenient=True), pair.coloring
+    else:
+        coloring = gen_coloring(params, rng)
+        if kind == "brsimple":
+            graph = gen_br_simple(2 * params.n_blue, draw(st.integers(1, 4)), rng)
+        else:
+            vertex = st.integers(0, params.v_count - 1)
+            rows = draw(st.lists(st.lists(vertex, max_size=4), min_size=params.v_count,
+                                 max_size=params.v_count))
+            if draw(st.booleans()):
+                rows = [row + [u] if coloring.is_blue(u) else row for u, row in enumerate(rows)]
+            graph = Digraph.from_lists(rows)
+        oracle = new_oracle(graph, QueryModel.VERTEX, lenient=True)
+    walk(oracle, oracle.v_count, draw(steps))
+    return oracle, coloring
+
+
+@given(walked_oracles(), st.integers(1, 6), st.booleans())
+def test_oracle_reads_like_its_history(run, cap, include_ancestors):
+    oracle, coloring = run
+    history = oracle.history
+    got = epoch_stats(oracle, coloring, cap, include_ancestors=include_ancestors)
+    assert got == epoch_stats(history, coloring, cap, include_ancestors=include_ancestors)
+    assert got == reference_stats(history, coloring, cap, include_ancestors)
+
+
+def test_adjacency_list_oracle_is_refused():
+    # its answers are single entries, so the graph's rows are not its transcript
+    oracle = new_oracle(gen_br_simple(8, 2, np.random.default_rng(0)), QueryModel.ADJ_LIST)
+    oracle.query_adj(0, 1)
+    with pytest.raises(ValueError, match="adjacency-list"):
+        epoch_stats(oracle, tiny_coloring(), 2)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_answer_map_reads_like_the_history(seed):
     rng = np.random.default_rng(seed)
@@ -116,6 +168,7 @@ def test_answer_map_reads_like_the_history(seed):
         for cap in (1, 3, 6):
             got = epoch_stats(oracle.kg.out.items(), coloring, cap)
             assert got == epoch_stats(oracle.history, coloring, cap)
+            assert got == epoch_stats(oracle, coloring, cap)
 
 
 def test_answer_map_reads_like_the_history_on_the_fallback(monkeypatch):
@@ -136,6 +189,10 @@ def test_answer_map_reads_like_the_history_on_the_fallback(monkeypatch):
     got = epoch_stats(oracle.kg.out.items(), coloring, 3)
     assert len(calls) == 1
     assert got == epoch_stats(oracle.history, coloring, 3) == EpochStats(1, 1, 1, (3,), 2)
+    # the oracle's fallback reads its epoch's pairs from kg.out by vertex
+    assert epoch_stats(oracle, coloring, 3) == got
+    assert len(calls) == 3
+    assert dict(calls[2].out) == dict(calls[0].out) == oracle.kg.out
 
 
 def tiny_coloring() -> Coloring:

@@ -2,8 +2,11 @@
 
 Drawn transcripts are dense in SCCs with several parent SCCs: diamonds,
 ancestors shared by several cycles, nested cycles, parallel edges,
-self-loops and red -> blue edges, and in single-parent leaves, which the
-pass counts from their parent's closure without visiting them.
+self-loops and red -> blue edges.  They are dense too in single-parent
+vertices, which the pass does not search: leaves, counted from their
+parent's closure, and chains, which inherit their parent's closure top
+down, also where a chain closes a cycle through its head or is itself a
+cycle that nothing else enters.
 """
 
 import numpy as np
@@ -36,6 +39,8 @@ def transcripts(draw):
         edges += [(a, b), (a, c), (b, d), (c, d)]
     for cycle in draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=4)):
         edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    for path in draw(st.lists(st.lists(vertex, min_size=2, max_size=8), max_size=3)):
+        edges += list(zip(path, path[1:]))  # single-parent chains, where nothing else enters
     if draw(st.booleans()):
         # hang every vertex no edge touches under one drawn vertex: mostly
         # single-parent leaves, but a parent may be one of them (a chain)
@@ -114,5 +119,25 @@ def test_nested_cycles_under_a_red_cycle():
     ],
 )
 def test_single_parent_leaves(edges, expected):
+    history = transcript(edges)
+    assert max_ancestors(history, EIGHT_BLUE) == expected == bfs_max(history, EIGHT_BLUE)
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # a cycle of single-parent vertices that nothing else enters, and a
+        # chain below it: 4 has the ancestors 0-3
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 4),
+        # the chain 0 -> 1 -> 2 closes a cycle through its head 0, which red
+        # 8 also enters; 3 hangs below: ancestors 8, 0, 1 and 2
+        ([(8, 0), (0, 1), (1, 2), (2, 0), (2, 3)], 4),
+        # two branches of one chain meet again at 4: the shared 1 counts once
+        ([(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], 5),
+        # a long chain: 7 has the 7 ancestors 0-6
+        ([(i, i + 1) for i in range(7)], 7),
+    ],
+)
+def test_single_parent_chains(edges, expected):
     history = transcript(edges)
     assert max_ancestors(history, EIGHT_BLUE) == expected == bfs_max(history, EIGHT_BLUE)

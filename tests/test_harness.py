@@ -17,11 +17,13 @@ from cyclelab import (
     load_graph,
     records_to_csv,
     run_experiment,
+    run_random_walk_finder,
     run_trial,
     save_graph,
     validate_br,
     write_csv,
 )
+from cyclelab import harness
 from cyclelab.cli import build_parser, main
 from cyclelab.graphs import BRParams
 
@@ -70,9 +72,48 @@ def test_config_rejects_bad_combinations():
         walk_config(path_target_mult=-1).validate()
     walk_config().validate()
     walk_config(time_limit=0).validate()  # no deadline
-    walk_config(walls=0).validate()  # a wallless alg2 run
-    walk_config(wall_p=1).validate()
+    walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
+    walk_config(dist="br", algo="alg2", wall_p=1).validate()
     walk_config(base_seed=0).validate()
+
+
+# each finder option, a value other than its default, and the finders that read it
+FINDER_OPTIONS = [
+    ("walls", 3, {"alg2"}),
+    ("wall_p", 5, {"alg2"}),
+    ("reps", 2, {"bfs"}),
+    ("explore_budget", 10, {"bfs"}),
+    ("num_walks", 3, {"alg1", "alg2"}),
+    ("path_target_mult", 1.5, {"alg1", "alg2"}),
+]
+
+
+@pytest.mark.parametrize("option, value, readers", FINDER_OPTIONS)
+def test_config_refuses_options_the_finder_ignores(option, value, readers):
+    for algo in harness.ALGORITHMS:
+        config = walk_config(dist="br", algo=algo, **{option: value})
+        if algo in readers:
+            config.validate()
+        else:
+            with pytest.raises(ConfigError, match=f"^{option} applies only to .*, not {algo}$"):
+                config.validate()
+        # the default value is no choice, whatever the finder
+        walk_config(dist="br", algo=algo, **{option: getattr(ExperimentConfig, option)}).validate()
+
+
+def test_default_config_runs_with_no_deadline(monkeypatch):
+    seen = []
+
+    def finder(oracle, cap, rng, *, deadline):
+        seen.append(deadline)
+        return run_random_walk_finder(oracle, cap, rng, deadline=deadline)
+
+    monkeypatch.setattr(harness, "run_random_walk_finder", finder)
+    config = walk_config()
+    assert config.time_limit is None
+    assert build_parser().parse_args(["--n", "64"]).time_limit == 0  # the CLI's "none"
+    run_experiment(config)
+    assert seen == [None, None]
 
 
 def test_layer_divisibility_checked():
@@ -359,6 +400,11 @@ def test_cli_rejects_bad_combination(capsys):
         (["--algo", "alg2", "--wall-p", "-5"], "wall_p must be >= 1"),
         (["--algo", "alg2", "--wall-p", "0"], "wall_p must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
+        # finder options that the chosen finder would ignore
+        (["--algo", "alg1", "--walls", "3", "--wall-p", "5"],
+         "walls applies only to alg2, not alg1"),
+        (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
+        (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
     ],
 )
 def test_cli_rejects_bad_instance_shapes(args, message, capsys):

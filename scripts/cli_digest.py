@@ -14,17 +14,19 @@ each at three seeds, plus alg1 and alg2 on br at the three sizes with
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus three values refused before any trial
-runs (``--seed -1``, ``--wall-p -5`` on alg2, and ``--walls 3 --wall-p 5``
-on alg1, which reads neither): 179 in all, some of them
+layer count, an odd brsimple n), plus five values refused before any trial
+runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
+alg1, which reads neither, ``--time-limit 5`` and ``--path-target-mult nan``
+on alg1): 181 in all, some of them
 usage errors, whose stderr and exit status are compared too.  The six bad
 shapes exit 2 with one ``cyclelab:`` line; before the shape check in
 ``ExperimentConfig.validate`` they ended in a traceback, so their digests
-differ from those of older checkouts.  The two bad values also exit 2 with
+differ from those of older checkouts.  The five bad values also exit 2 with
 one ``cyclelab:`` line; before ``validate`` checked them, ``--seed -1``
-ended in numpy's traceback, ``--wall-p -5`` ran as depth-0 walls and alg1
-ran as if it had no wall options, so their digests differ from those of
-older checkouts too.
+ended in numpy's traceback, ``--wall-p -5`` ran as depth-0 walls, alg1
+ran as if it had no wall options, ``--time-limit 5`` ran with a wall-clock
+deadline and ``--path-target-mult nan`` ended in a ``math.ceil`` traceback,
+so their digests differ from those of older checkouts too.
 Two configs run at a time.
 """
 
@@ -60,11 +62,17 @@ BAD_SHAPES = (
     ["--dist", "br", "--n", "3", "--d", "8"],
     ["--dist", "brsimple", "--n", "3"],
 )
-# values refused before any trial runs; each config ends with its own seed
+# values refused before any trial runs; each config ends with its own seed and
+# then TAIL, except the --time-limit one, which ends with its own tail because
+# TAIL's --time-limit 0 would override its value
 BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
     ["--algo", "alg2", "--dist", "br", "--n", "2048", "--wall-p", "-5", "--seed", "0"],
     ["--algo", "alg1", "--dist", "br", "--n", "2048", "--walls", "3", "--wall-p", "5",
+     "--seed", "0"],
+    ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "0", "--trials", "4",
+     "--time-limit", "5"],
+    ["--algo", "alg1", "--dist", "br", "--n", "2048", "--d", "8", "--path-target-mult", "nan",
      "--seed", "0"],
 )
 
@@ -88,7 +96,7 @@ def configs() -> list[list[str]]:
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
     return [args + TAIL for args in sized + layered + no_ancestors] + paper + [
-        args + TAIL for args in bad + list(BAD_VALUES)
+        args if "--time-limit" in args else args + TAIL for args in bad + list(BAD_VALUES)
     ]
 
 

@@ -49,9 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
     parser.add_argument("--explore-budget", type=int, default=None,
                         help="bfs: vertices explored per repetition (default C*V/log2 V)")
+    # only 0 (none) is accepted, see ExperimentConfig.time_limit; the flag
+    # goes with the next benchmark change
     parser.add_argument("--time-limit", type=float, default=0,
-                        help="wall-clock seconds per trial, which makes a trial's result "
-                             "depend on machine speed; 0 for none (default 0)")
+                        help="only 0 (none) is accepted: a trial stops on its query budget")
     parser.add_argument("--no-epoch-stats", action="store_true",
                         help="skip epoch statistics columns")
     parser.add_argument("--no-ancestors", action="store_true",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -73,23 +72,21 @@ class Wall:
 
 
 class _Budget:
-    """Query budget plus an optional wall-clock deadline and a raw step cap.
+    """Query budget plus a raw step cap.
 
     The step cap exists because lenient revisits cost no queries: a walk
-    looping through cached territory must still terminate.  Callers poll
-    ``exhausted()`` before they charge a query, so the budget is never
-    overdrawn.  Colour walks poll it only at each walk start and after
-    each charged query (see ``_implied_layers``): with no deadline that is
-    exact, because between those points neither the meter nor ``steps``
-    moves; with a deadline, a walk through cached answers can run up to
-    its ``max_walk_len`` steps past it.
+    looping through cached territory must still terminate.  Every finder
+    loop counts a step on each pass that may charge nothing, so each loop
+    ends.  Callers poll ``exhausted()`` before they charge a query, so the
+    budget is never overdrawn.  Colour walks poll it only at each walk start and after
+    each charged query (see ``_implied_layers``); that is exact, because
+    between those points neither the meter nor ``steps`` moves.
     """
 
-    def __init__(self, oracle: Oracle, max_queries: int, deadline: float | None, step_cap: int):
+    def __init__(self, oracle: Oracle, max_queries: int, step_cap: int):
         self.oracle = oracle
         self.start = oracle.vertex_query_count + oracle.adj_query_count
         self.max_queries = max_queries
-        self.deadline = deadline
         self.steps = 0
         self.step_cap = step_cap
 
@@ -99,9 +96,7 @@ class _Budget:
     def exhausted(self) -> bool:
         oracle = self.oracle
         used = oracle.vertex_query_count + oracle.adj_query_count - self.start
-        if used >= self.max_queries or self.steps >= self.step_cap:
-            return True
-        return self.deadline is not None and time.perf_counter() > self.deadline
+        return used >= self.max_queries or self.steps >= self.step_cap
 
 
 def _with_draw_source(finder):
@@ -141,8 +136,6 @@ def run_random_walk_finder(
     oracle: Oracle,
     max_queries: int,
     rng,
-    *,
-    deadline: float | None = None,
 ) -> FinderOutcome:
     """Walk until the trail bites itself; the collision closes a cycle.
 
@@ -154,7 +147,7 @@ def run_random_walk_finder(
     """
     if max_queries < 1:
         raise ValueError("max_queries must be >= 1")
-    budget = _Budget(oracle, max_queries, deadline, step_cap=20 * max_queries)
+    budget = _Budget(oracle, max_queries, step_cap=20 * max_queries)
     aux = {"walks": 0, "restarts": 0, "steps": 0}
     v_count = oracle.v_count
     draw = rng.below
@@ -169,6 +162,7 @@ def run_random_walk_finder(
         answer = oracle.query_vertex(cur)
         if not answer:
             aux["restarts"] += 1
+            budget.steps += 1  # a cached sink charges nothing, so a restart counts
             cur = None
             continue
         nxt = answer[draw(len(answer))]
@@ -188,8 +182,6 @@ def run_birthday_sampler(
     oracle: Oracle,
     max_queries: int,
     rng,
-    *,
-    deadline: float | None = None,
 ) -> FinderOutcome:
     """Sample distinct random (vertex, slot) cells in the adjacency model.
 
@@ -208,7 +200,7 @@ def run_birthday_sampler(
     v_count = oracle.v_count
     d = oracle.max_out_degree
     draw = rng.below
-    budget = _Budget(oracle, max_queries, deadline, step_cap=50 * max_queries + 100)
+    budget = _Budget(oracle, max_queries, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
     partial = KnowledgeGraph()
     seen: set[int] = set()  # sampled vertices and answers, for the collision count
@@ -259,10 +251,8 @@ def _implied_layers(
     On a lenient oracle a vertex already queried is answered straight from
     the oracle's answer cache, with no call and no poll; a strict oracle
     is asked every time, so a revisit still raises RepeatedQuery.  The
-    meter and a step cap cannot move between polls, so a budget without a
-    deadline stops walks exactly as if it were polled before every step.
-    A deadline is read only at the polls, so a walk through cached answers
-    can overrun it by up to max_walk_len steps.
+    meter and a step cap cannot move between polls, so a budget stops
+    walks exactly as if it were polled before every step.
 
     Each step draws from ``rng.stream(len(answer))`` (see ``_draws``),
     reopened only when an answer's length differs from the last one's,
@@ -331,9 +321,7 @@ def identify_color(
     stop() is polled at each walk start and after each charged query, and
     a true result ends the walk before its next query, so a caller's
     budget is never overdrawn mid-identification; an interrupted walk
-    counts as non-terminating.  A deadline inside stop() is read only at
-    those polls, so walks through cached answers can pass it by up to
-    max_walk_len steps.
+    counts as non-terminating.
 
     rng is a numpy Generator or a finder's draw source.
     """
@@ -445,13 +433,11 @@ def run_algorithm1(
     budget: int | None = None,
     num_walks: int = 6,
     path_target: int | None = None,
-    max_walk_len: int | None = None,
-    deadline: float | None = None,
 ) -> FinderOutcome:
     """Blue-seed search, blue path growth, cycle wait.
 
-    Color tests walk to sinks.  Defaults: path target 2*sqrt(N) rounded
-    up, budget 100*L*sqrt(N) queries.
+    Color tests walk to sinks, at most 4*L steps each.  Defaults: path
+    target 2*sqrt(N) rounded up, budget 100*L*sqrt(N) queries.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
@@ -461,13 +447,13 @@ def run_algorithm1(
         path_target = math.ceil(2 * math.sqrt(n))
     if budget is None:
         budget = math.ceil(100 * layers * math.sqrt(n))
-    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * params.v_count)
+    tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
     aux = {"walks": 0, "color_ids": 0, "seeds_tested": 0, "appends": 0, "backtracks": 0}
 
     def color_of(x: int) -> int | None:
         est = identify_color(
             oracle, x, layers, rng,
-            num_walks=num_walks, max_walk_len=max_walk_len, stop=tracker.exhausted,
+            num_walks=num_walks, stop=tracker.exhausted,
         )
         aux["walks"] += est.walks_used
         return est.color
@@ -567,8 +553,6 @@ def run_algorithm2(
     budget: int | None = None,
     num_walks: int = 6,
     path_target: int | None = None,
-    max_walk_len: int | None = None,
-    deadline: float | None = None,
 ) -> FinderOutcome:
     """Wall-building stage, then blue path growth with wall-based colors.
 
@@ -593,15 +577,13 @@ def run_algorithm2(
         path_target = math.ceil(2 * math.sqrt(n))
     if budget is None:
         budget = math.ceil(100 * layers * math.sqrt(n))
-    if max_walk_len is None:
-        max_walk_len = 4 * layers
     depth = 0
     reach = 1
     while reach * params.outdeg <= wall_p:
         reach *= params.outdeg
         depth += 1
 
-    tracker = _Budget(oracle, budget, deadline, step_cap=40 * budget + 200 * params.v_count)
+    tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
     aux = {
         "walks": 0,
         "color_ids": 0,
@@ -624,7 +606,7 @@ def run_algorithm2(
         cand = rng.below(v_count)
         est = identify_color(
             oracle, cand, layers, rng,
-            num_walks=num_walks, max_walk_len=max_walk_len, stop=tracker.exhausted,
+            num_walks=num_walks, stop=tracker.exhausted,
         )
         aux["walks"] += est.walks_used
         if not est.is_red:
@@ -642,7 +624,7 @@ def run_algorithm2(
     def wall_color_of(x: int) -> int | None:
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
-            num_walks=num_walks, max_walk_len=max_walk_len, stop=tracker.exhausted,
+            num_walks=num_walks, stop=tracker.exhausted,
         )
         if est.walks_used == 0 and est.color is not None:
             aux["wall_hits"] += 1
@@ -662,7 +644,6 @@ def run_bfs_heuristic(
     *,
     explore_budget: int | None = None,
     max_queries: int | None = None,
-    deadline: float | None = None,
 ) -> FinderOutcome:
     """Breadth-first searches from random starts, cycle check per query.
 
@@ -678,7 +659,7 @@ def run_bfs_heuristic(
     if explore_budget is None:
         explore_budget = math.ceil(repetitions * v_count / max(1.0, math.log2(v_count)))
     cap = max_queries if max_queries is not None else repetitions * explore_budget + 1
-    budget = _Budget(oracle, cap, deadline, step_cap=20 * (repetitions * explore_budget + 1))
+    budget = _Budget(oracle, cap, step_cap=20 * (repetitions * explore_budget + 1))
     aux = {"reps_run": 0, "explored": 0}
     for _ in range(repetitions):
         if budget.exhausted():

@@ -90,6 +90,9 @@ class ExperimentConfig:
     path_target_mult: float | None = None
     reps: int = 1
     explore_budget: int | None = None
+    # only None is accepted: a trial stops on its query budget and step cap,
+    # never on the clock.  The field and --time-limit stay because the
+    # benchmark scripts pass them; both go with the next benchmark change.
     time_limit: float | None = None
     collect_epoch_stats: bool = True
     include_ancestors: bool = True
@@ -119,14 +122,20 @@ class ExperimentConfig:
             raise ConfigError("num_walks must be >= 1")
         if self.explore_budget is not None and self.explore_budget < 1:
             raise ConfigError("explore_budget must be >= 1")
-        if self.time_limit is not None and self.time_limit < 0:
-            raise ConfigError("time_limit must be >= 0")
+        if self.time_limit is not None:
+            raise ConfigError(
+                "time_limit must be none (--time-limit 0): trials stop on the query budget"
+            )
         if self.walls is not None and self.walls < 0:
             raise ConfigError("walls must be >= 0")
         if self.wall_p is not None and self.wall_p < 1:
             raise ConfigError("wall_p must be >= 1")
         if self.path_target_mult is not None and self.path_target_mult <= 0:
             raise ConfigError("path_target_mult must be > 0")
+        if self.path_target_mult is not None and not math.isfinite(
+            self.path_target_mult * math.sqrt(self.n)
+        ):
+            raise ConfigError("path_target_mult * sqrt(n) must be finite")
         for name, algos in _FINDER_OPTIONS:
             if self.algo not in algos and getattr(self, name) != getattr(ExperimentConfig, name):
                 raise ConfigError(f"{name} applies only to {' and '.join(algos)}, not {self.algo}")
@@ -194,9 +203,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     model = QueryModel.ADJ_LIST if config.algo == "birthday" else QueryModel.VERTEX
     oracle = new_oracle(instance, model, lenient=True)
     v_count = hidden.v_count
-    deadline = (
-        time.perf_counter() + config.time_limit if config.time_limit else None
-    )
     path_target = None
     if config.path_target_mult is not None and params is not None:
         path_target = math.ceil(config.path_target_mult * math.sqrt(params.n_blue))
@@ -204,10 +210,10 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     t0 = time.perf_counter()
     if config.algo == "walk":
         cap = config.budget or math.ceil(10 * math.sqrt(v_count))
-        outcome = run_random_walk_finder(oracle, cap, rng, deadline=deadline)
+        outcome = run_random_walk_finder(oracle, cap, rng)
     elif config.algo == "birthday":
         cap = config.budget or math.ceil(10 * math.sqrt(v_count))
-        outcome = run_birthday_sampler(oracle, cap, rng, deadline=deadline)
+        outcome = run_birthday_sampler(oracle, cap, rng)
     elif config.algo == "alg1":
         outcome = run_algorithm1(
             oracle,
@@ -216,7 +222,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
             budget=config.budget,
             num_walks=config.num_walks,
             path_target=path_target,
-            deadline=deadline,
         )
     elif config.algo == "alg2":
         outcome = run_algorithm2(
@@ -228,7 +233,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
             budget=config.budget,
             num_walks=config.num_walks,
             path_target=path_target,
-            deadline=deadline,
         )
     else:
         outcome = run_bfs_heuristic(
@@ -237,7 +241,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
             rng,
             explore_budget=config.explore_budget,
             max_queries=config.budget,
-            deadline=deadline,
         )
     ms = (time.perf_counter() - t0) * 1000.0
 

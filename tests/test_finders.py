@@ -68,6 +68,17 @@ def test_walk_respects_budget():
     assert out.queries_used == oracle.vertex_query_count
 
 
+def test_walk_sink_restarts_count_against_the_step_cap():
+    # every vertex is a sink: once all three are known, restarts charge no
+    # query, so only the step cap (20 x budget) can end the finder
+    g = Digraph.from_lists([[], [], []])
+    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    out = run_random_walk_finder(oracle, 4, np.random.default_rng(0))
+    assert not out.success
+    assert out.queries_used == 3
+    assert out.aux["restarts"] == 80
+
+
 # -- birthday sampler -------------------------------------------------------------
 
 

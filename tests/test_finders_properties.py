@@ -85,7 +85,7 @@ def twin(case):
         if wall is not None:
             for m in wall.members:
                 member_layer.setdefault(m, wall.layer_estimate)
-    budget = _Budget(oracle, case["max_queries"], None, case["step_cap"])
+    budget = _Budget(oracle, case["max_queries"], case["step_cap"])
     return oracle, member_layer, np.random.default_rng(case["seed"] + 1), budget
 
 
@@ -137,7 +137,7 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     wall = build_wall(oracle, origin, 1, layer_hint=1)
     assert wall.members == set(pair.coloring.layer_vertices(2))
     members = dict.fromkeys(wall.members, wall.layer_estimate)
-    budget = _Budget(oracle, 1, None, 10)
+    budget = _Budget(oracle, 1, 10)
     implied, attempted = _implied_layers(
         oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.exhausted
     )

@@ -1,5 +1,8 @@
 """Experiment harness, CSV output, scaling fits, graph files, and the CLI."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,10 @@ from cyclelab import (
     gen_br_simple,
     load_graph,
     records_to_csv,
+    run_algorithm1,
+    run_algorithm2,
+    run_bfs_heuristic,
+    run_birthday_sampler,
     run_experiment,
     run_random_walk_finder,
     run_trial,
@@ -53,8 +60,6 @@ def test_config_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         walk_config(budget=0).validate()
     with pytest.raises(ConfigError):
-        walk_config(time_limit=-5).validate()  # a deadline already passed
-    with pytest.raises(ConfigError):
         walk_config(num_walks=0).validate()  # every color test inconclusive
     with pytest.raises(ConfigError):
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
@@ -70,8 +75,11 @@ def test_config_rejects_bad_combinations():
         walk_config(path_target_mult=0).validate()  # a path target of zero
     with pytest.raises(ConfigError):
         walk_config(path_target_mult=-1).validate()
+    for mult in (float("nan"), float("inf"), 1e308):  # math.ceil raised on these
+        with pytest.raises(ConfigError, match=r"^path_target_mult \* sqrt\(n\) must be finite$"):
+            walk_config(dist="br", algo="alg1", n=2048, d=8, path_target_mult=mult).validate()
+    walk_config(dist="br", algo="alg1", n=2048, d=8, path_target_mult=1e300).validate()
     walk_config().validate()
-    walk_config(time_limit=0).validate()  # no deadline
     walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
     walk_config(dist="br", algo="alg2", wall_p=1).validate()
     walk_config(base_seed=0).validate()
@@ -101,19 +109,27 @@ def test_config_refuses_options_the_finder_ignores(option, value, readers):
         walk_config(dist="br", algo=algo, **{option: getattr(ExperimentConfig, option)}).validate()
 
 
-def test_default_config_runs_with_no_deadline(monkeypatch):
-    seen = []
-
-    def finder(oracle, cap, rng, *, deadline):
-        seen.append(deadline)
-        return run_random_walk_finder(oracle, cap, rng, deadline=deadline)
-
-    monkeypatch.setattr(harness, "run_random_walk_finder", finder)
-    config = walk_config()
-    assert config.time_limit is None
-    assert build_parser().parse_args(["--n", "64"]).time_limit == 0  # the CLI's "none"
-    run_experiment(config)
-    assert seen == [None, None]
+def test_trials_stop_on_the_meter_alone(capsys):
+    finders = (run_random_walk_finder, run_birthday_sampler, run_algorithm1, run_algorithm2,
+               run_bfs_heuristic)
+    for finder in finders:
+        assert "deadline" not in inspect.signature(finder).parameters, finder.__name__
+    for finder in (run_algorithm1, run_algorithm2):
+        assert "max_walk_len" not in inspect.signature(finder).parameters, finder.__name__
+    # "none" still runs, as --time-limit 0 and as time_limit=None
+    assert build_parser().parse_args(["--n", "64"]).time_limit == 0
+    assert len(run_experiment(walk_config(time_limit=None))) == 2
+    args = ["--dist", "brsimple", "--algo", "walk", "--n", "64", "--trials", "2"]
+    assert main(args + ["--time-limit", "0"]) == 0
+    capsys.readouterr()
+    message = "time_limit must be none (--time-limit 0): trials stop on the query budget"
+    for value in ("5", "-5", "nan"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            walk_config(time_limit=float(value)).validate()
+        assert main(args + ["--time-limit", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cyclelab: {message}\n"
 
 
 def test_layer_divisibility_checked():
@@ -372,13 +388,22 @@ def test_cli_rejects_bad_combination(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "layered" in captured.err
-    # a deadline that has already passed would zero every trial
+    # trials stop on the query budget, never on the clock
     code = main(["--dist", "brsimple", "--algo", "walk", "--n", "64", "--trials", "2",
                  "--time-limit", "-5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "cyclelab: time_limit must be >= 0\n"
+    assert captured.err == (
+        "cyclelab: time_limit must be none (--time-limit 0): trials stop on the query budget\n"
+    )
+    # math.ceil raised on a path target that is not finite
+    code = main(["--dist", "br", "--algo", "alg1", "--n", "2048", "--d", "8", "--trials", "1",
+                 "--path-target-mult", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "cyclelab: path_target_mult * sqrt(n) must be finite\n"
     code = main(["--dist", "br", "--algo", "alg2", "--n", "64", "--trials", "1",
                  "--walls", "-1"])
     captured = capsys.readouterr()

@@ -14,19 +14,22 @@ each at three seeds, plus alg1 and alg2 on br at the three sizes with
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus five values refused before any trial
+layer count, an odd brsimple n), plus six values refused before any trial
 runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
-alg1, which reads neither, ``--time-limit 5`` and ``--path-target-mult nan``
-on alg1): 181 in all, some of them
-usage errors, whose stderr and exit status are compared too.  The six bad
-shapes exit 2 with one ``cyclelab:`` line; before the shape check in
-``ExperimentConfig.validate`` they ended in a traceback, so their digests
-differ from those of older checkouts.  The five bad values also exit 2 with
-one ``cyclelab:`` line; before ``validate`` checked them, ``--seed -1``
-ended in numpy's traceback, ``--wall-p -5`` ran as depth-0 walls, alg1
-ran as if it had no wall options, ``--time-limit 5`` ran with a wall-clock
-deadline and ``--path-target-mult nan`` ended in a ``math.ceil`` traceback,
-so their digests differ from those of older checkouts too.
+alg1, which reads neither, ``--time-limit 5``, ``--path-target-mult nan``
+on alg1 and an ``--out`` path in a directory that does not exist): 182 in
+all, some of them usage errors, whose stderr and exit status are compared
+too.  The six bad shapes exit 2 with one ``cyclelab:`` line; before the
+shape check in ``ExperimentConfig.validate`` they ended in a traceback, so
+their digests differ from those of older checkouts.  "Layers wider than d"
+runs at the default d, so its message changed when that default went from
+2 to 8.  The six bad values also exit 2 with one ``cyclelab:`` line; before
+they were refused up front, ``--seed -1`` ended in numpy's traceback,
+``--wall-p -5`` ran as depth-0 walls, alg1 ran as if it had no wall
+options, ``--time-limit 5`` ran with a wall-clock deadline,
+``--path-target-mult nan`` ended in a ``math.ceil`` traceback and the bad
+``--out`` ran every trial before its ``FileNotFoundError`` traceback, so
+their digests differ from those of older checkouts too.
 Two configs run at a time.
 """
 
@@ -73,6 +76,8 @@ BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "0", "--trials", "4",
      "--time-limit", "5"],
     ["--algo", "alg1", "--dist", "br", "--n", "2048", "--d", "8", "--path-target-mult", "nan",
+     "--seed", "0"],
+    ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
      "--seed", "0"],
 )
 

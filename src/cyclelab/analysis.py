@@ -3,11 +3,15 @@
 Three groups of tools:
 
 * Acyclicity distance: exact minimum feedback arc set on small graphs
-  (bitmask DP, cross-checked by factorial brute force) and a sampled
-  balanced-partition cut diagnostic.  Parallel edges collapse to one for
-  these counts.
-* Transcript statistics: epochs, surprises, blue surprises, longest
-  all-blue paths, ancestor counts.
+  (bitmask DP, cross-checked by factorial brute force).  Parallel edges
+  collapse to one for this count.
+* Transcript statistics: the epoch rule, surprises, blue surprises,
+  longest all-blue paths, ancestor counts.  Queries are grouped into
+  epochs of at most L/2; an epoch closes early when a query answer names
+  an already-seen vertex (a "surprise").  Only ``_epoch_ends`` applies
+  this rule, on arrays of the records: a record is a surprise iff one of
+  its answer entries was first named by an earlier record, and the cap
+  closes fall at fixed strides between surprises.
 * Coloring distributions over an epoch's out-trees: classification into
   the four tree kinds, the product-form sampler over those trees, and an
   exact brute-force conditional enumerator for tiny instances.  The tree
@@ -19,23 +23,16 @@ Three groups of tools:
 from __future__ import annotations
 
 import enum
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
-from .graphs import BLUE, BRParams, Coloring, Digraph, OddVertexCount
-from .oracle import (
-    KnowledgeGraph,
-    Oracle,
-    QueryHistory,
-    QueryModel,
-    _epoch_ends,
-    _Pairs,
-    _record_arrays,
-    knowledge_graph,
-)
-from .oracle import decompose_epochs  # noqa: F401  reference for epoch_stats, traced by name
+from .graphs import BLUE, BRParams, Coloring, Digraph
+from .oracle import KnowledgeGraph, Oracle, QueryHistory, QueryModel, knowledge_graph
 
 
 class TooLarge(ValueError):
@@ -132,29 +129,104 @@ def min_fas_exact(graph: Digraph) -> FasResult:
     return FasResult(best, witness, _epsilon(graph, best))
 
 
-def partition_cross_min(graph: Digraph, num_samples: int, rng) -> int:
-    """Minimum V1->V2 edge count over sampled balanced partitions.
-
-    An upper bound on the true partition minimum; a large value across
-    many samples is evidence the graph is far from acyclic.
-    """
-    if graph.v_count % 2:
-        raise OddVertexCount(f"balanced partition needs even order, got {graph.v_count}")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    sources, targets = graph.edge_arrays()
-    best = None
-    for _ in range(num_samples):
-        side = np.zeros(graph.v_count, dtype=bool)
-        side[rng.permutation(graph.v_count)[: graph.v_count // 2]] = True
-        cross = int(np.count_nonzero(side[sources] & ~side[targets]))
-        if best is None or cross < best:
-            best = cross
-    return best
-
-
 # ---------------------------------------------------------------------------
 # transcript statistics
+
+
+class EpochReason(enum.Enum):
+    SURPRISE = "surprise"
+    TIMEOUT = "timeout"
+
+
+def _record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Queried vertices, answer lengths and the flat answer entries, in record order."""
+    answers = list(map(itemgetter(1), records))
+    vertices = np.fromiter(map(itemgetter(0), records), dtype=np.int64, count=len(records))
+    degrees = np.fromiter(map(len, answers), dtype=np.int64, count=len(answers))
+    targets = np.fromiter(
+        itertools.chain.from_iterable(answers), dtype=np.int64, count=int(degrees.sum())
+    )
+    return vertices, degrees, targets
+
+
+def _epoch_ends(
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray], epoch_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The epoch rule: the ends of the closes, in order, and which are surprises.
+
+    ``arrays`` is ``_record_arrays(records)``.  An epoch closes after the
+    record that makes it epoch_cap records long, or earlier after a
+    surprise: a record whose answer names a vertex seen before it, as a
+    queried vertex or an answer entry.  Re-encountering the queried vertex
+    itself is not a surprise.  An end is the 1-based index of the closing
+    record, and a record that is both a surprise and the cap-filling one
+    closes as a surprise.
+
+    On arrays: ``np.minimum.at`` over the queried vertices and the answer
+    entries gives each vertex's first naming record, in an array sized by
+    the largest id, and record k (0-based) is a surprise iff one of its
+    entries was first named before k.  Between consecutive surprise ends
+    prev < next (with 0 before the first and n + 1 after the last record)
+    the cap closes are ``prev + j * epoch_cap`` for j >= 1 below next;
+    ``repeat`` and ``cumsum`` lay them out, and each surprise goes in after
+    the cap closes before it.  Returns int64 ends and a bool surprise flag
+    for each.
+    """
+    vertices, degrees, targets = arrays
+    n = len(vertices)
+    entry_rec = np.repeat(np.arange(n), degrees)
+    first = np.full(max(vertices.max(initial=-1), targets.max(initial=-1)) + 1, n)
+    np.minimum.at(first, vertices, np.arange(n))
+    np.minimum.at(first, targets, entry_rec)
+    hit = np.zeros(n, dtype=bool)
+    hit[entry_rec[first[targets] < entry_rec]] = True
+    surprises = np.flatnonzero(hit) + 1
+    prev = np.concatenate(([0], surprises))
+    caps = (np.append(surprises, n + 1) - prev - 1) // epoch_cap
+    upto = np.cumsum(caps)  # cap closes up to each surprise, and in all
+    step = np.arange(1, upto[-1] + 1) - np.repeat(upto - caps, caps)
+    surprise = np.zeros(upto[-1] + len(surprises), dtype=bool)
+    surprise[upto[:-1] + np.arange(len(surprises))] = True
+    ends = np.empty(len(surprise), dtype=np.int64)
+    ends[surprise] = surprises
+    ends[~surprise] = np.repeat(prev, caps) + step * epoch_cap
+    return ends, surprise
+
+
+@dataclass(frozen=True)
+class EpochDecomposition:
+    closed_epochs: tuple[QueryHistory, ...]
+    end_reasons: tuple[EpochReason, ...]
+    current_epoch: QueryHistory
+    epoch_cap: int
+
+    def epoch_count(self) -> int:
+        """Number of nonempty epochs, the current one included."""
+        return len(self.closed_epochs) + (1 if len(self.current_epoch) else 0)
+
+
+def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecomposition:
+    """Split a history into surprise/timeout epochs of at most epoch_cap.
+
+    Slices the records at the ends ``_epoch_ends`` computes from their
+    arrays; the records after the last close form the current epoch.  A
+    query that is both a surprise and the cap-filling query closes its
+    epoch with reason SURPRISE.
+    """
+    if epoch_cap < 1:
+        raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
+    records = history.records
+    ends, surprises = _epoch_ends(_record_arrays(records), epoch_cap)
+    closed: list[QueryHistory] = []
+    reasons: list[EpochReason] = []
+    start = 0
+    for end, surprise in zip(ends.tolist(), surprises.tolist()):
+        closed.append(QueryHistory(tuple(records[start:end])))
+        reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
+        start = end
+    return EpochDecomposition(
+        tuple(closed), tuple(reasons), QueryHistory(tuple(records[start:])), epoch_cap
+    )
 
 
 @dataclass(frozen=True)
@@ -363,7 +435,7 @@ def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndar
 
 
 def epoch_stats(
-    history: Oracle | _Pairs,
+    history: Oracle | Iterable[tuple[int, tuple[int, ...]]],
     coloring: Coloring,
     epoch_cap: int,
     *,

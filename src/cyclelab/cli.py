@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .harness import (
@@ -31,7 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="blue-vertex count for br, vertex count for brsimple")
     parser.add_argument("--layers", type=int, default=None,
                         help="red layer count (br only; default: auto-chosen)")
-    parser.add_argument("--d", type=int, default=2, help="outdegree (default 2)")
+    parser.add_argument("--d", type=int, default=8,
+                        help="outdegree (default 8; at 2 the blue subgraph is critical, "
+                             "outside the paper's farness promise)")
     parser.add_argument("--trials", type=int, default=10, help="trial count (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--budget", type=int, default=None,
@@ -85,16 +88,19 @@ def main(argv=None) -> int:
         include_ancestors=not args.no_ancestors,
     )
     try:
-        records = run_experiment(config)
+        config.validate()
+        # opened before the first trial runs, so a path that cannot be
+        # written costs no trials; a refused config creates nothing
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     except ConfigError as exc:
         print(f"cyclelab: {exc}", file=sys.stderr)
         return 2
-    text = records_to_csv(records, timings=args.timings)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cyclelab: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        records = run_experiment(config)
+        fh.write(records_to_csv(records, timings=args.timings))
     wins = sum(1 for r in records if r.success)
     print(f"cyclelab: {wins}/{len(records)} trials found a cycle", file=sys.stderr)
     return 0

@@ -308,14 +308,13 @@ def identify_color(
     rng,
     *,
     num_walks: int = 6,
-    max_walk_len: int | None = None,
     stop=None,
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
     From a red vertex every walk bottoms out after the same number of
     steps, pinning the layer exactly; differing distances prove the start
-    is blue.  Walks that never reach a sink within max_walk_len are
+    is blue.  Walks that never reach a sink within 4L steps are
     discarded; if none terminate the verdict is Unknown.
 
     stop() is polled at each walk start and after each charged query, and
@@ -325,13 +324,7 @@ def identify_color(
 
     rng is a numpy Generator or a finder's draw source.
     """
-    if max_walk_len is None:
-        max_walk_len = 4 * layers
-    if max_walk_len < layers:
-        raise ValueError("max_walk_len must be at least the layer count")
-    implied, attempted = _implied_layers(
-        oracle, v, {}, layers, rng, num_walks, max_walk_len, stop
-    )
+    implied, attempted = _implied_layers(oracle, v, {}, layers, rng, num_walks, 4 * layers, stop)
     if not implied:
         return ColorEstimate(None, attempted)
     if len(set(implied)) > 1:
@@ -510,14 +503,14 @@ def wall_identify(
     rng,
     *,
     num_walks: int = 6,
-    max_walk_len: int | None = None,
     stop=None,
 ) -> ColorEstimate:
     """Color a vertex by walk lengths against walls instead of sinks.
 
-    Each walk runs until it steps onto a wall member or a sink; the
-    terminator's layer minus the step count is the start's implied layer,
-    which is one fixed value for a red start and scatters for a blue one.
+    Each walk runs until it steps onto a wall member or a sink, for at
+    most 4L steps; the terminator's layer minus the step count is the
+    start's implied layer, which is one fixed value for a red start and
+    scatters for a blue one.
     Verdict: red when at least 80% of terminated walks agree on a layer
     in 1..L; blue on scatter or on agreement at a layer below 1 (only a
     blue prefix pushes the implied value that low); unknown with fewer
@@ -525,12 +518,10 @@ def wall_identify(
     that wall's layer for free.  rng is a numpy Generator or a finder's
     draw source.
     """
-    if max_walk_len is None:
-        max_walk_len = 4 * layers
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop
     )
     if len(implied) < 2:
         return ColorEstimate(None, attempted)

@@ -46,16 +46,8 @@ class OddVertexCount(ValueError):
 
 
 def color_token(color: int) -> str:
-    """Render a color as the text-format token ``b`` or ``r<i>``."""
+    """Render a color as ``b`` or ``r<i>``, as validate_br's messages do."""
     return "b" if color == BLUE else f"r{color}"
-
-
-def parse_color_token(tok: str) -> int:
-    if tok == "b":
-        return BLUE
-    if tok.startswith("r") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-        return int(tok[1:])
-    raise ValueError(f"bad color token {tok!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Experiment runner: seeded trials, CSV records, scaling fits, graph files.
+"""Experiment runner: seeded trials, CSV records, scaling fits.
 
 One trial = generate an instance, wrap it in an oracle, run one finder,
 re-verify any claimed cycle against the hidden graph, and collect query
@@ -34,8 +34,6 @@ from .graphs import (
     auto_params,
     gen_br_pair,
     gen_br_simple,
-    parse_color_token,
-    color_token,
 )
 from .oracle import QueryModel, new_oracle, verify_cycle
 
@@ -68,12 +66,6 @@ class InsufficientData(ValueError):
     pass
 
 
-class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dist: str
@@ -82,7 +74,10 @@ class ExperimentConfig:
     trials: int
     base_seed: int = 0
     layers: int | None = None
-    d: int = 2
+    # d = 8: at d = 2 the blue subgraph has mean out-degree 1, a critical
+    # random digraph whose cycles hold a share of the edges that falls
+    # toward 0 as N grows, outside the paper's promise of epsilon * d * V
+    d: int = 8
     budget: int | None = None
     num_walks: int = 6
     walls: int | None = None
@@ -327,11 +322,6 @@ def records_to_csv(records, *, timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records, path, *, timings: bool = False) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_to_csv(records, timings=timings))
-
-
 def fit_scaling(records) -> ScalingFit:
     """Least squares on log size vs log median queries of successful trials."""
     by_size: dict[int, list[int]] = {}
@@ -354,101 +344,3 @@ def fit_scaling(records) -> ScalingFit:
     points = tuple((float(x), float(y)) for x, y in zip(xs, ys))
     return ScalingFit(float(slope), float(intercept), r2, points)
 
-
-# ---------------------------------------------------------------------------
-# graph text files
-
-
-def save_graph(obj: BRPair | Digraph, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        if isinstance(obj, BRPair):
-            p = obj.params
-            fh.write(f"BR v={p.v_count} d={p.outdeg} L={p.layers} W={p.width} N={p.n_blue}\n")
-            fh.write(" ".join(color_token(obj.coloring.color(v)) for v in range(p.v_count)) + "\n")
-            graph = obj.graph
-        else:
-            graph = obj
-            fh.write(f"BRS v={graph.v_count} d={graph.max_out_degree()}\n")
-        for u in range(graph.v_count):
-            row = " ".join(str(v) for v in graph.out_list(u))
-            fh.write(f"{u}: {row}".rstrip() + "\n")
-
-
-def _parse_header(line: str):
-    parts = line.split()
-    if not parts or parts[0] not in ("BR", "BRS"):
-        raise ParseError(1, "header must start with BR or BRS")
-    fields = {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ParseError(1, f"malformed header field {tok!r}")
-        key, _, val = tok.partition("=")
-        try:
-            fields[key] = int(val)
-        except ValueError:
-            raise ParseError(1, f"non-integer header value {tok!r}") from None
-    return parts[0], fields
-
-
-def _parse_adjacency(lines, start_line: int, v_count: int) -> Digraph:
-    rows = []
-    for u in range(v_count):
-        lineno = start_line + u
-        if u >= len(lines):
-            raise ParseError(lineno, "missing adjacency line")
-        text = lines[u]
-        head, sep, rest = text.partition(":")
-        if not sep:
-            raise ParseError(lineno, "adjacency line needs 'vertex: targets'")
-        try:
-            if int(head) != u:
-                raise ParseError(lineno, f"expected vertex {u}, found {head.strip()!r}")
-            row = [int(tok) for tok in rest.split()]
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(lineno, "non-integer vertex id") from None
-        if any(not 0 <= v < v_count for v in row):
-            raise ParseError(lineno, "target outside vertex range")
-        rows.append(row)
-    if len(lines) > v_count:
-        raise ParseError(start_line + v_count, "trailing content after adjacency lines")
-    return Digraph.from_lists(rows)
-
-
-def load_graph(path: str) -> BRPair | Digraph:
-    """Read back a file written by save_graph (or authored by hand)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError(1, "empty file")
-    kind, fields = _parse_header(lines[0])
-    if kind == "BRS":
-        missing = {"v", "d"} - set(fields)
-        if missing:
-            raise ParseError(1, f"header missing {sorted(missing)}")
-        return _parse_adjacency(lines[1:], 2, fields["v"])
-
-    missing = {"v", "d", "L", "W", "N"} - set(fields)
-    if missing:
-        raise ParseError(1, f"header missing {sorted(missing)}")
-    try:
-        params = BRParams(fields["N"], fields["L"], fields["W"], fields["d"])
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
-    if params.v_count != fields["v"]:
-        raise ParseError(1, f"v={fields['v']} but N={fields['N']} implies {params.v_count}")
-    if len(lines) < 2:
-        raise ParseError(2, "missing coloring line")
-    tokens = lines[1].split()
-    if len(tokens) != params.v_count:
-        raise ParseError(2, f"expected {params.v_count} color tokens, found {len(tokens)}")
-    try:
-        layer_by_vertex = np.array([parse_color_token(t) for t in tokens], dtype=np.int64)
-        coloring = Coloring(params, layer_by_vertex)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
-    graph = _parse_adjacency(lines[2:], 3, params.v_count)
-    return BRPair(params, coloring, graph)

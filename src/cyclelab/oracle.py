@@ -1,18 +1,14 @@
 """Query access to hidden graphs, with bookkeeping the analysis relies on.
 
-Three access models:
+Two access models:
 
 * ``VERTEX`` -- a query on u returns u's full ordered out-list.
 * ``ADJ_LIST`` -- a query on (u, i) returns the i-th entry of u's list,
   or nothing when the list is shorter.  Repeats are allowed and counted.
-* ``COLOR_REVELATION`` -- the vertex model plus an adversary-style color
-  feed: queries are grouped into epochs of at most L/2; an epoch closes
-  early when a query answer contains an already-seen vertex (a
-  "surprise"), and at every close the hidden colors of all vertices seen
-  so far are revealed.  Only ``_epoch_ends`` applies this rule, on
-  arrays of the records: a record is a surprise iff one of its answer
-  entries was first named by an earlier record, and the cap closes fall
-  at fixed strides between surprises.
+
+Both count the paper's one cost, queries.  The epochs of a transcript are
+derived after the run (``analysis.decompose_epochs``); the oracle keeps
+no epoch state.
 
 A query history never repeats a vertex.  In the default strict mode a
 repeat raises; the lenient mode instead returns the cached answer at zero
@@ -25,12 +21,9 @@ import enum
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
-import numpy as np
-
-from .graphs import BRPair, Coloring, Digraph, color_token
+from .graphs import BRPair, Coloring, Digraph
 
 
 class RepeatedQuery(ValueError):
@@ -48,12 +41,6 @@ class IndexOutOfRange(ValueError):
 class QueryModel(enum.Enum):
     ADJ_LIST = "adjlist"
     VERTEX = "vertex"
-    COLOR_REVELATION = "colorrev"
-
-
-class EpochReason(enum.Enum):
-    SURPRISE = "surprise"
-    TIMEOUT = "timeout"
 
 
 class QueryRecord(NamedTuple):
@@ -181,105 +168,13 @@ def knowledge_graph(history: _Pairs) -> KnowledgeGraph:
     return kg
 
 
-def _record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Queried vertices, answer lengths and the flat answer entries, in record order."""
-    answers = list(map(itemgetter(1), records))
-    vertices = np.fromiter(map(itemgetter(0), records), dtype=np.int64, count=len(records))
-    degrees = np.fromiter(map(len, answers), dtype=np.int64, count=len(answers))
-    targets = np.fromiter(
-        itertools.chain.from_iterable(answers), dtype=np.int64, count=int(degrees.sum())
-    )
-    return vertices, degrees, targets
-
-
-def _epoch_ends(
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray], epoch_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The epoch rule: the ends of the closes, in order, and which are surprises.
-
-    ``arrays`` is ``_record_arrays(records)``.  An epoch closes after the
-    record that makes it epoch_cap records long, or earlier after a
-    surprise: a record whose answer names a vertex seen before it, as a
-    queried vertex or an answer entry.  Re-encountering the queried vertex
-    itself is not a surprise.  An end is the 1-based index of the closing
-    record, and a record that is both a surprise and the cap-filling one
-    closes as a surprise.
-
-    On arrays: ``np.minimum.at`` over the queried vertices and the answer
-    entries gives each vertex's first naming record, in an array sized by
-    the largest id, and record k (0-based) is a surprise iff one of its
-    entries was first named before k.  Between consecutive surprise ends
-    prev < next (with 0 before the first and n + 1 after the last record)
-    the cap closes are ``prev + j * epoch_cap`` for j >= 1 below next;
-    ``repeat`` and ``cumsum`` lay them out, and each surprise goes in after
-    the cap closes before it.  Returns int64 ends and a bool surprise flag
-    for each.
-    """
-    vertices, degrees, targets = arrays
-    n = len(vertices)
-    entry_rec = np.repeat(np.arange(n), degrees)
-    first = np.full(max(vertices.max(initial=-1), targets.max(initial=-1)) + 1, n)
-    np.minimum.at(first, vertices, np.arange(n))
-    np.minimum.at(first, targets, entry_rec)
-    hit = np.zeros(n, dtype=bool)
-    hit[entry_rec[first[targets] < entry_rec]] = True
-    surprises = np.flatnonzero(hit) + 1
-    prev = np.concatenate(([0], surprises))
-    caps = (np.append(surprises, n + 1) - prev - 1) // epoch_cap
-    upto = np.cumsum(caps)  # cap closes up to each surprise, and in all
-    step = np.arange(1, upto[-1] + 1) - np.repeat(upto - caps, caps)
-    surprise = np.zeros(upto[-1] + len(surprises), dtype=bool)
-    surprise[upto[:-1] + np.arange(len(surprises))] = True
-    ends = np.empty(len(surprise), dtype=np.int64)
-    ends[surprise] = surprises
-    ends[~surprise] = np.repeat(prev, caps) + step * epoch_cap
-    return ends, surprise
-
-
-@dataclass(frozen=True)
-class EpochDecomposition:
-    closed_epochs: tuple[QueryHistory, ...]
-    end_reasons: tuple[EpochReason, ...]
-    current_epoch: QueryHistory
-    epoch_cap: int
-
-    def epoch_count(self) -> int:
-        """Number of nonempty epochs, the current one included."""
-        return len(self.closed_epochs) + (1 if len(self.current_epoch) else 0)
-
-
-def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecomposition:
-    """Split a history into surprise/timeout epochs of at most epoch_cap.
-
-    Slices the records at the ends ``_epoch_ends`` computes from their
-    arrays; the records after the last close form the current epoch.  A
-    query that is both a surprise and the cap-filling query closes its
-    epoch with reason SURPRISE.
-    """
-    if epoch_cap < 1:
-        raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    records = history.records
-    ends, surprises = _epoch_ends(_record_arrays(records), epoch_cap)
-    closed: list[QueryHistory] = []
-    reasons: list[EpochReason] = []
-    start = 0
-    for end, surprise in zip(ends.tolist(), surprises.tolist()):
-        closed.append(QueryHistory(tuple(records[start:end])))
-        reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
-        start = end
-    return EpochDecomposition(
-        tuple(closed), tuple(reasons), QueryHistory(tuple(records[start:])), epoch_cap
-    )
-
-
 class Oracle:
     """Query counter and transcript keeper in front of a hidden graph.
 
     A charged query stores its answer in ``kg.out`` and nothing else.  The
     oracle never queries a vertex twice, so ``kg.out`` is at once the answer
     cache and the transcript in query order; ``history`` builds its records
-    from it on each read.  The views built on ``history`` (``epochs``,
-    ``revealed``, ``transcript``) cost O(q) a read.
+    from it on each read.  ``history`` and ``transcript`` cost O(q) a read.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -292,18 +187,13 @@ class Oracle:
         model: QueryModel,
         *,
         coloring: Coloring | None = None,
-        epoch_cap: int | None = None,
         lenient: bool = False,
     ) -> None:
-        if model is QueryModel.COLOR_REVELATION:
-            if coloring is None or epoch_cap is None:
-                raise ValueError("color revelation model needs a coloring and epoch cap")
         self._graph = graph
         self._coloring = coloring
         self._max_deg = graph.max_out_degree()
         self.model = model
         self.lenient = lenient
-        self.epoch_cap = epoch_cap
         self.vertex_query_count = 0
         self.adj_query_count = 0
         self.kg = KnowledgeGraph()
@@ -331,27 +221,6 @@ class Oracle:
     @property
     def history(self) -> QueryHistory:
         return QueryHistory(tuple(itertools.starmap(QueryRecord, self.kg.out.items())))
-
-    @property
-    def epochs(self) -> EpochDecomposition:
-        """decompose_epochs of the history; one open epoch when there is no cap."""
-        if self.epoch_cap is None:
-            return EpochDecomposition((), (), self.history, 0)
-        return decompose_epochs(self.history, self.epoch_cap)
-
-    @property
-    def revealed(self) -> dict[int, int]:
-        """Every vertex seen up to the last epoch close, with its hidden color.
-
-        ``{}`` outside the color revelation model.  No finder reads it.
-        """
-        if self.model is not QueryModel.COLOR_REVELATION:
-            return {}
-        history = self.history
-        ends, _ = _epoch_ends(_record_arrays(history.records), self.epoch_cap)
-        last = int(ends[-1]) if len(ends) else 0
-        seen = history.prefix(last).vertices()
-        return {v: self._coloring.color(v) for v in sorted(seen)}
 
     # -- queries ---------------------------------------------------------
 
@@ -388,27 +257,11 @@ class Oracle:
     # -- transcripts ------------------------------------------------------
 
     def transcript(self) -> str:
-        """Text dump: `q <u> : <answers>` lines plus epoch close markers.
-
-        Close markers, with the colors each close revealed (read from the
-        hidden coloring), appear only in the color revelation model.
-        """
-        dec = self.epochs
-        closes = dec.end_reasons if self.model is QueryModel.COLOR_REVELATION else ()
-        lines = []
-        shown: set[int] = set()
-        for n, epoch in enumerate((*dec.closed_epochs, dec.current_epoch), start=1):
-            for rec in epoch:
-                body = " ".join(str(v) for v in rec.answer)
-                lines.append(f"q {rec.vertex} : {body}".rstrip())
-            if n <= len(closes):
-                lines.append(f"# epoch {n} closed: {closes[n - 1].value}")
-                fresh = sorted(epoch.vertices() - shown)
-                shown.update(fresh)
-                if fresh:
-                    body = " ".join(f"{v}={color_token(self._coloring.color(v))}" for v in fresh)
-                    lines.append(f"# reveal {body}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Text dump: one `q <u> : <answers>` line per charged vertex query."""
+        return "".join(
+            f"q {u} : {' '.join(map(str, answer))}".rstrip() + "\n"
+            for u, answer in self.kg.out.items()
+        )
 
 
 def new_oracle(
@@ -419,15 +272,8 @@ def new_oracle(
 ) -> Oracle:
     """Front an instance with the requested access model."""
     if isinstance(pair_or_graph, BRPair):
-        return Oracle(
-            pair_or_graph.graph,
-            model,
-            coloring=pair_or_graph.coloring,
-            epoch_cap=pair_or_graph.params.epoch_cap,
-            lenient=lenient,
-        )
-    if model is QueryModel.COLOR_REVELATION:
-        raise ValueError("color revelation model needs a colored pair")
+        pair = pair_or_graph
+        return Oracle(pair.graph, model, coloring=pair.coloring, lenient=lenient)
     return Oracle(pair_or_graph, model, lenient=lenient)
 
 

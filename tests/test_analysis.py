@@ -12,7 +12,6 @@ from cyclelab import (
     Coloring,
     Digraph,
     NotAForest,
-    OddVertexCount,
     QueryRecord,
     TooLarge,
     TreeKind,
@@ -21,12 +20,10 @@ from cyclelab import (
     classify_trees,
     enumerate_conditional_colorings,
     epoch_stats,
-    gen_br_pair,
     is_good_partial,
     knowledge_graph,
     max_blue_path,
     min_fas_exact,
-    partition_cross_min,
     sample_naive_coloring,
 )
 from cyclelab.oracle import QueryHistory
@@ -86,22 +83,6 @@ def test_backedge_count_orderings():
     g = Digraph.from_lists([[1], [2], [0]])
     assert backedge_count(g, [0, 1, 2]) == 1  # only 2->0 goes backward
     assert backedge_count(g, [2, 1, 0]) == 2
-
-
-def test_partition_cross_argument_checks():
-    g = Digraph.from_lists([[1], []])
-    with pytest.raises(ValueError):
-        partition_cross_min(g, 0, np.random.default_rng(0))
-    odd = Digraph.from_lists([[1], [2], []])
-    with pytest.raises(OddVertexCount):
-        partition_cross_min(odd, 10, np.random.default_rng(0))
-
-
-def test_partition_cross_positive_on_layered_instance():
-    # d = 6 leaves every balanced split with many crossing edges
-    rng = np.random.default_rng(12)
-    pair = gen_br_pair(BRParams(12, 2, 12, 6), rng)
-    assert partition_cross_min(pair.graph, 1000, rng) > 0
 
 
 # -- per-run statistics -------------------------------------------------------

@@ -105,20 +105,19 @@ def test_nonlayered_walks_match_reference(params, d, seed, walk_steps, cap):
 def walked_oracles(draw):
     """An oracle after a walk, and a coloring that covers its graph's vertices.
 
-    The graph is a layered instance (behind a vertex or a color revelation
-    oracle), a brsimple one on few vertices with up to four matchings each
-    way (so rows repeat entries), or hand-drawn lists with sinks,
-    self-loops and repeats (from_lists: int64 targets), colored at random.
+    The graph is a layered instance, a brsimple one on few vertices with
+    up to four matchings each way (so rows repeat entries), or hand-drawn
+    lists with sinks, self-loops and repeats (from_lists: int64 targets),
+    colored at random.
     Drawn lists may give every blue vertex a self-loop, so that every
     epoch that queries one takes the back-edge fallback.
     """
     params = draw(small_params)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["br", "colorrev", "brsimple", "lists"]))
-    if kind in ("br", "colorrev"):
+    kind = draw(st.sampled_from(["br", "brsimple", "lists"]))
+    if kind == "br":
         pair = gen_br_pair(params, rng)
-        model = QueryModel.COLOR_REVELATION if kind == "colorrev" else QueryModel.VERTEX
-        oracle, coloring = new_oracle(pair, model, lenient=True), pair.coloring
+        oracle, coloring = new_oracle(pair, QueryModel.VERTEX, lenient=True), pair.coloring
     else:
         coloring = gen_coloring(params, rng)
         if kind == "brsimple":

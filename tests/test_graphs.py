@@ -19,7 +19,6 @@ from cyclelab import (
     gen_br_simple,
     gen_coloring,
     new_oracle,
-    parse_color_token,
     run_random_walk_finder,
     validate_br,
 )
@@ -254,9 +253,3 @@ def test_trail_collision_at_birthday_scale():
 def test_color_tokens_round_trip():
     assert color_token(BLUE) == "b"
     assert color_token(4) == "r4"
-    assert parse_color_token("b") == BLUE
-    assert parse_color_token("r4") == 4
-    with pytest.raises(ValueError):
-        parse_color_token("x9")
-    with pytest.raises(ValueError):
-        parse_color_token("r0")

@@ -1,4 +1,4 @@
-"""Experiment harness, CSV output, scaling fits, graph files, and the CLI."""
+"""Experiment harness, CSV output, scaling fits, and the CLI."""
 
 import inspect
 import re
@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from cyclelab import (
-    BRPair,
     ConfigError,
-    Digraph,
     ExperimentConfig,
     InsufficientData,
-    ParseError,
     TrialRecord,
+    auto_params,
     fit_scaling,
     gen_br_pair,
-    gen_br_simple,
-    load_graph,
+    identify_color,
     records_to_csv,
     run_algorithm1,
     run_algorithm2,
@@ -26,13 +23,10 @@ from cyclelab import (
     run_experiment,
     run_random_walk_finder,
     run_trial,
-    save_graph,
-    validate_br,
-    write_csv,
+    wall_identify,
 )
 from cyclelab import harness
 from cyclelab.cli import build_parser, main
-from cyclelab.graphs import BRParams
 
 
 def walk_config(**overrides):
@@ -114,7 +108,7 @@ def test_trials_stop_on_the_meter_alone(capsys):
                run_bfs_heuristic)
     for finder in finders:
         assert "deadline" not in inspect.signature(finder).parameters, finder.__name__
-    for finder in (run_algorithm1, run_algorithm2):
+    for finder in (run_algorithm1, run_algorithm2, identify_color, wall_identify):
         assert "max_walk_len" not in inspect.signature(finder).parameters, finder.__name__
     # "none" still runs, as --time-limit 0 and as time_limit=None
     assert build_parser().parse_args(["--n", "64"]).time_limit == 0
@@ -130,6 +124,40 @@ def test_trials_stop_on_the_meter_alone(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"cyclelab: {message}\n"
+
+
+def scc_edge_share(n, d, seed):
+    """Edges inside strongly connected components, as a fraction of d * V."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    graph = gen_br_pair(auto_params(n, d), np.random.default_rng(seed)).graph
+    src, dst = graph.edge_arrays()
+    v = graph.v_count
+    adj = sparse.csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(v, v))
+    _, label = csgraph.connected_components(adj, directed=True, connection="strong")
+    return np.count_nonzero(label[src] == label[dst]) / (d * v)
+
+
+def test_default_out_degree_keeps_instances_inside_the_promise():
+    # The promise is a feedback arc set of at least epsilon * d * V, and the
+    # edges inside SCCs bound that set from above.  Every cycle of a br
+    # instance is blue, and the blue subgraph has mean out-degree d / 2: at
+    # d = 2 it is critical, and its SCC edges fall toward 0 as N grows.
+    assert build_parser().parse_args(["--n", "64"]).d == 8
+    assert ExperimentConfig.d == 8
+    sizes, seeds = (2**12, 2**16), range(3)
+    share = {
+        (d, n): [scc_edge_share(n, d, seed) for seed in seeds] for d in (2, 3, 8) for n in sizes
+    }
+    for (d, n), values in share.items():
+        print(f"d={d} N={n}: SCC edges / dV in [{min(values):.5f}, {max(values):.5f}]")
+    for d, floor in ((3, 0.05), (8, 0.15)):
+        low = min(min(share[d, n]) for n in sizes)
+        print(f"d={d}: lowest share {low:.4f} against a floor of {floor}")
+        assert low >= floor
+    small, large = (max(share[2, n]) for n in sizes)
+    print(f"d=2: highest share {small:.5f} at N=2^12, {large:.5f} at N=2^16")
+    assert large < small
 
 
 def test_layer_divisibility_checked():
@@ -224,12 +252,6 @@ def test_csv_reruns_identical():
     assert a == b
 
 
-def test_write_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    write_csv([GOLDEN_RECORD], path)
-    assert path.read_text() == records_to_csv([GOLDEN_RECORD])
-
-
 # -- scaling fits -----------------------------------------------------------------
 
 
@@ -282,82 +304,6 @@ def test_fit_ignores_failures_and_thin_sizes():
     assert len(fit.points) == 3
 
 
-# -- graph files -------------------------------------------------------------------
-
-
-def test_layered_pair_round_trip(tmp_path):
-    pair = gen_br_pair(BRParams(16, 4, 8, 3), np.random.default_rng(31))
-    path = tmp_path / "pair.txt"
-    save_graph(pair, path)
-    back = load_graph(path)
-    assert isinstance(back, BRPair)
-    assert back.params == pair.params
-    assert np.array_equal(back.coloring.layer_by_vertex, pair.coloring.layer_by_vertex)
-    for left, right in zip(back.graph.edge_arrays(), pair.graph.edge_arrays()):
-        assert np.array_equal(left, right)
-    assert validate_br(back) == []
-
-
-def test_plain_graph_round_trip(tmp_path):
-    g = gen_br_simple(20, 2, np.random.default_rng(32))
-    path = tmp_path / "simple.txt"
-    save_graph(g, path)
-    back = load_graph(path)
-    assert isinstance(back, Digraph)
-    assert sorted(back.edges()) == sorted(g.edges())
-
-
-HAND_FILE = """\
-BR v=12 d=2 L=4 W=2 N=4
-b b b b r1 r1 r2 r2 r3 r3 r4 r4
-0: 1 4
-1: 2 5
-2: 3 4
-3: 0 5
-4: 6 7
-5: 6 7
-6: 8 9
-7: 8 9
-8: 10 11
-9: 10 11
-10:
-11:
-"""
-
-
-def test_hand_written_file_loads_and_validates(tmp_path):
-    path = tmp_path / "hand.txt"
-    path.write_text(HAND_FILE)
-    pair = load_graph(path)
-    assert isinstance(pair, BRPair)
-    assert validate_br(pair) == []
-    assert pair.graph.out_list(0) == (1, 4)
-    assert pair.graph.out_list(10) == ()
-
-
-@pytest.mark.parametrize(
-    "content, line",
-    [
-        ("", 1),
-        ("BOGUS v=4 d=2\n", 1),
-        ("BR v=12 d=2 L=4 W=2\n", 1),  # header missing N
-        ("BR v=12 d=x L=4 W=2 N=4\n", 1),
-        ("BR v=13 d=2 L=4 W=2 N=4\n", 1),  # v disagrees with N
-        ("BR v=12 d=2 L=4 W=2 N=4\n", 2),  # coloring line absent
-        ("BR v=12 d=2 L=4 W=2 N=4\nb b\n", 2),
-        ("BRS v=2 d=1\n0: 1\n1 0\n", 3),  # missing colon
-        ("BRS v=2 d=1\n0: 1\n1: 5\n", 3),  # target out of range
-        ("BRS v=2 d=1\n0: 1\n1: 0\nextra\n", 4),
-    ],
-)
-def test_parse_errors_carry_line_numbers(tmp_path, content, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(content)
-    with pytest.raises(ParseError) as info:
-        load_graph(path)
-    assert info.value.line == line
-
-
 # -- command line ----------------------------------------------------------------
 
 
@@ -381,6 +327,29 @@ def test_cli_writes_file(tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert out.read_text().startswith("schema,")
+
+
+def test_cli_refuses_an_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(config, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    args = ["--dist", "brsimple", "--algo", "walk", "--n", "64", "--trials", "2"]
+    missing = tmp_path / "no" / "such" / "dir.csv"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        assert main(args + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cyclelab: cannot write {path}: {reason}\n"
+    # a refused config neither creates nor truncates the output
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier rows\n")
+    fresh = tmp_path / "fresh.csv"
+    for path in (kept, fresh):
+        assert main(["--dist", "brsimple", "--n", "3", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == "cyclelab: brsimple needs an even n, got 3\n"
+    assert kept.read_text() == "earlier rows\n"
+    assert not fresh.exists()
 
 
 def test_cli_rejects_bad_combination(capsys):
@@ -418,7 +387,7 @@ def test_cli_rejects_bad_combination(capsys):
         (["--layers", "0"], "layers must be even and >= 2, got 0"),
         (["--layers", "-4"], "layers must be even and >= 2, got -4"),
         (["--d", "1"], "outdeg must be >= 2, got 1"),
-        (["--layers", "4096"], "outdeg 2 exceeds layer width 1"),
+        (["--layers", "4096", "--d", "2"], "outdeg 2 exceeds layer width 1"),
         (["--n", "3", "--d", "8"], "no even divisor of 6 within a factor 4 of 1.489"),
         (["--dist", "brsimple", "--n", "3"], "brsimple needs an even n, got 3"),
         # values that ran as depth-0 walls or ended in numpy's seed traceback
@@ -430,6 +399,7 @@ def test_cli_rejects_bad_combination(capsys):
          "walls applies only to alg2, not alg1"),
         (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
         (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
+        (["--layers", "4096"], "outdeg 8 exceeds layer width 1"),  # the default d
     ],
 )
 def test_cli_rejects_bad_instance_shapes(args, message, capsys):

@@ -9,7 +9,6 @@ from cyclelab import (
     EpochReason,
     QueryModel,
     QueryRecord,
-    color_token,
     decompose_epochs,
     gen_br_pair,
     new_oracle,
@@ -30,45 +29,20 @@ def runs(draw):
     return params, seed, queries
 
 
-def seen_through_last_close(history: QueryHistory, cap: int) -> set[int]:
-    dec = decompose_epochs(history, cap)
-    return history.prefix(sum(len(e) for e in dec.closed_epochs)).vertices()
-
-
-def rebuilt_transcript(history: QueryHistory, cap: int, coloring, with_closes: bool) -> str:
-    dec = decompose_epochs(history, cap)
-    epochs = list(dec.closed_epochs) + [dec.current_epoch]
-    lines = []
-    shown: set[int] = set()
-    for n, epoch in enumerate(epochs, start=1):
-        for rec in epoch:
-            lines.append(" ".join([f"q {rec.vertex} :", *map(str, rec.answer)]))
-        if n == len(epochs) or not with_closes:
-            continue
-        lines.append(f"# epoch {n} closed: {dec.end_reasons[n - 1].value}")
-        fresh = sorted(epoch.vertices() - shown)
-        shown.update(fresh)
-        if fresh:
-            body = " ".join(f"{v}={color_token(coloring.color(v))}" for v in fresh)
-            lines.append(f"# reveal {body}")
+def rebuilt_transcript(history: QueryHistory) -> str:
+    lines = [" ".join([f"q {rec.vertex} :", *map(str, rec.answer)]) for rec in history]
     return "".join(line + "\n" for line in lines)
 
 
-@given(runs(), st.sampled_from([QueryModel.VERTEX, QueryModel.COLOR_REVELATION]))
-def test_live_bookkeeping_matches_rebuild(run, model):
+@given(runs())
+def test_live_bookkeeping_matches_rebuild(run):
     params, seed, queries = run
     pair = gen_br_pair(params, np.random.default_rng(seed))
-    cap = params.epoch_cap
-    oracle = new_oracle(pair, model, lenient=True)
-    reveals = model is QueryModel.COLOR_REVELATION
+    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
     for u in queries:
         assert oracle.query_vertex(u) == pair.graph.out_list(u)
-        history = oracle.history
-        assert oracle.epochs == decompose_epochs(history, cap)
-        expected = seen_through_last_close(history, cap) if reveals else set()
-        assert oracle.revealed == {v: pair.coloring.color(v) for v in expected}
     assert oracle.vertex_query_count == len(oracle.history) == len(set(queries))
-    assert oracle.transcript() == rebuilt_transcript(oracle.history, cap, pair.coloring, reveals)
+    assert oracle.transcript() == rebuilt_transcript(oracle.history)
 
 
 @st.composite

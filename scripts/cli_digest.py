@@ -14,21 +14,22 @@ each at three seeds, plus alg1 and alg2 on br at the three sizes with
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus six values refused before any trial
+layer count, an odd brsimple n), plus seven values refused before any trial
 runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
 alg1, which reads neither, ``--time-limit 5``, ``--path-target-mult nan``
-on alg1 and an ``--out`` path in a directory that does not exist): 182 in
-all, some of them usage errors, whose stderr and exit status are compared
+on alg1, an ``--out`` path in a directory that does not exist and
+``--num-walks 1`` on alg2): 183 in all, some of them usage errors, whose stderr and exit status are compared
 too.  The six bad shapes exit 2 with one ``cyclelab:`` line; before the
 shape check in ``ExperimentConfig.validate`` they ended in a traceback, so
 their digests differ from those of older checkouts.  "Layers wider than d"
 runs at the default d, so its message changed when that default went from
-2 to 8.  The six bad values also exit 2 with one ``cyclelab:`` line; before
+2 to 8.  The seven bad values also exit 2 with one ``cyclelab:`` line; before
 they were refused up front, ``--seed -1`` ended in numpy's traceback,
 ``--wall-p -5`` ran as depth-0 walls, alg1 ran as if it had no wall
 options, ``--time-limit 5`` ran with a wall-clock deadline,
-``--path-target-mult nan`` ended in a ``math.ceil`` traceback and the bad
-``--out`` ran every trial before its ``FileNotFoundError`` traceback, so
+``--path-target-mult nan`` ended in a ``math.ceil`` traceback, the bad
+``--out`` ran every trial before its ``FileNotFoundError`` traceback and
+alg2 with one walk a test ran every trial with no stage-2 verdict, so
 their digests differ from those of older checkouts too.
 Two configs run at a time.
 """
@@ -79,6 +80,7 @@ BAD_VALUES = (
      "--seed", "0"],
     ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
      "--seed", "0"],
+    ["--algo", "alg2", "--dist", "br", "--n", "512", "--num-walks", "1", "--seed", "0"],
 )
 
 

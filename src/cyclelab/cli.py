@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query budget per trial (default: per-algorithm)")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     parser.add_argument("--num-walks", type=int, default=6,
-                        help="alg1, alg2: walks per color identification (default 6)")
+                        help="alg1, alg2: at most NUM_WALKS walks per color "
+                             "identification; a test stops once its verdict is settled "
+                             "(default 6; at least 2 for alg2)")
     parser.add_argument("--walls", type=int, default=None,
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")

@@ -229,6 +229,11 @@ def run_birthday_sampler(
     return FinderOutcome(cycle, budget.used(), aux)
 
 
+# share of terminated walks that must agree on one layer for wall_identify's
+# red verdict; the verdict and its settle rule both read it
+_AGREE = 0.8
+
+
 def _implied_layers(
     oracle: Oracle,
     v: int,
@@ -238,12 +243,18 @@ def _implied_layers(
     num_walks: int,
     max_walk_len: int,
     stop,
+    settled,
 ) -> tuple[list[int], int]:
     """Random walks from v; returns the start layers they imply and the walks tried.
 
     A walk ends at a sink, implying L - steps, or on a wall member after at
     least one step, implying that member's layer - steps.  Walks cut short
     by max_walk_len or by stop() imply nothing.
+
+    At most ``num_walks`` walks; a test stops once its verdict is settled.
+    settled(implied, left, layers) is asked before each walk, with ``left``
+    the walks still to go, and a true result means no outcome of those
+    walks (any value, or no termination) can change the caller's verdict.
 
     stop() is polled at each walk start and after each charged query; a
     true result ends the walk before its next query, though a sink that
@@ -264,7 +275,7 @@ def _implied_layers(
     if draws is not rng:
         try:
             return _implied_layers(
-                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop
+                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop, settled
             )
         finally:
             draws._put_back()
@@ -273,8 +284,8 @@ def _implied_layers(
     cached = (oracle.kg.out if oracle.lenient else {}).get
     stream = rng.stream
     bound = 0  # the bound take() serves; reopened when an answer's length differs
-    for _ in range(num_walks):
-        if stop is not None and stop():
+    for left in range(num_walks, 0, -1):
+        if settled(implied, left, layers) or (stop is not None and stop()):
             break
         attempted += 1
         cur = v
@@ -301,6 +312,26 @@ def _implied_layers(
     return implied, attempted
 
 
+def _sink_verdict(implied: list[int], layers: int) -> int | None:
+    """identify_color's verdict: the layer all walks imply, if in 1..L; else BLUE."""
+    if not implied:
+        return None
+    layer = implied[0]
+    if implied.count(layer) < len(implied) or not 1 <= layer <= layers:
+        return BLUE
+    return layer
+
+
+def _sink_settled(implied: list[int], left: int, layers: int) -> bool:
+    """True once ``_sink_verdict`` is BLUE, which no walk left can undo.
+
+    A walk that differs from the first, or implies a layer outside 1..L,
+    stays in the record.  A red verdict is never settled before the last
+    walk, since any walk left could still differ.
+    """
+    return _sink_verdict(implied, layers) == BLUE
+
+
 def identify_color(
     oracle: Oracle,
     v: int,
@@ -317,6 +348,10 @@ def identify_color(
     is blue.  Walks that never reach a sink within 4L steps are
     discarded; if none terminate the verdict is Unknown.
 
+    At most ``num_walks`` walks; a test stops once its verdict is settled:
+    BLUE at the first walk that differs from the first or implies a layer
+    outside 1..L (``_sink_settled``).  A red verdict takes every walk.
+
     stop() is polled at each walk start and after each charged query, and
     a true result ends the walk before its next query, so a caller's
     budget is never overdrawn mid-identification; an interrupted walk
@@ -324,15 +359,10 @@ def identify_color(
 
     rng is a numpy Generator or a finder's draw source.
     """
-    implied, attempted = _implied_layers(oracle, v, {}, layers, rng, num_walks, 4 * layers, stop)
-    if not implied:
-        return ColorEstimate(None, attempted)
-    if len(set(implied)) > 1:
-        return ColorEstimate(BLUE, attempted)
-    layer = implied[0]
-    if 1 <= layer <= layers:
-        return ColorEstimate(layer, attempted)
-    return ColorEstimate(BLUE, attempted)
+    implied, attempted = _implied_layers(
+        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop, _sink_settled
+    )
+    return ColorEstimate(_sink_verdict(implied, layers), attempted)
 
 
 def _grow_blue_path(
@@ -429,8 +459,10 @@ def run_algorithm1(
 ) -> FinderOutcome:
     """Blue-seed search, blue path growth, cycle wait.
 
-    Color tests walk to sinks, at most 4*L steps each.  Defaults: path
-    target 2*sqrt(N) rounded up, budget 100*L*sqrt(N) queries.
+    Color tests walk to sinks, at most 4*L steps each; at most
+    ``num_walks`` walks; a test stops once its verdict is settled (see
+    ``identify_color``).  Defaults: path target 2*sqrt(N) rounded up,
+    budget 100*L*sqrt(N) queries.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
@@ -517,20 +549,46 @@ def wall_identify(
     than two terminated walks.  A start that is itself a wall member gets
     that wall's layer for free.  rng is a numpy Generator or a finder's
     draw source.
+
+    At most ``num_walks`` walks; a test stops once its verdict is settled
+    (``_wall_settled``): red once one layer in 1..L holds 80% of the
+    terminated walks plus those left, blue once no layer in 1..L could
+    reach 80% even if every walk left implied it.
     """
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop, _wall_settled
     )
+    return ColorEstimate(_wall_verdict(implied, layers), attempted)
+
+
+def _wall_verdict(implied: list[int], layers: int) -> int | None:
+    """wall_identify's verdict on the layers its terminated walks imply."""
     if len(implied) < 2:
-        return ColorEstimate(None, attempted)
+        return None
     counts = Counter(implied)
     top_val = max(counts, key=lambda val: (counts[val], -val))
-    if counts[top_val] / len(implied) >= 0.8:
-        color = top_val if 1 <= top_val <= layers else BLUE
-        return ColorEstimate(color, attempted)
-    return ColorEstimate(BLUE, attempted)
+    if counts[top_val] / len(implied) >= _AGREE and 1 <= top_val <= layers:
+        return top_val
+    return BLUE
+
+
+def _wall_settled(implied: list[int], left: int, layers: int) -> bool:
+    """True once ``_wall_verdict`` holds whatever ``left`` more walks do.
+
+    With n walks terminated and c the largest count of one layer in 1..L,
+    the most any such layer can end with is c + left of at most n + left
+    terminated walks, and the least a layer holding c keeps is c of
+    n + left.  So the verdict is red once c / (n + left) reaches _AGREE,
+    BLUE once n >= 2 and (c + left) / (n + left) falls short of it, and
+    unknown once n + left < 2.
+    """
+    total = len(implied) + left
+    if total < 2:
+        return True
+    best = max((implied.count(x) for x in implied if 1 <= x <= layers), default=0)
+    return best / total >= _AGREE or (len(implied) >= 2 and (best + left) / total < _AGREE)
 
 
 @_with_draw_source
@@ -554,7 +612,12 @@ def run_algorithm2(
     Red starts repeat one implied value; blue starts scatter.  Verdict is
     red when at least 80% of terminated walks agree on a layer >= 1, blue
     on scatter or agreement at an impossible layer, unknown with fewer
-    than two terminated walks.
+    than two terminated walks.  In both stages a color test takes at most
+    ``num_walks`` walks; a test stops once its verdict is settled (see
+    ``identify_color`` and ``wall_identify``).  A red start at layer
+    l > L - depth is skipped without a build and counted in
+    aux["wall_failures"]: its BFS would query layer L, whose vertices
+    are sinks, so the build could only fail.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
@@ -601,6 +664,9 @@ def run_algorithm2(
         )
         aux["walks"] += est.walks_used
         if not est.is_red:
+            continue
+        if est.color > layers - depth:  # the build would reach the sink layer
+            aux["wall_failures"] += 1
             continue
         wall = build_wall(oracle, cand, depth, layer_hint=est.color, stop=tracker.exhausted)
         if wall is None:

@@ -24,6 +24,7 @@ from cyclelab import (
     verify_cycle,
     wall_identify,
 )
+from cyclelab.finders import _sink_settled, _sink_verdict, _wall_settled, _wall_verdict
 
 from test_oracle import hand_pair_l8
 
@@ -191,6 +192,46 @@ def test_identify_bulk_accuracy_on_generated_pair():
     reds = [v for v in range(pair.params.v_count) if pair.coloring.color(v) == 3][:10]
     for v in reds:
         assert identify_color(oracle, v, 8, rng).color == 3
+
+
+# a walk's outcome with L = 3: no termination, a layer below 1, each layer
+# of 1..L, a layer above L
+SETTLE_LAYERS = 3
+WALK_OUTCOMES = (None, 0, 1, 2, 3, 4)
+
+
+def verdicts_left(verdict, settled, implied, left):
+    """Every verdict that the walks left can still give; checks the settle rule on the way."""
+    if left == 0:
+        return {verdict(implied, SETTLE_LAYERS)}
+    finals = set()
+    for outcome in WALK_OUTCOMES:
+        after = implied if outcome is None else implied + [outcome]
+        finals |= verdicts_left(verdict, settled, after, left - 1)
+    # settled exactly when no outcome of the walks left changes the verdict,
+    # and then the walks done already give it
+    assert settled(implied, left, SETTLE_LAYERS) == (len(finals) == 1), (implied, left, finals)
+    if len(finals) == 1:
+        assert finals == {verdict(implied, SETTLE_LAYERS)}, (implied, left)
+    return finals
+
+
+@pytest.mark.parametrize("verdict, settled", [(_sink_verdict, _sink_settled),
+                                              (_wall_verdict, _wall_settled)])
+def test_settle_rules_over_every_outcome_sequence(verdict, settled):
+    for num_walks in range(1, 7):
+        finals = verdicts_left(verdict, settled, [], num_walks)
+    assert BLUE in finals and None in finals and set(range(1, SETTLE_LAYERS + 1)) <= finals
+
+
+def test_identify_stops_once_blue_is_settled():
+    # hand pair L = 8: blue 0's first hop decides a sink distance of 8 or 9,
+    # implying layer 0 or -1, so the first walk already settles blue
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    est = identify_color(oracle, 0, 8, np.random.default_rng(0), num_walks=50)
+    assert est.is_blue and est.walks_used == 1
+    red = identify_color(oracle, 24, 8, np.random.default_rng(0), num_walks=50)
+    assert red.color == 3 and red.walks_used == 50  # red takes every walk
 
 
 def test_identify_unknown_without_sinks():

@@ -1,5 +1,9 @@
 """Property tests: the colour-walk loop against its one-call-per-step reference."""
 
+import copy
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,9 +18,17 @@ from cyclelab import (
     gen_br_simple,
     identify_color,
     new_oracle,
+    wall_identify,
 )
+from cyclelab import finders
 from cyclelab._draws import DrawSource
-from cyclelab.finders import _Budget, _implied_layers
+from cyclelab.finders import (
+    _Budget,
+    _implied_layers,
+    _sink_verdict,
+    _wall_settled,
+    _wall_verdict,
+)
 from cyclelab.oracle import RepeatedQuery, VertexOutOfRange
 
 
@@ -98,6 +110,17 @@ def walk_once(loop, oracle, v, member_layer, layers, rng, case, budget):
         return RepeatedQuery
 
 
+def never_settled(implied, left, layers):
+    return False
+
+
+def full_walks(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop):
+    """The walk loop with a rule that never settles, so it runs every walk."""
+    return _implied_layers(
+        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop, never_settled
+    )
+
+
 @given(walk_cases(), st.booleans())
 def test_walk_loop_matches_reference(case, fast):
     # fast: the loop draws from a DrawSource over rng, synced after each
@@ -114,7 +137,7 @@ def test_walk_loop_matches_reference(case, fast):
         want = walk_once(
             reference_implied_layers, ref_oracle, v, ref_members, layers, ref_rng, case, ref_budget
         )
-        got = walk_once(_implied_layers, oracle, v, members, layers, walk_rng, case, budget)
+        got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget)
         if fast:
             walk_rng.sync()
         assert got == want
@@ -124,6 +147,59 @@ def test_walk_loop_matches_reference(case, fast):
         assert budget.used() <= case["max_queries"]
         if want is RepeatedQuery:
             break
+
+
+@given(walk_cases(), st.booleans())
+def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
+    # each colour test runs on the finder's state; the reference runs every
+    # walk on a copy of that state, so its walks extend the test's own
+    layers = case["params"].layers
+    oracle, members, rng, budget = twin(case)
+    if walls:
+        test, verdict = functools.partial(wall_identify, member_layer=members), _wall_verdict
+    else:
+        members = {}
+        test, verdict = identify_color, _sink_verdict
+    num_walks = case["num_walks"]
+    walked = []
+
+    def recorded(*args):
+        walked.append(_implied_layers(*args))
+        return walked[-1]
+
+    for v in case["starts"]:
+        budget.steps += 1
+        ref_oracle, ref_rng, ref_budget = copy.deepcopy((oracle, rng, budget))
+        try:
+            want = reference_implied_layers(
+                ref_oracle, v, members, layers, ref_rng, num_walks, 4 * layers,
+                ref_budget.exhausted,
+            )
+        except RepeatedQuery:
+            want = RepeatedQuery
+        walked.clear()
+        try:
+            with mock.patch.object(finders, "_implied_layers", recorded):
+                est = test(oracle, v, layers=layers, rng=rng, num_walks=num_walks,
+                           stop=budget.exhausted)
+        except RepeatedQuery:
+            assert want is RepeatedQuery  # the test's walks are a prefix of the reference's
+            break
+        history = list(oracle.history)
+        assert history == list(ref_oracle.history)[:len(history)]
+        assert budget.used() <= case["max_queries"]
+        assert est.walks_used <= num_walks
+        if v in members:  # a wall member's layer, with no walk
+            assert est.color == members[v] and est.walks_used == 0 and not walked
+            continue
+        implied, attempted = walked[-1]
+        assert est.walks_used == attempted
+        if want is RepeatedQuery:
+            break  # settled before the revisit that ends the reference's walks
+        want_implied, want_attempted = want
+        assert implied == want_implied[:len(implied)]
+        assert attempted <= want_attempted
+        assert est.color == verdict(want_implied, layers)
 
 
 def test_last_charged_query_can_still_step_onto_a_wall():
@@ -137,7 +213,8 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     members = dict.fromkeys(wall.members, wall.layer_estimate)
     budget = _Budget(oracle, 1, 10)
     implied, attempted = _implied_layers(
-        oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.exhausted
+        oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.exhausted,
+        _wall_settled,
     )
     # the query on `other` spends the budget; its walk still ends on the
     # wall, and no further walk starts

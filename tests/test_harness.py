@@ -55,6 +55,8 @@ def test_config_rejects_bad_combinations():
         walk_config(budget=0).validate()
     with pytest.raises(ConfigError):
         walk_config(num_walks=0).validate()  # every color test inconclusive
+    with pytest.raises(ConfigError, match=r"^num_walks must be >= 2 for alg2$"):
+        walk_config(dist="br", algo="alg2", num_walks=1).validate()  # no wall verdict
     with pytest.raises(ConfigError):
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
     with pytest.raises(ConfigError):
@@ -76,6 +78,8 @@ def test_config_rejects_bad_combinations():
     walk_config().validate()
     walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
     walk_config(dist="br", algo="alg2", wall_p=1).validate()
+    walk_config(dist="br", algo="alg2", num_walks=2).validate()
+    walk_config(dist="br", algo="alg1", num_walks=1).validate()
     walk_config(base_seed=0).validate()
 
 
@@ -400,6 +404,8 @@ def test_cli_rejects_bad_combination(capsys):
         (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
         (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
         (["--layers", "4096"], "outdeg 8 exceeds layer width 1"),  # the default d
+        # wall_identify needs two terminated walks, so no stage-2 verdict
+        (["--algo", "alg2", "--num-walks", "1"], "num_walks must be >= 2 for alg2"),
     ],
 )
 def test_cli_rejects_bad_instance_shapes(args, message, capsys):

@@ -9,8 +9,7 @@ first on ``PYTHONPATH`` (default: this checkout's ``src``), and its digest
 covers the process's stdout, stderr and exit status.  The configs are every
 finder on both distributions at three (n, d) sizes, and on br at four
 (n, layers, d) shapes that reach every branch of the instance generator,
-each at three seeds, plus alg1 and alg2 on br at the three sizes with
-``--no-ancestors``, four trials each with the deadline off, plus alg1 and
+each at three seeds, four trials each with the deadline off, plus alg1 and
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
@@ -18,7 +17,7 @@ layer count, an odd brsimple n), plus seven values refused before any trial
 runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
 alg1, which reads neither, ``--time-limit 5``, ``--path-target-mult nan``
 on alg1, an ``--out`` path in a directory that does not exist and
-``--num-walks 1`` on alg2): 183 in all, some of them usage errors, whose stderr and exit status are compared
+``--num-walks 1`` on alg2): 165 in all, some of them usage errors, whose stderr and exit status are compared
 too.  The six bad shapes exit 2 with one ``cyclelab:`` line; before the
 shape check in ``ExperimentConfig.validate`` they ended in a traceback, so
 their digests differ from those of older checkouts.  "Layers wider than d"
@@ -94,15 +93,9 @@ def configs() -> list[list[str]]:
          "--seed", str(seed)]
         for algo, (n, layers, d), seed in itertools.product(ALGOS, LAYERED, SEEDS)
     ]
-    # the epoch columns without the ancestor pass
-    no_ancestors = [
-        ["--algo", algo, "--dist", "br", "--n", str(n), "--d", str(d), "--seed", str(seed),
-         "--no-ancestors"]
-        for algo, (n, d), seed in itertools.product(("alg1", "alg2"), SIZES, SEEDS)
-    ]
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
-    return [args + TAIL for args in sized + layered + no_ancestors] + paper + [
+    return [args + TAIL for args in sized + layered] + paper + [
         args if "--time-limit" in args else args + TAIL for args in bad + list(BAD_VALUES)
     ]
 

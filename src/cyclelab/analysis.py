@@ -3,8 +3,8 @@
 Three groups of tools:
 
 * Acyclicity distance: exact minimum feedback arc set on small graphs
-  (bitmask DP, cross-checked by factorial brute force).  Parallel edges
-  collapse to one for this count.
+  (bitmask DP; the tests check it against a factorial brute force).
+  Parallel edges collapse to one for this count.
 * Transcript statistics: the epoch rule, surprises, blue surprises,
   longest all-blue paths, ancestor counts.  Queries are grouped into
   epochs of at most L/2; an epoch closes early when a query answer names
@@ -235,7 +235,7 @@ class EpochStats:
     num_surprise: int
     num_blue_surprise: int
     max_blue_path_per_epoch: tuple[int, ...]
-    max_ancestors_blue: int | None
+    max_ancestors_blue: int
 
 
 def max_blue_path(kg: KnowledgeGraph, coloring: Coloring) -> int:
@@ -295,29 +295,24 @@ def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndar
     R is the blue vertices and all their ancestors.  It grows from the
     blue set over the edges into it, and only edges into R are kept; when
     no red vertex points at a blue one (so on every layered instance), R
-    is the blue set itself.  The closure of a vertex is the set of
-    vertices with a path to it, itself included, and the answer is the
-    largest closure's size minus one: every vertex of R reaches a blue
-    vertex, whose closure holds its own.
-
-    A vertex with exactly one edge into it from R, not a self-loop, is
-    single, and its closure is its parent's plus its own bit, whether or
-    not it shares its parent's SCC (if it does, its bit is already there).
-    Following parents up from a single vertex ends at its head, a vertex
-    that is not single; on a cycle of single vertices with no other way
-    in, one of them is made a head.  A leaf, a single vertex with no edge
-    out into R (most of R on a layered run), is counted as its parent's
-    closure plus one and is not touched otherwise.  An iterative Tarjan
-    over the heads alone, reading each edge x -> h into a head as one from
-    x's head, emits each SCC after every SCC that reaches it.  Each vertex
-    but the leaves owns one bit, and an SCC's closure is the OR of its
-    heads' bits and, for each edge x -> h into it, x's closure, or, when
-    x's head is in the same SCC, the bits of the single vertices from x up
-    to that head (they lie on a cycle through it).  Right after its
-    closure, the SCC's chains of single vertices take theirs top-down, by
-    inheritance.  A vertex with an edge into a head holds its closure until
-    every such edge has been read, that is, until the last SCC that reads
-    it is emitted; none outlives the pass.
+    is the blue set itself.  A leaf is a vertex of R with no edge out into
+    R and exactly one edge into it (so blue, and most of R on a layered
+    run): its ancestors are its parent's SCC's closure, so it takes no part
+    in the pass below, and its parent's SCC, when emitted, counts the
+    closure plus one for it.  An iterative Tarjan over the other vertices'
+    parent edges, rooted in ascending order at every vertex of R that has
+    an edge in R and is not a leaf, emits each SCC after every SCC that
+    reaches it.  Each vertex it visits owns one bit, its discovery index,
+    and the closure of an SCC C (the vertices with a path to C, C
+    included) is the OR of its members' bits and of its parent SCCs'
+    closures, one OR per parent edge.  Shared ancestors are counted once,
+    so the count is exact however the parents overlap: a blue v in C has
+    the closure's bit count minus one ancestors.  Every SCC of R reaches a
+    blue vertex, whose closure holds its own, so the largest closure is a
+    blue vertex's; a blue vertex with no edge in R has none.  Each member
+    with an edge out into R holds its SCC's closure until every such edge
+    has been read, that is, until the last SCC that reads it is emitted;
+    none outlives the pass.
     """
     in_r = layer == BLUE  # grows to R
     into = in_r[targets]
@@ -326,51 +321,25 @@ def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndar
         into = in_r[targets]
     src, dst = sources[into], targets[into]
     named, counts = np.unique(dst, return_counts=True)
-    single = np.zeros(len(layer), dtype=bool)
-    single[named[counts == 1]] = True
-    single[src[src == dst]] = False
     has_out = np.zeros(len(layer), dtype=bool)
     has_out[src] = True
-    to_single = single[dst]
-    to_leaf = to_single & ~has_out[dst]
-    to_chain = to_single & ~to_leaf
-    feeds = set(src[to_leaf].tolist())  # the leaves' parents
-    up = dict(zip(dst[to_chain].tolist(), src[to_chain].tolist()))  # single, not leaf -> parent
-    parents: dict[int, list[int]] = {}  # head -> the sources of its edges
-    readers: dict[int, int] = {}  # vertex -> edges out of it into heads not yet read
-    for u, w in zip(src[~to_single].tolist(), dst[~to_single].tolist()):
+    is_leaf = np.zeros(len(layer), dtype=bool)
+    is_leaf[named[(counts == 1) & ~has_out[named]]] = True
+    cut = is_leaf[dst]
+    feeds = set(src[cut].tolist())  # the leaves' parents
+    parents: dict[int, list[int]] = {}
+    readers: dict[int, int] = {}  # vertex -> its edges into non-leaves not yet read
+    for u, w in zip(src[~cut].tolist(), dst[~cut].tolist()):
         parents.setdefault(w, []).append(u)
         readers[u] = readers.get(u, 0) + 1
     has_out[dst] = True  # from here on: has an edge in R
-    heads = np.flatnonzero(has_out & ~single).tolist()  # R's heads, but blue ones with no edge
-    head_of: dict[int, int] = {}  # single vertex, not leaf -> its head
-    for v in list(up):
-        path = []
-        while v in up and v not in head_of:
-            head_of[v] = -1  # on this walk
-            path.append(v)
-            v = up[v]
-        if head_of.get(v) == -1:  # a cycle of single vertices: v becomes its head
-            p = up.pop(v)
-            parents[v] = [p]
-            readers[p] = readers.get(p, 0) + 1
-            heads.append(v)
-            path.remove(v)
-            del head_of[v]
-        else:
-            v = head_of.get(v, v)
-        for x in path:
-            head_of[x] = v
-    kids: dict[int, list[int]] = {}
-    for x, p in up.items():
-        kids.setdefault(p, []).append(x)
-    index: dict[int, int] = {}  # each vertex's bit; for heads, the DFS discovery order
+    index: dict[int, int] = {}  # DFS discovery order, also each vertex's bit
     low: dict[int, int] = {}
-    comp: dict[int, int] = {}  # head -> its SCC's root, set when the SCC is emitted
-    closure: dict[int, int] = {}  # vertex -> its closure, while it has readers
+    comp: dict[int, int] = {}  # vertex -> its SCC's root, set when the SCC is emitted
+    closure: dict[int, int] = {}  # vertex -> its SCC's closure bitset, while it has readers
     best = 1
     stack: list[int] = []
-    for root in heads:
+    for root in np.flatnonzero(has_out & ~is_leaf).tolist():
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -379,7 +348,6 @@ def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndar
         while work:
             v, it = work[-1]
             for p in it:
-                p = head_of.get(p, p)
                 if p not in index:
                     index[p] = low[p] = len(index)
                     stack.append(p)
@@ -404,32 +372,12 @@ def _max_blue_ancestors(sources: np.ndarray, targets: np.ndarray, layer: np.ndar
                     fed = fed or x in feeds
                     for p in parents.get(x, ()):
                         readers[p] -= 1
-                        # a head still on the stack is in this SCC
-                        if comp.get(head_of.get(p, p), v) != v:
+                        if comp.get(p, v) != v:  # a parent still on the stack is in this SCC
                             bits |= closure[p] if readers[p] else closure.pop(p)
-                            continue
-                        while p in up and p not in index:  # up to the head, in this SCC
-                            index[p] = len(index)
-                            bits |= 1 << index[p]
-                            p = up[p]
-                best = max(best, bits.bit_count() + fed)
-                chains = []
                 for x in members:
                     if readers.get(x):
                         closure[x] = bits
-                    for y in kids.get(x, ()):
-                        chains.append((y, bits))
-                while chains:
-                    y, bits = chains.pop()
-                    bits |= 1 << index.setdefault(y, len(index))
-                    if readers.get(y):
-                        closure[y] = bits
-                    below = kids.get(y)
-                    if below:
-                        for z in below:
-                            chains.append((z, bits))
-                    if y in feeds or not below:
-                        best = max(best, bits.bit_count() + (y in feeds))
+                best = max(best, bits.bit_count() + fed)
     assert not closure, "a closure outlived its last reader"
     return best - 1
 
@@ -438,8 +386,6 @@ def epoch_stats(
     history: Oracle | Iterable[tuple[int, tuple[int, ...]]],
     coloring: Coloring,
     epoch_cap: int,
-    *,
-    include_ancestors: bool = True,
 ) -> EpochStats:
     """Post-hoc epoch/surprise/blue-path accounting for a finished run.
 
@@ -470,10 +416,10 @@ def epoch_stats(
     graph of that epoch's pairs.  Ancestor counts come from one pass over
     the SCC condensation of the blue vertices and their ancestors, in which
     each SCC's ancestor set is a bitset: the OR of its members' bits and
-    its parent SCCs' sets, each freed after its last reader.  Vertices with
-    a single parent skip the SCC search and inherit their parent's set (see
-    _max_blue_ancestors).  Pass include_ancestors=False to skip them (the
-    field is then None).
+    its parent SCCs' sets, each freed after its last reader.  A leaf, one
+    of those vertices with a single edge into it and none out to the
+    others, is counted from its parent's set without a search (see
+    _max_blue_ancestors).
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
@@ -524,16 +470,12 @@ def epoch_stats(
         epoch = knowledge_graph(pairs_at(np.arange(bounds[e], bounds[e + 1])))
         per_epoch[e] = max_blue_path(epoch, coloring)
     closing_blue = layer[vertices[ends[surprise] - 1]] == BLUE
-    max_anc = None
-    if include_ancestors:
-        sources = np.repeat(vertices, degrees)
-        max_anc = _max_blue_ancestors(sources, targets, layer)
     return EpochStats(
         len(per_epoch),
         int(np.count_nonzero(surprise)),
         int(np.count_nonzero(closing_blue)),
         tuple(per_epoch),
-        max_anc,
+        _max_blue_ancestors(np.repeat(vertices, degrees), targets, layer),
     )
 
 

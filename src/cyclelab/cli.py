@@ -12,8 +12,8 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     records_to_csv,
+    run_experiment,
 )
-from .harness import run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only 0 (none) is accepted: a trial stops on its query budget")
     parser.add_argument("--no-epoch-stats", action="store_true",
                         help="skip epoch statistics columns")
-    parser.add_argument("--no-ancestors", action="store_true",
-                        help="skip the ancestor-count column (one SCC pass over the blue "
-                             "vertices and their ancestors)")
     parser.add_argument("--timings", action="store_true",
                         help="write real wall-clock ms (breaks byte-identical reruns)")
     return parser
@@ -87,7 +84,6 @@ def main(argv=None) -> int:
         explore_budget=args.explore_budget,
         time_limit=args.time_limit or None,
         collect_epoch_stats=not args.no_epoch_stats,
-        include_ancestors=not args.no_ancestors,
     )
     try:
         config.validate()

@@ -617,7 +617,8 @@ def run_algorithm2(
     ``identify_color`` and ``wall_identify``).  A red start at layer
     l > L - depth is skipped without a build and counted in
     aux["wall_failures"]: its BFS would query layer L, whose vertices
-    are sinks, so the build could only fail.
+    are sinks, so the build could only fail.  Each stage-1 attempt counts
+    one step against the step cap, as it may charge nothing.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
@@ -657,6 +658,7 @@ def run_algorithm2(
     attempts = 0
     while len(walls) < num_walls and attempts < 30 * num_walls + 60 and not tracker.exhausted():
         attempts += 1
+        tracker.steps += 1  # a test through queried vertices charges nothing, so it counts
         cand = rng.below(v_count)
         est = identify_color(
             oracle, cand, layers, rng,

@@ -90,7 +90,6 @@ class ExperimentConfig:
     # benchmark scripts pass them; both go with the next benchmark change.
     time_limit: float | None = None
     collect_epoch_stats: bool = True
-    include_ancestors: bool = True
 
     def validate(self) -> None:
         if self.dist not in DISTRIBUTIONS:
@@ -251,18 +250,8 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
         raise RuntimeError(f"finder claimed an invalid cycle {outcome.cycle}")
 
     epochs = surprises = blue_surprises = mbp = anc = None
-    if (
-        config.dist == "br"
-        and config.collect_epoch_stats
-        and model is QueryModel.VERTEX
-        and coloring is not None
-    ):
-        stats = epoch_stats(
-            oracle,
-            coloring,
-            params.epoch_cap,
-            include_ancestors=config.include_ancestors,
-        )
+    if coloring is not None and config.collect_epoch_stats and model is QueryModel.VERTEX:
+        stats = epoch_stats(oracle, coloring, params.epoch_cap)
         epochs = stats.num_epochs
         surprises = stats.num_surprise
         blue_surprises = stats.num_blue_surprise

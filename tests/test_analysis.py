@@ -136,15 +136,6 @@ def test_epoch_stats_blue_surprise():
     assert st.max_ancestors_blue == 2  # vertex 1 is reachable from 0 and 15
 
 
-def test_epoch_stats_skips_ancestors_on_request():
-    pair = hand_pair_l8()
-    recs = (QueryRecord(0, pair.graph.out_list(0)),)
-    st = epoch_stats(
-        QueryHistory(recs), pair.coloring, pair.params.epoch_cap, include_ancestors=False
-    )
-    assert st.max_ancestors_blue is None
-
-
 # -- out-tree classification --------------------------------------------------
 
 

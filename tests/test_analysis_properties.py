@@ -33,7 +33,7 @@ from cyclelab import analysis
 from cyclelab.oracle import QueryHistory
 
 
-def reference_stats(history, coloring, cap, include_ancestors=True) -> EpochStats:
+def reference_stats(history, coloring, cap) -> EpochStats:
     """One knowledge graph per epoch, one ancestor BFS per blue vertex."""
     dec = decompose_epochs(history, cap)
     surprises = [r is EpochReason.SURPRISE for r in dec.end_reasons]
@@ -44,12 +44,8 @@ def reference_stats(history, coloring, cap, include_ancestors=True) -> EpochStat
     if len(dec.current_epoch):
         segments.append(dec.current_epoch)
     per_epoch = tuple(max_blue_path(knowledge_graph(seg), coloring) for seg in segments)
-    max_anc = None
-    if include_ancestors:
-        kg = knowledge_graph(history)
-        max_anc = max(
-            (ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0
-        )
+    kg = knowledge_graph(history)
+    max_anc = max((ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0)
     return EpochStats(dec.epoch_count(), sum(surprises), blue_surprises, per_epoch, max_anc)
 
 
@@ -75,13 +71,12 @@ small_params = st.builds(
 steps = st.lists(st.integers(0, 2**16), max_size=80)
 
 
-@given(small_params, st.integers(0, 2**32 - 1), steps, st.booleans(), st.integers(1, 6))
-def test_layered_walks_match_reference(params, seed, walk_steps, include_ancestors, cap):
+@given(small_params, st.integers(0, 2**32 - 1), steps, st.integers(1, 6))
+def test_layered_walks_match_reference(params, seed, walk_steps, cap):
     pair = gen_br_pair(params, np.random.default_rng(seed))
     oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
     history = walk(oracle, params.v_count, walk_steps)
-    got = epoch_stats(history, pair.coloring, cap, include_ancestors=include_ancestors)
-    assert got == reference_stats(history, pair.coloring, cap, include_ancestors)
+    assert epoch_stats(history, pair.coloring, cap) == reference_stats(history, pair.coloring, cap)
 
 
 @given(
@@ -134,13 +129,13 @@ def walked_oracles(draw):
     return oracle, coloring
 
 
-@given(walked_oracles(), st.integers(1, 6), st.booleans())
-def test_oracle_reads_like_its_history(run, cap, include_ancestors):
+@given(walked_oracles(), st.integers(1, 6))
+def test_oracle_reads_like_its_history(run, cap):
     oracle, coloring = run
     history = oracle.history
-    got = epoch_stats(oracle, coloring, cap, include_ancestors=include_ancestors)
-    assert got == epoch_stats(history, coloring, cap, include_ancestors=include_ancestors)
-    assert got == reference_stats(history, coloring, cap, include_ancestors)
+    got = epoch_stats(oracle, coloring, cap)
+    assert got == epoch_stats(history, coloring, cap)
+    assert got == reference_stats(history, coloring, cap)
 
 
 def test_adjacency_list_oracle_is_refused():
@@ -213,20 +208,3 @@ def test_isolated_cycle_with_unit_indegrees():
 def test_empty_history():
     coloring = tiny_coloring()
     assert epoch_stats(QueryHistory(()), coloring, 2) == EpochStats(0, 0, 0, (), 0)
-    stats = epoch_stats(QueryHistory(()), coloring, 2, include_ancestors=False)
-    assert stats == EpochStats(0, 0, 0, (), None)
-
-
-def test_include_ancestors_false_keeps_epoch_fields():
-    # red 4 -> blue 0 -> blue 1, then blue 1 -> blue 0 closes a cycle
-    recs = (QueryRecord(4, (0, 6)), QueryRecord(0, (1,)), QueryRecord(1, (0,)))
-    history = QueryHistory(recs)
-    coloring = tiny_coloring()
-    full = epoch_stats(history, coloring, 2)
-    assert full == reference_stats(history, coloring, 2)
-    assert full.max_ancestors_blue == 2
-    skipped = epoch_stats(history, coloring, 2, include_ancestors=False)
-    assert skipped == EpochStats(
-        full.num_epochs, full.num_surprise, full.num_blue_surprise,
-        full.max_blue_path_per_epoch, None,
-    )

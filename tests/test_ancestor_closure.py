@@ -3,10 +3,10 @@
 Drawn transcripts are dense in SCCs with several parent SCCs: diamonds,
 ancestors shared by several cycles, nested cycles, parallel edges,
 self-loops and red -> blue edges.  They are dense too in single-parent
-vertices, which the pass does not search: leaves, counted from their
-parent's closure, and chains, which inherit their parent's closure top
-down, also where a chain closes a cycle through its head or is itself a
-cycle that nothing else enters.
+vertices: leaves, which the pass does not search but counts from their
+parent's closure, and chains, which it searches like any other vertex,
+also where a chain closes a cycle through the vertex it hangs from or is
+itself a cycle that nothing else enters.
 """
 
 import numpy as np
@@ -141,3 +141,14 @@ def test_single_parent_leaves(edges, expected):
 def test_single_parent_chains(edges, expected):
     history = transcript(edges)
     assert max_ancestors(history, EIGHT_BLUE) == expected == bfs_max(history, EIGHT_BLUE)
+
+
+def test_chain_longer_than_the_recursion_limit():
+    # the path 4999 -> 4998 -> ... -> 0 on 5,000 blue vertices: the search
+    # from 1 climbs every parent up to 4999, deeper than Python's default
+    # recursion limit of 1,000.  On a path the end has the most ancestors,
+    # so one BFS from it gives bfs_max's value without a BFS per vertex
+    n = 5000
+    coloring = Coloring(BRParams(n, 2, n, 2), np.repeat(np.arange(3), n))
+    history = transcript([(i + 1, i) for i in range(n - 1)])
+    assert max_ancestors(history, coloring) == n - 1 == ancestor_count(knowledge_graph(history), 0)

@@ -24,6 +24,7 @@ from cyclelab import (
     verify_cycle,
     wall_identify,
 )
+from cyclelab import finders
 from cyclelab.finders import _sink_settled, _sink_verdict, _wall_settled, _wall_verdict
 
 from test_oracle import hand_pair_l8
@@ -369,6 +370,29 @@ def test_algorithm2_finds_verified_cycles():
         assert out.aux["stage1_queries"] > 0
         assert out.aux["stage2_queries"] > 0
         assert out.aux["stage1_queries"] + out.aux["stage2_queries"] == out.queries_used
+
+
+def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
+    # at N = 64, d = 8 (L = 2, wall depth 2) every red start is doomed, so
+    # no wall is built; with every vertex queried first nothing is charged,
+    # and only the step cap (40 x budget + 200 x V) can end stage 1 before
+    # its 30 x num_walls + 60 attempts
+    rng = np.random.default_rng(5)
+    pair = gen_br_pair(auto_params(64, 8), rng)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    for v in range(pair.graph.v_count):
+        oracle.query_vertex(v)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return identify_color(*args, **kwargs)
+
+    monkeypatch.setattr(finders, "identify_color", counted)
+    out = run_algorithm2(oracle, pair.params, rng, num_walls=10**4, budget=1)
+    assert out.queries_used == 0
+    assert out.aux["walls_built"] == 0
+    assert len(calls) <= 40 * 1 + 200 * pair.graph.v_count
 
 
 # -- breadth-first heuristic ------------------------------------------------------

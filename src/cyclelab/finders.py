@@ -78,9 +78,12 @@ class _Budget:
     looping through cached territory must still terminate.  Every finder
     loop counts a step on each pass that may charge nothing, so each loop
     ends.  Callers poll ``exhausted()`` before they charge a query, so the
-    budget is never overdrawn.  Colour walks poll it only at each walk start and after
-    each charged query (see ``_implied_layers``); that is exact, because
-    between those points neither the meter nor ``steps`` moves.
+    budget is never overdrawn.  Colour tests and wall builds instead get
+    ``ceiling()``, taken once as they start, and compare the oracle's
+    vertex-query count with it (see ``_implied_layers`` and
+    ``build_wall``); that is exact, because neither moves ``steps`` or the
+    adjacency count, so the comparison agrees with ``exhausted()`` at
+    every point of the test or build.
     """
 
     def __init__(self, oracle: Oracle, max_queries: int, step_cap: int):
@@ -97,6 +100,15 @@ class _Budget:
         oracle = self.oracle
         used = oracle.vertex_query_count + oracle.adj_query_count - self.start
         return used >= self.max_queries or self.steps >= self.step_cap
+
+    def ceiling(self) -> int:
+        """The vertex-query count at which ``exhausted()`` turns true, while
+        ``steps`` and the adjacency count stay where they are now; the
+        current count once the step cap is spent."""
+        oracle = self.oracle
+        if self.steps >= self.step_cap:
+            return oracle.vertex_query_count
+        return self.start + self.max_queries - oracle.adj_query_count
 
 
 def _with_draw_source(finder):
@@ -242,28 +254,32 @@ def _implied_layers(
     rng,
     num_walks: int,
     max_walk_len: int,
-    stop,
+    stop_at: int | None,
     settled,
 ) -> tuple[list[int], int]:
     """Random walks from v; returns the start layers they imply and the walks tried.
 
     A walk ends at a sink, implying L - steps, or on a wall member after at
     least one step, implying that member's layer - steps.  Walks cut short
-    by max_walk_len or by stop() imply nothing.
+    by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled.
     settled(implied, left, layers) is asked before each walk, with ``left``
     the walks still to go, and a true result means no outcome of those
     walks (any value, or no termination) can change the caller's verdict.
 
-    stop() is polled at each walk start and after each charged query; a
-    true result ends the walk before its next query, though a sink that
-    query found, or a wall member one step on, still ends it normally.
-    On a lenient oracle a vertex already queried is answered straight from
-    the oracle's answer cache, with no call and no poll; a strict oracle
-    is asked every time, so a revisit still raises RepeatedQuery.  The
-    meter and a step cap cannot move between polls, so a budget stops
-    walks exactly as if it were polled before every step.
+    stop_at is an oracle meter reading (``vertex_query_count``), None for
+    no ceiling; a finder passes its budget's ``_Budget.ceiling()``.  The
+    meter is compared with it at each walk start and after each charged
+    query, an integer compare with no call; once it is reached the walk
+    ends before its next query, though a sink that query found, or a wall
+    member one step on, still ends it normally.  On a lenient oracle a
+    vertex already queried is answered straight from the oracle's answer
+    cache, with no call and no compare; a strict oracle is asked every
+    time, so a revisit still raises RepeatedQuery.  The meter moves only
+    at a charged query, and a budget's step count not at all during a
+    test, so walks stop exactly where a poll of ``_Budget.exhausted()``
+    before every step would stop them.
 
     Each step draws from ``rng.stream(len(answer))`` (see ``_draws``),
     reopened only when an answer's length differs from the last one's,
@@ -275,17 +291,19 @@ def _implied_layers(
     if draws is not rng:
         try:
             return _implied_layers(
-                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop, settled
+                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop_at, settled
             )
         finally:
             draws._put_back()
+    if stop_at is None:
+        stop_at = math.inf
     implied = []
     attempted = 0
     cached = (oracle.kg.out if oracle.lenient else {}).get
     stream = rng.stream
     bound = 0  # the bound take() serves; reopened when an answer's length differs
     for left in range(num_walks, 0, -1):
-        if settled(implied, left, layers) or (stop is not None and stop()):
+        if settled(implied, left, layers) or oracle.vertex_query_count >= stop_at:
             break
         attempted += 1
         cur = v
@@ -300,7 +318,7 @@ def _implied_layers(
             answer = cached(cur)
             if answer is None:
                 answer = oracle.query_vertex(cur)
-                halted = stop is not None and stop()
+                halted = oracle.vertex_query_count >= stop_at
             if not answer:
                 implied.append(layers - steps)
                 break
@@ -339,7 +357,7 @@ def identify_color(
     rng,
     *,
     num_walks: int = 6,
-    stop=None,
+    stop_at: int | None = None,
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
@@ -352,15 +370,15 @@ def identify_color(
     BLUE at the first walk that differs from the first or implies a layer
     outside 1..L (``_sink_settled``).  A red verdict takes every walk.
 
-    stop() is polled at each walk start and after each charged query, and
-    a true result ends the walk before its next query, so a caller's
-    budget is never overdrawn mid-identification; an interrupted walk
-    counts as non-terminating.
+    Walks charge no query once the oracle's ``vertex_query_count`` reaches
+    ``stop_at`` (see ``_implied_layers``), so a caller's budget is never
+    overdrawn mid-identification; an interrupted walk counts as
+    non-terminating.
 
     rng is a numpy Generator or a finder's draw source.
     """
     implied, attempted = _implied_layers(
-        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop, _sink_settled
+        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
     )
     return ColorEstimate(_sink_verdict(implied, layers), attempted)
 
@@ -478,7 +496,7 @@ def run_algorithm1(
     def color_of(x: int) -> int | None:
         est = identify_color(
             oracle, x, layers, rng,
-            num_walks=num_walks, stop=tracker.exhausted,
+            num_walks=num_walks, stop_at=tracker.ceiling(),
         )
         aux["walks"] += est.walks_used
         return est.color
@@ -493,21 +511,27 @@ def build_wall(
     depth: int,
     *,
     layer_hint: int | None = None,
-    stop=None,
+    stop_at: int | None = None,
 ) -> Wall | None:
     """Breadth-first frontier exactly `depth` levels below a red vertex.
 
     Fails (returns None) if any vertex within the searched levels is a
     sink: the start sat too close to the bottom for the requested depth.
     layer_estimate is layer_hint + depth when a hint is given, else depth.
+
+    Also fails, before querying a frontier vertex (cached or not), once the
+    oracle's ``vertex_query_count`` has reached ``stop_at``, a meter
+    reading such as ``_Budget.ceiling()``; None means no ceiling.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if stop_at is None:
+        stop_at = math.inf
     frontier = {v}
     for _ in range(depth):
         nxt: set[int] = set()
         for u in sorted(frontier):
-            if stop is not None and stop():
+            if oracle.vertex_query_count >= stop_at:
                 return None
             answer = oracle.query_vertex(u)
             if not answer:
@@ -535,7 +559,7 @@ def wall_identify(
     rng,
     *,
     num_walks: int = 6,
-    stop=None,
+    stop_at: int | None = None,
 ) -> ColorEstimate:
     """Color a vertex by walk lengths against walls instead of sinks.
 
@@ -553,12 +577,14 @@ def wall_identify(
     At most ``num_walks`` walks; a test stops once its verdict is settled
     (``_wall_settled``): red once one layer in 1..L holds 80% of the
     terminated walks plus those left, blue once no layer in 1..L could
-    reach 80% even if every walk left implied it.
+    reach 80% even if every walk left implied it.  Walks charge no query
+    once the oracle's ``vertex_query_count`` reaches ``stop_at``, as in
+    ``identify_color``.
     """
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop, _wall_settled
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _wall_settled
     )
     return ColorEstimate(_wall_verdict(implied, layers), attempted)
 
@@ -662,7 +688,7 @@ def run_algorithm2(
         cand = rng.below(v_count)
         est = identify_color(
             oracle, cand, layers, rng,
-            num_walks=num_walks, stop=tracker.exhausted,
+            num_walks=num_walks, stop_at=tracker.ceiling(),
         )
         aux["walks"] += est.walks_used
         if not est.is_red:
@@ -670,7 +696,7 @@ def run_algorithm2(
         if est.color > layers - depth:  # the build would reach the sink layer
             aux["wall_failures"] += 1
             continue
-        wall = build_wall(oracle, cand, depth, layer_hint=est.color, stop=tracker.exhausted)
+        wall = build_wall(oracle, cand, depth, layer_hint=est.color, stop_at=tracker.ceiling())
         if wall is None:
             aux["wall_failures"] += 1
             continue
@@ -683,7 +709,7 @@ def run_algorithm2(
     def wall_color_of(x: int) -> int | None:
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
-            num_walks=num_walks, stop=tracker.exhausted,
+            num_walks=num_walks, stop_at=tracker.ceiling(),
         )
         if est.walks_used == 0 and est.color is not None:
             aux["wall_hits"] += 1

@@ -272,8 +272,9 @@ def gen_coloring(params: BRParams, rng: np.random.Generator) -> Coloring:
     return Coloring(params, rng.permutation(pebbles))
 
 
-# Row-chunk for the pairwise repeat check: d columns of this many int64
-# values stay in cache while all of their pairs are compared.
+# Row-chunk for the pairwise repeat check: d columns of this many int32
+# values stay in cache while all of their pairs are compared.  gen_br_graph
+# also draws its red layers in groups of about this many rows.
 _CHUNK = 8192
 
 
@@ -301,49 +302,100 @@ def _repeated_rows(block: np.ndarray) -> np.ndarray:
     return np.flatnonzero(repeated)
 
 
-def _distinct_rows(rng: np.random.Generator, rows: int, high: int, d: int) -> np.ndarray:
-    """rows x d int64 matrix, each row d distinct uniform draws from range(high).
+def _distinct_rows(
+    rng: np.random.Generator, blocks: int, rows: int, high: int, d: int
+) -> np.ndarray:
+    """(blocks, rows, d) int32 array; block b is what the b-th of ``blocks``
+    consecutive calls for one rows x d block would return: each row d
+    distinct uniform draws from range(high).
 
     Rows are ordered uniformly (iid draws conditioned on distinctness).
-    Consumption order: one full matrix, then whole-row redraws, in one call
-    and ascending row order, for the rows that contained repeats, repeated
-    until clean.  Falls back to per-row permutations when d is a large
-    fraction of the range, or when a row of iid draws is distinct with
-    probability below 1e-3 (over a thousand expected redraws per row).
+    Consumption order, block by block: one full rows x d matrix, then
+    whole-row redraws, in one call and ascending row order, for the rows
+    that contained repeats, repeated until clean.  Falls back to per-row
+    permutations when d is a large fraction of the range, or when a row of
+    iid draws is distinct with probability below 1e-3 (over a thousand
+    expected redraws per row).
+
+    The iid draws all have one bound, and numpy's bounded draws of one bound
+    read one stream of 32-bit words however calls split them, with int32
+    values equal to int64 ones.  So every block's first matrix is drawn in
+    one call and checked for repeats once; the blocks then read that stream
+    in the order above, a redraw taking the rows after those already read.
+    Rows past the first matrices are drawn only when a read reaches them,
+    together with the later blocks' rows, which are certain to be read, so
+    the generator ends where the separate calls would leave it.
     """
     if d > high:
         raise InfeasibleSampling(f"cannot draw {d} distinct values from {high}")
-    if rows == 0:
-        return np.empty((0, d), dtype=np.int64)
+    if blocks * rows == 0:
+        return np.empty((blocks, rows, d), dtype=np.int32)
     if d * 2 > high or math.prod(1 - k / high for k in range(d)) < 1e-3:
-        out = np.empty((rows, d), dtype=np.int64)
-        for i in range(rows):
-            out[i] = rng.permutation(high)[:d]
+        out = np.empty((blocks, rows, d), dtype=np.int32)
+        for row in out.reshape(-1, d):
+            row[:] = rng.permutation(high)[:d]
         return out
-    out = rng.integers(0, high, size=(rows, d), dtype=np.int64)
-    bad = _repeated_rows(out)
-    while bad.size:
-        # rows outside bad are clean and stay so: only the redrawn ones are checked
-        out[bad] = redrawn = rng.integers(0, high, size=(bad.size, d), dtype=np.int64)
-        bad = bad[_repeated_rows(redrawn)]
+
+    def repeats(m: np.ndarray) -> np.ndarray:
+        mask = np.zeros(len(m), dtype=bool)
+        mask[_repeated_rows(m)] = True
+        return mask
+
+    out = rng.integers(0, high, size=(blocks, rows, d), dtype=np.int32)
+    # the stream of rows still to be read: stream[at:], then undrawn ones
+    stream = out.reshape(-1, d)
+    repeated = repeats(stream)
+    at = 0
+
+    def read(k: int, later: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next k rows and their repeat mask; ``later`` more rows are
+        certain to be read after them."""
+        nonlocal stream, repeated, at
+        if at + k > len(stream):
+            fresh = rng.integers(0, high, size=(at + k + later - len(stream), d), dtype=np.int32)
+            stream = np.concatenate((stream[at:], fresh))
+            repeated = np.concatenate((repeated[at:], repeats(fresh)))
+            at = 0
+        at += k
+        return stream[at - k:at], repeated[at - k:at]
+
+    for b in range(blocks):
+        later = (blocks - 1 - b) * rows  # the later blocks' first matrices
+        first, redo = read(rows, later)
+        if b:  # block 0's rows are read where they were drawn
+            out[b] = first
+        bad = np.flatnonzero(redo)
+        while bad.size:
+            # rows outside bad are clean and stay so: only the redrawn ones are checked
+            fill, redo = read(bad.size, later)
+            out[b, bad] = fill
+            bad = bad[redo]
     return out
+
+
+def _as_items(matrix: np.ndarray) -> np.ndarray:
+    """A C-contiguous matrix viewed as one opaque item a row, so that a
+    scattered write moves each row in one copy."""
+    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).reshape(-1)
 
 
 def gen_br_graph(coloring: Coloring, rng: np.random.Generator) -> Digraph:
     """Draw the adjacency lists for a fixed coloring.
 
     Consumption order: blue rows in increasing vertex id, then red rows
-    layer by layer (1..L-1), each layer in increasing vertex id.  Each
-    class's rows are drawn as index matrices (``_distinct_rows``) and
-    written, mapped to vertex ids, straight into one int32 block that holds
-    the non-sink rows in vertex order.
+    layer by layer (1..L-1), each layer in increasing vertex id.  Rows are
+    drawn as int32 index matrices (``_distinct_rows``): the blue ones in
+    one call, the red layers in groups of consecutive layers of about
+    ``_CHUNK`` rows a call, one block a layer.  They are written, mapped to
+    vertex ids, straight into one int32 block that holds the non-sink rows
+    in vertex order.
     """
     p = coloring.params
     n, l, w, d = p.n_blue, p.layers, p.width, p.outdeg
     layer = coloring.layer_by_vertex
 
     # blue, then layers 1..L, each in increasing vertex id
-    by_class = np.argsort(layer, kind="stable")
+    by_class = np.argsort(layer, kind="stable").astype(np.int32)
     pool = np.flatnonzero(layer <= l // 2).astype(np.int32)  # 2N vertices
     if len(pool) - 1 < d:
         raise InfeasibleSampling(f"blue pool {len(pool) - 1} smaller than outdeg {d}")
@@ -355,19 +407,25 @@ def gen_br_graph(coloring: Coloring, rng: np.random.Generator) -> Digraph:
     offsets = np.zeros(p.v_count + 1, dtype=np.int64)
     np.multiply(rank, d, out=offsets[1:])
     block = np.empty((int(rank[-1]), d), dtype=np.int32)
+    block_rows = _as_items(block)
     rank -= 1
 
     # Blue rows: sample from the pool minus the vertex itself by drawing
     # indices into a (2N-1)-element range and skipping the vertex's slot.
     blue = by_class[:n]
-    idx = _distinct_rows(rng, n, len(pool) - 1, d)
-    idx += idx >= np.searchsorted(pool, blue)[:, None]
-    block[rank[blue]] = pool[idx]
+    idx = _distinct_rows(rng, 1, n, len(pool) - 1, d)[0]
+    idx += idx >= np.flatnonzero(layer[pool] == BLUE)[:, None]  # each blue vertex's slot
+    block_rows[rank[blue]] = _as_items(pool[idx])
 
-    for i in range(1, l):
-        src = by_class[n + (i - 1) * w:n + i * w]
-        dst = by_class[n + i * w:n + (i + 1) * w]
-        block[rank[src]] = dst[_distinct_rows(rng, w, w, d)]
+    # Red layers lo..hi-1 at a time: layer i's rows index layer i + 1, which
+    # by_class lists from n + i * w on
+    group = max(1, _CHUNK // w)
+    for lo in range(1, l, group):
+        hi = min(lo + group, l)
+        idx = _distinct_rows(rng, hi - lo, w, w, d)
+        idx += (n + w * np.arange(lo, hi, dtype=np.int32))[:, None, None]
+        src = by_class[n + (lo - 1) * w:n + (hi - 1) * w]
+        block_rows[rank[src]] = _as_items(by_class[idx].reshape(-1, d))
 
     return Digraph(offsets, block.reshape(-1))
 

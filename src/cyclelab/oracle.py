@@ -104,29 +104,34 @@ class KnowledgeGraph:
     ``out`` maps each queried vertex to its answer, in the order they were
     added, and is the only thing stored; it is the oracle's answer cache
     and transcript too.  ``vertices`` (the seen set), ``sinks`` and
-    ``in_edges`` are derived: built from ``out`` on their first read after
-    a change and kept until the next add.  Can be built incrementally from
+    ``in_edges`` are derived: built from ``out`` on their first read and
+    kept while ``len(out)`` stays the same.  So a new vertex stored
+    straight into ``out`` (the oracle's charged query) needs no other
+    step; ``add_record`` and ``add_edge``, which may change a stored
+    answer, drop the views themselves.  Can be built incrementally from
     records or assembled by hand for the tree-classification helpers.
     """
 
     def __init__(self) -> None:
         self.out: dict[int, tuple[int, ...]] = {}
-        self._derived: dict[str, object] | None = None
+        self._derived: dict[str, object] = {}
+        self._derived_at = 0  # len(out) when the views in _derived were built
 
     def add_record(self, rec: tuple[int, tuple[int, ...]]) -> None:
         u, answer = rec
         self.out[u] = answer
-        self._derived = None
+        self._derived = {}
 
     def add_edge(self, u: int, v: int) -> None:
         """Append one answer entry v to u's known out-list."""
         self.out[u] = self.out.get(u, ()) + (v,)
-        self._derived = None
+        self._derived = {}
 
     def _view(self, name: str, derive):
+        if self._derived_at != len(self.out):
+            self._derived = {}
+            self._derived_at = len(self.out)
         derived = self._derived
-        if derived is None:
-            derived = self._derived = {}
         if name not in derived:
             derived[name] = derive(self.out.items())
         return derived[name]
@@ -238,7 +243,7 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        self.kg.add_record((u, answer))
+        self.kg.out[u] = answer  # a new vertex: the knowledge graph's views stay valid
         self.vertex_query_count += 1
         return answer
 

@@ -1,4 +1,5 @@
-"""Property tests: the colour-walk loop against its one-call-per-step reference."""
+"""Property tests: the colour-walk loop and the wall build against their one-call-per-step
+references, which poll the budget before every step."""
 
 import copy
 import functools
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cyclelab import (
     BLUE,
     BRParams,
+    ColorEstimate,
     QueryModel,
     build_wall,
     gen_br_pair,
@@ -100,11 +102,11 @@ def twin(case):
     return oracle, member_layer, np.random.default_rng(case["seed"] + 1), budget
 
 
-def walk_once(loop, oracle, v, member_layer, layers, rng, case, budget):
+def walk_once(loop, oracle, v, member_layer, layers, rng, case, stop):
     try:
         return loop(
             oracle, v, member_layer, layers, rng,
-            case["num_walks"], case["max_walk_len"], budget.exhausted,
+            case["num_walks"], case["max_walk_len"], stop,
         )
     except RepeatedQuery:
         return RepeatedQuery
@@ -114,10 +116,10 @@ def never_settled(implied, left, layers):
     return False
 
 
-def full_walks(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop):
+def full_walks(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop_at):
     """The walk loop with a rule that never settles, so it runs every walk."""
     return _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop, never_settled
+        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop_at, never_settled
     )
 
 
@@ -135,9 +137,10 @@ def test_walk_loop_matches_reference(case, fast):
         ref_budget.steps += 1
         budget.steps += 1
         want = walk_once(
-            reference_implied_layers, ref_oracle, v, ref_members, layers, ref_rng, case, ref_budget
+            reference_implied_layers, ref_oracle, v, ref_members, layers, ref_rng, case,
+            ref_budget.exhausted,
         )
-        got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget)
+        got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget.ceiling())
         if fast:
             walk_rng.sync()
         assert got == want
@@ -181,7 +184,7 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         try:
             with mock.patch.object(finders, "_implied_layers", recorded):
                 est = test(oracle, v, layers=layers, rng=rng, num_walks=num_walks,
-                           stop=budget.exhausted)
+                           stop_at=budget.ceiling())
         except RepeatedQuery:
             assert want is RepeatedQuery  # the test's walks are a prefix of the reference's
             break
@@ -213,7 +216,7 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     members = dict.fromkeys(wall.members, wall.layer_estimate)
     budget = _Budget(oracle, 1, 10)
     implied, attempted = _implied_layers(
-        oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.exhausted,
+        oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.ceiling(),
         _wall_settled,
     )
     # the query on `other` spends the budget; its walk still ends on the
@@ -246,3 +249,98 @@ def test_out_of_range_start_still_raises(v):
     identify_color(oracle, 0, 4, np.random.default_rng(4))  # fill the answer cache
     with pytest.raises(VertexOutOfRange):
         identify_color(oracle, v, 4, np.random.default_rng(4), num_walks=1)
+
+
+# -- budget stops: the query ceiling against the stop() poll it replaced ----------
+
+
+def reference_build_wall(oracle, v, depth, stop):
+    """build_wall's levels as they were, with one stop() poll before each frontier vertex."""
+    frontier = {v}
+    for _ in range(depth):
+        nxt: set[int] = set()
+        for u in sorted(frontier):
+            if stop():
+                return None
+            answer = oracle.query_vertex(u)
+            if not answer:
+                return None
+            nxt.update(answer)
+        frontier = nxt
+    return frozenset(frontier)
+
+
+def layer_one_twins(params, seed):
+    """Two lenient oracles on one instance, and a layer-1 vertex of it."""
+    pair = gen_br_pair(params, np.random.default_rng(seed))
+    v = int(pair.coloring.layer_vertices(1)[0])
+    return [new_oracle(pair, QueryModel.VERTEX, lenient=True) for _ in range(2)], v, pair
+
+
+@pytest.mark.parametrize("max_queries", range(0, 19))
+def test_colour_test_stops_mid_walk_on_the_polled_query(max_queries):
+    # a walk from layer 1 of 8 queries 8 vertices before its sink ends it,
+    # so most of these budgets run out in the middle of a walk
+    (ref_oracle, oracle), v, _ = layer_one_twins(BRParams(256, 8, 64, 4), 11)
+    ref_budget, budget = _Budget(ref_oracle, max_queries, 10), _Budget(oracle, max_queries, 10)
+    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    implied, attempted = reference_implied_layers(
+        ref_oracle, v, {}, 8, ref_rng, 6, 32, ref_budget.exhausted
+    )
+    est = identify_color(oracle, v, 8, rng, num_walks=6, stop_at=budget.ceiling())
+    assert oracle.history == ref_oracle.history
+    assert budget.used() == ref_budget.used() <= max_queries
+    if 0 < max_queries < 8:  # spent inside the first walk, which implies nothing
+        assert (implied, attempted) == ([], 1)
+    assert est.walks_used == attempted
+    assert est.color == _sink_verdict(implied, 8)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("max_queries", range(0, 24))
+def test_wall_build_stops_mid_level_on_the_polled_query(max_queries):
+    # depth 3 at d = 4: one query on level 0, four on level 1, up to sixteen
+    # on level 2; two level-1 vertices are cached before the build, and the
+    # poll came before cached vertices too
+    (ref_oracle, oracle), v, pair = layer_one_twins(BRParams(256, 8, 64, 4), 12)
+    for o in (ref_oracle, oracle):
+        for u in sorted(pair.graph.out_list(v))[1:3]:
+            o.query_vertex(u)
+    ref_budget, budget = _Budget(ref_oracle, max_queries, 10), _Budget(oracle, max_queries, 10)
+    want = reference_build_wall(ref_oracle, v, 3, ref_budget.exhausted)
+    if 1 <= max_queries < 7:  # spent inside level 1 or level 2 (at least d = 4 wide)
+        assert want is None
+    wall = build_wall(oracle, v, 3, layer_hint=1, stop_at=budget.ceiling())
+    assert (wall.members if wall is not None else None) == want
+    assert oracle.history == ref_oracle.history
+    assert budget.used() == ref_budget.used() <= max_queries
+
+
+def test_spent_step_cap_starts_no_walk_and_no_build():
+    (oracle, _), v, pair = layer_one_twins(BRParams(256, 8, 64, 4), 13)
+    budget = _Budget(oracle, 100, step_cap=3)
+    budget.steps = 3
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    member = int(pair.coloring.layer_vertices(5)[0])
+    assert identify_color(oracle, v, 8, rng, stop_at=budget.ceiling()) == ColorEstimate(None, 0)
+    est = wall_identify(oracle, v, {member: 5}, 8, rng, stop_at=budget.ceiling())
+    assert est == ColorEstimate(None, 0)
+    assert build_wall(oracle, v, 2, stop_at=budget.ceiling()) is None
+    assert oracle.vertex_query_count == 0 and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("model", [QueryModel.VERTEX, QueryModel.ADJ_LIST])
+def test_ceiling_agrees_with_exhausted(model):
+    # after each query and each step, until both the budget and the cap are spent
+    pair = gen_br_pair(BRParams(16, 4, 8, 3), np.random.default_rng(14))
+    oracle = new_oracle(pair, model, lenient=True)
+    query = oracle.query_vertex if model is QueryModel.VERTEX else lambda u: oracle.query_adj(u, 1)
+    query(0)  # a budget opens on a meter that has moved
+    budget = _Budget(oracle, 5, step_cap=9)
+    for u in range(1, 13):
+        assert (oracle.vertex_query_count >= budget.ceiling()) == budget.exhausted()
+        query(u)
+        budget.steps += 1
+        assert (oracle.vertex_query_count >= budget.ceiling()) == budget.exhausted()
+    assert budget.exhausted()

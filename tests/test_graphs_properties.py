@@ -26,7 +26,7 @@ from cyclelab import (
     gen_coloring,
     validate_br,
 )
-from cyclelab.graphs import _distinct_rows, _repeated_rows
+from cyclelab.graphs import _CHUNK, _distinct_rows, _repeated_rows
 
 
 def reference_distinct_rows(rng, rows, high, d, reached=None):
@@ -112,8 +112,9 @@ def reference_repeated_rows(block):
 # Shapes pinned as examples, so that every path of the row sampler runs
 # whatever the drawn shapes are: iid rows with redraws, both in wide and in
 # narrow layers; rows drawn by permutation because 2d > W (d = W included)
-# or because iid rows would rarely be distinct; L = 2; and more blue rows
-# than one chunk of the pairwise repeat check.
+# or because iid rows would rarely be distinct; L = 2; more blue rows
+# than one chunk of the pairwise repeat check; and 31 red layers of 512
+# rows, which the generator draws in two groups of layers.
 PINNED = [
     BRParams(2048, 32, 128, 3),
     BRParams(128, 32, 8, 5),
@@ -121,6 +122,7 @@ PINNED = [
     BRParams(16, 8, 4, 4),
     BRParams(40, 2, 40, 40),
     BRParams(12288, 8, 3072, 8),
+    BRParams(8192, 32, 512, 8),
 ]
 
 
@@ -145,6 +147,8 @@ def test_pinned_shapes_reach_every_sampler_path():
     assert reached == {"iid", "redraw", "wide", "rare"}
     assert any(p.layers == 2 for p in PINNED)
     assert any(p.outdeg == p.width for p in PINNED)
+    # red layers drawn in groups of several layers, and in more than one group
+    assert any(1 < _CHUNK // p.width < p.layers - 1 for p in PINNED)
 
 
 @given(params=br_params(), seed=st.integers(0, 2**32 - 1))
@@ -154,6 +158,7 @@ def test_pinned_shapes_reach_every_sampler_path():
 @example(params=PINNED[3], seed=3)
 @example(params=PINNED[4], seed=4)
 @example(params=PINNED[5], seed=5)
+@example(params=PINNED[6], seed=6)
 def test_generation_equals_reference(params, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     pair = gen_br_pair(params, rng)
@@ -176,10 +181,66 @@ def test_distinct_rows_equals_reference(seed, rows, high, d, prior):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for g in (rng, ref_rng):
         g.integers(7, size=prior)  # a buffered half, or none
-    got = _distinct_rows(rng, rows, high, d)
+    got = _distinct_rows(rng, 1, rows, high, d)[0]
     want = reference_distinct_rows(ref_rng, rows, high, d)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# (blocks, rows, high, d, prior draws) pinned for the blocked draw:
+# redraws in most blocks, so that the reads run past the first matrices,
+# also within a block's first rows (the second and third cases); the wide
+# and the rare fallbacks; no block or no row; and one prior draw, which
+# leaves a buffered half-word for the first draw to use
+BLOCKED = [
+    (4, 40, 24, 5, 1),
+    (3, 200, 60, 8, 0),
+    (5, 7, 9, 4, 1),
+    (3, 6, 10, 6, 2),
+    (3, 4, 127, 63, 1),
+    (0, 5, 30, 3, 0),
+    (4, 0, 30, 3, 1),
+]
+
+
+def consecutive_calls(rng, blocks, rows, high, d, reached=None):
+    return [reference_distinct_rows(rng, rows, high, d, reached) for _ in range(blocks)]
+
+
+def assert_blocked_draw_equals_consecutive_calls(seed, blocks, rows, high, d, prior):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for g in (rng, ref_rng):
+        g.integers(7, size=prior)
+    got = _distinct_rows(rng, blocks, rows, high, d)
+    want = consecutive_calls(ref_rng, blocks, rows, high, d)
+    assert got.shape == (blocks, rows, d) and got.dtype == np.int32
+    for b in range(blocks):
+        assert np.array_equal(got[b], want[b])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pinned_blocked_draws_reach_every_path():
+    reached = set()
+    for blocks, rows, high, d, _ in BLOCKED:
+        consecutive_calls(np.random.default_rng(0), blocks, rows, high, d, reached)
+    assert reached == {"iid", "redraw", "wide", "rare"}
+
+
+@pytest.mark.parametrize("seed", range(len(BLOCKED)))
+def test_pinned_blocked_draw_equals_consecutive_calls(seed):
+    assert_blocked_draw_equals_consecutive_calls(seed, *BLOCKED[seed])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(0, 6),
+    rows=st.integers(0, 60),
+    high=st.integers(2, 200),
+    d=st.integers(2, 24),
+    prior=st.integers(0, 2),
+)
+def test_blocked_draw_equals_consecutive_calls(seed, blocks, rows, high, d, prior):
+    assert_blocked_draw_equals_consecutive_calls(seed, blocks, rows, high, min(d, high), prior)
 
 
 @given(

@@ -274,14 +274,13 @@ def max_blue_path(kg: KnowledgeGraph, coloring: Coloring) -> int:
 
 def ancestor_count(kg: KnowledgeGraph, u: int) -> int:
     """Vertices other than u with a directed path to u in kg."""
-    if u not in kg.vertices:
-        return 0
+    parents = kg.in_edges
     seen = {u}
     frontier = [u]
     while frontier:
         nxt = []
         for y in frontier:
-            for x in kg.parents_of(y):
+            for x in parents.get(y, ()):
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)
@@ -498,7 +497,8 @@ class TreeType:
 
 
 def _tree_components(kg: KnowledgeGraph):
-    indeg = dict.fromkeys(kg.vertices, 0)
+    seen = kg.vertices
+    indeg = dict.fromkeys(seen, 0)
     for v, parents in kg.in_edges.items():
         if len(parents) > 1:
             raise NotAForest(f"vertex {v} has in-degree {len(parents)}")
@@ -520,8 +520,8 @@ def _tree_components(kg: KnowledgeGraph):
             frontier = nxt
         claimed.update(order)
         comps.append((r, order, depth))
-    if claimed != kg.vertices:
-        stray = sorted(kg.vertices - claimed)
+    if claimed != seen:
+        stray = sorted(seen - claimed)
         raise NotAForest(f"vertices {stray[:5]} are on cycles (unreachable from any root)")
     return comps
 
@@ -538,13 +538,14 @@ def classify_trees(
     on whether the tree contains a known sink.
     """
     out = []
+    sinks = epoch_kg.sinks
     for root, order, depth in _tree_components(epoch_kg):
         height = max(depth.values())
         if root in prior_vkg:
             if root not in revealed:
                 raise ValueError(f"root {root} was seen before the epoch but has no revealed color")
             kind = TreeKind.TYPE2 if revealed[root] == BLUE else TreeKind.TYPE1
-        elif any(v in epoch_kg.sinks for v in order):
+        elif any(v in sinks for v in order):
             kind = TreeKind.TYPE3
         else:
             kind = TreeKind.TYPE4
@@ -572,6 +573,7 @@ def sample_naive_coloring(
     ascending root order, vertices in breadth-first order within a tree.
     """
     n, layers, width = params.n_blue, params.layers, params.width
+    sinks = epoch_kg.sinks
     colors: dict[int, int] = {}
 
     def assign(v: int, c: int) -> None:
@@ -592,7 +594,7 @@ def sample_naive_coloring(
             frontier = [(root, 0)]
             while frontier:
                 u, depth = frontier.pop()
-                if u in epoch_kg.sinks:
+                if u in sinks:
                     sink_depths.add(depth)
                 frontier.extend((w, depth + 1) for w in epoch_kg.out_of(u))
             if len(sink_depths) != 1:
@@ -680,8 +682,9 @@ def enumerate_conditional_colorings(
     n, layers, width, d = params.n_blue, params.layers, params.width, params.outdeg
     total = params.v_count
     kg = knowledge_graph(history)
-    vkg = sorted(kg.vertices)
-    if not set(revealed) <= kg.vertices:
+    seen, parents = kg.vertices, kg.in_edges
+    vkg = sorted(seen)
+    if not set(revealed) <= seen:
         raise ValueError("revealed colors must concern seen vertices")
 
     def falling(a: int, k: int) -> int:
@@ -719,7 +722,7 @@ def enumerate_conditional_colorings(
                 cw = assignment.get(w)
                 if cw is not None and not edge_ok(cv, cw):
                     return False
-        for u in kg.parents_of(v):
+        for u in parents.get(v, ()):
             cu = assignment.get(u)
             if cu is not None and u != v and not edge_ok(cu, cv):
                 return False

@@ -13,11 +13,10 @@ Five strategies:
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
 
-Walk-based finders revisit vertices, so they need an oracle constructed
-with lenient=True (revisits are answered from cache at zero query cost).
-Every returned cycle is read off the oracle's knowledge graph, hence
-consists of real edges; the harness re-verifies against the hidden graph
-anyway.
+Walk-based finders revisit vertices; the oracle answers a revisit from
+its cache at zero query cost.  Every returned cycle is read off the
+oracle's knowledge graph, hence consists of real edges; the harness
+re-verifies against the hidden graph anyway.
 """
 
 from __future__ import annotations
@@ -74,9 +73,9 @@ class Wall:
 class _Budget:
     """Query budget plus a raw step cap.
 
-    The step cap exists because lenient revisits cost no queries: a walk
-    looping through cached territory must still terminate.  Every finder
-    loop counts a step on each pass that may charge nothing, so each loop
+    The step cap exists because revisits cost no queries: a walk looping
+    through cached territory must still terminate.  Every finder loop
+    counts a step on each pass that may charge nothing, so each loop
     ends.  Callers poll ``exhausted()`` before they charge a query, so the
     budget is never overdrawn.  Colour tests and wall builds instead get
     ``ceiling()``, taken once as they start, and compare the oracle's
@@ -114,11 +113,11 @@ class _Budget:
 def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
 
-    The finder draws through ``rng.below`` and ``rng.stream``.  Whatever
-    way it ends, a return or an exception such as ``RepeatedQuery``, the
-    caller's generator is left exactly where ``int(rng.integers(k))`` draws
-    would have left it.
-    A draw source passed as ``rng`` is used as it is, and its owner syncs it.
+    Wraps the five finders and the two colour tests, which draw through
+    ``rng.below`` and ``rng.stream``.  Whatever way one ends, a return or
+    an exception, the caller's generator is left exactly where
+    ``int(rng.integers(k))`` draws would have left it.  A draw source
+    passed as ``rng`` is used as it is, and its owner syncs it.
     """
     at = list(inspect.signature(finder).parameters).index("rng")
 
@@ -273,33 +272,22 @@ def _implied_layers(
     meter is compared with it at each walk start and after each charged
     query, an integer compare with no call; once it is reached the walk
     ends before its next query, though a sink that query found, or a wall
-    member one step on, still ends it normally.  On a lenient oracle a
-    vertex already queried is answered straight from the oracle's answer
-    cache, with no call and no compare; a strict oracle is asked every
-    time, so a revisit still raises RepeatedQuery.  The meter moves only
-    at a charged query, and a budget's step count not at all during a
-    test, so walks stop exactly where a poll of ``_Budget.exhausted()``
-    before every step would stop them.
+    member one step on, still ends it normally.  A vertex already queried
+    is answered straight from the oracle's answer cache, with no call and
+    no compare.  The meter moves only at a charged query, and a budget's
+    step count not at all during a test, so walks stop exactly where a
+    poll of ``_Budget.exhausted()`` before every step would stop them.
 
     Each step draws from ``rng.stream(len(answer))`` (see ``_draws``),
     reopened only when an answer's length differs from the last one's,
     which never happens on br or brsimple; the draws equal ``below``'s.
-    rng is a draw source (a finder's) or a Generator; a Generator gets a
-    source of its own for this call, put back before returning.
+    rng is a draw source, which its owner syncs.
     """
-    draws = draw_source(rng)
-    if draws is not rng:
-        try:
-            return _implied_layers(
-                oracle, v, member_layer, layers, draws, num_walks, max_walk_len, stop_at, settled
-            )
-        finally:
-            draws._put_back()
     if stop_at is None:
         stop_at = math.inf
     implied = []
     attempted = 0
-    cached = (oracle.kg.out if oracle.lenient else {}).get
+    cached = oracle.kg.out.get
     stream = rng.stream
     bound = 0  # the bound take() serves; reopened when an answer's length differs
     for left in range(num_walks, 0, -1):
@@ -350,6 +338,7 @@ def _sink_settled(implied: list[int], left: int, layers: int) -> bool:
     return _sink_verdict(implied, layers) == BLUE
 
 
+@_with_draw_source
 def identify_color(
     oracle: Oracle,
     v: int,
@@ -375,7 +364,9 @@ def identify_color(
     overdrawn mid-identification; an interrupted walk counts as
     non-terminating.
 
-    rng is a numpy Generator or a finder's draw source.
+    rng is a numpy Generator or a finder's draw source; a Generator ends
+    where scalar ``int(rng.integers(k))`` draws would leave it, even on a
+    raise.
     """
     implied, attempted = _implied_layers(
         oracle, v, {}, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
@@ -465,6 +456,22 @@ def _grow_blue_path(
     return None
 
 
+def _layered_defaults(
+    oracle: Oracle, params: BRParams, budget: int | None, path_target: int | None
+) -> tuple[_Budget, int]:
+    """The budget tracker and path target of ``run_algorithm1`` and ``run_algorithm2``.
+
+    Defaults: path target 2*sqrt(N) rounded up, budget 100*L*sqrt(N)
+    queries rounded up; the step cap is 40 * budget + 200 * V.
+    """
+    n = params.n_blue
+    if path_target is None:
+        path_target = math.ceil(2 * math.sqrt(n))
+    if budget is None:
+        budget = math.ceil(100 * params.layers * math.sqrt(n))
+    return _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count), path_target
+
+
 @_with_draw_source
 def run_algorithm1(
     oracle: Oracle,
@@ -485,12 +492,8 @@ def run_algorithm1(
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
-    n, layers = params.n_blue, params.layers
-    if path_target is None:
-        path_target = math.ceil(2 * math.sqrt(n))
-    if budget is None:
-        budget = math.ceil(100 * layers * math.sqrt(n))
-    tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
+    layers = params.layers
+    tracker, path_target = _layered_defaults(oracle, params, budget, path_target)
     aux = {"walks": 0, "color_ids": 0, "seeds_tested": 0, "appends": 0, "backtracks": 0}
 
     def color_of(x: int) -> int | None:
@@ -551,6 +554,7 @@ def default_wall_budget(params: BRParams) -> int:
     return params.width * math.ceil(math.log2(params.width))
 
 
+@_with_draw_source
 def wall_identify(
     oracle: Oracle,
     v: int,
@@ -572,7 +576,7 @@ def wall_identify(
     blue prefix pushes the implied value that low); unknown with fewer
     than two terminated walks.  A start that is itself a wall member gets
     that wall's layer for free.  rng is a numpy Generator or a finder's
-    draw source.
+    draw source, as in ``identify_color``.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled
     (``_wall_settled``): red once one layer in 1..L holds 80% of the
@@ -649,22 +653,18 @@ def run_algorithm2(
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
-    n, layers = params.n_blue, params.layers
+    layers = params.layers
     if num_walls is None:
         num_walls = default_num_walls(params)
     if wall_p is None:
         wall_p = default_wall_budget(params)
-    if path_target is None:
-        path_target = math.ceil(2 * math.sqrt(n))
-    if budget is None:
-        budget = math.ceil(100 * layers * math.sqrt(n))
+    tracker, path_target = _layered_defaults(oracle, params, budget, path_target)
     depth = 0
     reach = 1
     while reach * params.outdeg <= wall_p:
         reach *= params.outdeg
         depth += 1
 
-    tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
     aux = {
         "walks": 0,
         "color_ids": 0,

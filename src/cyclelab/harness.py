@@ -198,7 +198,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
         instance = hidden
 
     model = QueryModel.ADJ_LIST if config.algo == "birthday" else QueryModel.VERTEX
-    oracle = new_oracle(instance, model, lenient=True)
+    oracle = new_oracle(instance, model)
     v_count = hidden.v_count
     path_target = None
     if config.path_target_mult is not None and params is not None:

@@ -10,9 +10,9 @@ Both count the paper's one cost, queries.  The epochs of a transcript are
 derived after the run (``analysis.decompose_epochs``); the oracle keeps
 no epoch state.
 
-A query history never repeats a vertex.  In the default strict mode a
-repeat raises; the lenient mode instead returns the cached answer at zero
-cost, which the walk-based finders rely on.
+A query history never repeats a vertex: asking about a vertex again tells
+a finder nothing new, so a repeated vertex query is answered from the
+knowledge graph at no cost, which the walk-based finders rely on.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import BRPair, Coloring, Digraph
-
-
-class RepeatedQuery(ValueError):
-    """Vertex was already queried and the oracle is strict."""
 
 
 class VertexOutOfRange(ValueError):
@@ -86,75 +82,52 @@ def _seen_set(records: _Pairs) -> set[int]:
     return seen
 
 
-def _sink_set(records: _Pairs) -> set[int]:
-    return {u for u, row in records if not row}
-
-
-def _parent_index(records: _Pairs) -> dict[int, list[int]]:
-    index: dict[int, list[int]] = {}
-    for u, row in records:
-        for v in row:
-            index.setdefault(v, []).append(u)
-    return index
-
-
 class KnowledgeGraph:
     """Everything a history has exposed: answer edges, seen vertices, sinks.
 
     ``out`` maps each queried vertex to its answer, in the order they were
     added, and is the only thing stored; it is the oracle's answer cache
     and transcript too.  ``vertices`` (the seen set), ``sinks`` and
-    ``in_edges`` are derived: built from ``out`` on their first read and
-    kept while ``len(out)`` stays the same.  So a new vertex stored
-    straight into ``out`` (the oracle's charged query) needs no other
-    step; ``add_record`` and ``add_edge``, which may change a stored
-    answer, drop the views themselves.  Can be built incrementally from
-    records or assembled by hand for the tree-classification helpers.
+    ``in_edges`` are derived from ``out`` on each read, so a reader that
+    loops reads a view once, before its loop.  Can be built incrementally
+    from records or assembled by hand for the tree-classification helpers.
     """
 
     def __init__(self) -> None:
         self.out: dict[int, tuple[int, ...]] = {}
-        self._derived: dict[str, object] = {}
-        self._derived_at = 0  # len(out) when the views in _derived were built
 
     def add_record(self, rec: tuple[int, tuple[int, ...]]) -> None:
         u, answer = rec
         self.out[u] = answer
-        self._derived = {}
 
     def add_edge(self, u: int, v: int) -> None:
         """Append one answer entry v to u's known out-list."""
         self.out[u] = self.out.get(u, ()) + (v,)
-        self._derived = {}
-
-    def _view(self, name: str, derive):
-        if self._derived_at != len(self.out):
-            self._derived = {}
-            self._derived_at = len(self.out)
-        derived = self._derived
-        if name not in derived:
-            derived[name] = derive(self.out.items())
-        return derived[name]
 
     @property
     def vertices(self) -> set[int]:
         """VKG: every vertex queried or named in an answer."""
-        return self._view("vertices", _seen_set)
+        return _seen_set(self.out.items())
 
     @property
     def sinks(self) -> set[int]:
         """Queried vertices whose answer was empty."""
-        return self._view("sinks", _sink_set)
+        return {u for u, row in self.out.items() if not row}
 
     @property
     def in_edges(self) -> dict[int, list[int]]:
         """Parents of each vertex, one per answer entry, in ``out`` order."""
-        return self._view("in_edges", _parent_index)
+        index: dict[int, list[int]] = {}
+        for u, row in self.out.items():
+            for v in row:
+                index.setdefault(v, []).append(u)
+        return index
 
     def out_of(self, v: int) -> tuple[int, ...]:
         return self.out.get(v, ())
 
     def parents_of(self, v: int) -> list[int]:
+        """v's parents, from a fresh ``in_edges``; a loop reads ``in_edges`` once."""
         return self.in_edges.get(v, [])
 
     def edges(self):
@@ -176,10 +149,12 @@ def knowledge_graph(history: _Pairs) -> KnowledgeGraph:
 class Oracle:
     """Query counter and transcript keeper in front of a hidden graph.
 
-    A charged query stores its answer in ``kg.out`` and nothing else.  The
-    oracle never queries a vertex twice, so ``kg.out`` is at once the answer
-    cache and the transcript in query order; ``history`` builds its records
-    from it on each read.  ``history`` and ``transcript`` cost O(q) a read.
+    A charged query stores its answer in ``kg.out`` and nothing else.  A
+    vertex already queried is answered from ``kg.out`` at no cost, so
+    ``kg.out`` is at once the answer cache and the transcript in query
+    order; ``history`` builds its records from it on each read.  ``history``
+    and ``transcript`` cost O(q) a read.  An ``ADJ_LIST`` oracle records no
+    answers, so it has neither and raises ``ValueError`` for both.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -192,13 +167,11 @@ class Oracle:
         model: QueryModel,
         *,
         coloring: Coloring | None = None,
-        lenient: bool = False,
     ) -> None:
         self._graph = graph
         self._coloring = coloring
         self._max_deg = graph.max_out_degree()
         self.model = model
-        self.lenient = lenient
         self.vertex_query_count = 0
         self.adj_query_count = 0
         self.kg = KnowledgeGraph()
@@ -225,7 +198,7 @@ class Oracle:
 
     @property
     def history(self) -> QueryHistory:
-        return QueryHistory(tuple(itertools.starmap(QueryRecord, self.kg.out.items())))
+        return QueryHistory(tuple(itertools.starmap(QueryRecord, self._answers().items())))
 
     # -- queries ---------------------------------------------------------
 
@@ -234,8 +207,6 @@ class Oracle:
         # caches nothing), so a cache hit needs neither check.
         cached = self.kg.out.get(u)
         if cached is not None:
-            if not self.lenient:
-                raise RepeatedQuery(f"vertex {u} was already queried")
             return cached
         if self.model is QueryModel.ADJ_LIST:
             raise ValueError("vertex queries unavailable in the adjacency-list model")
@@ -243,7 +214,7 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        self.kg.out[u] = answer  # a new vertex: the knowledge graph's views stay valid
+        self.kg.out[u] = answer
         self.vertex_query_count += 1
         return answer
 
@@ -261,25 +232,25 @@ class Oracle:
 
     # -- transcripts ------------------------------------------------------
 
+    def _answers(self) -> dict[int, tuple[int, ...]]:
+        if self.model is QueryModel.ADJ_LIST:
+            raise ValueError("an adjacency-list oracle records no transcript")
+        return self.kg.out
+
     def transcript(self) -> str:
         """Text dump: one `q <u> : <answers>` line per charged vertex query."""
         return "".join(
             f"q {u} : {' '.join(map(str, answer))}".rstrip() + "\n"
-            for u, answer in self.kg.out.items()
+            for u, answer in self._answers().items()
         )
 
 
-def new_oracle(
-    pair_or_graph: BRPair | Digraph,
-    model: QueryModel,
-    *,
-    lenient: bool = False,
-) -> Oracle:
+def new_oracle(pair_or_graph: BRPair | Digraph, model: QueryModel) -> Oracle:
     """Front an instance with the requested access model."""
     if isinstance(pair_or_graph, BRPair):
         pair = pair_or_graph
-        return Oracle(pair.graph, model, coloring=pair.coloring, lenient=lenient)
-    return Oracle(pair_or_graph, model, lenient=lenient)
+        return Oracle(pair.graph, model, coloring=pair.coloring)
+    return Oracle(pair_or_graph, model)
 
 
 def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:

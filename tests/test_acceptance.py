@@ -230,7 +230,7 @@ def test_06_long_blue_paths_rare():
 
     # strategy 2: follow random out-edges, restart at sinks
     pair = gen_br_pair(params, rng)
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     cur = int(rng.integers(pair.graph.v_count))
     steps = 0
     while oracle.vertex_query_count < 2**13 and steps < 2**16:
@@ -281,7 +281,7 @@ def test_07_layered_finder_within_budget():
     spent = []
     for _ in range(20):
         pair = gen_br_pair(params, rng)
-        oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, QueryModel.VERTEX)
         out = run_algorithm1(oracle, params, rng)
         spent.append(out.queries_used)
         if out.success and check_claim(pair.graph, out.cycle) and out.queries_used <= budget:
@@ -302,7 +302,7 @@ def test_08_wall_verdicts_match_hidden_colors():
     rng = np.random.default_rng(8)
     params = BRParams(2**14, 32, 1024, 8)
     pair = gen_br_pair(params, rng)
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     lay = pair.coloring.layer_by_vertex
 
     depth = 0
@@ -420,28 +420,28 @@ def test_10_all_claimed_cycles_verified():
 
     for seed in range(10):
         g = gen_br_simple(1000, 3, np.random.default_rng(100 + seed))
-        out = run_random_walk_finder(new_oracle(g, QueryModel.VERTEX, lenient=True),
+        out = run_random_walk_finder(new_oracle(g, QueryModel.VERTEX),
                                      400, rng)
         if out.success:
             assert check_claim(g, out.cycle)
     for seed in range(5):
         params = BRParams(256, 4, 128, 4)
         pair = gen_br_pair(params, np.random.default_rng(200 + seed))
-        out = run_algorithm1(new_oracle(pair, QueryModel.VERTEX, lenient=True),
+        out = run_algorithm1(new_oracle(pair, QueryModel.VERTEX),
                              params, rng)
         if out.success:
             assert check_claim(pair.graph, out.cycle)
     for seed in range(3):
         params = BRParams(256, 8, 64, 4)
         pair = gen_br_pair(params, np.random.default_rng(300 + seed))
-        out = run_algorithm2(new_oracle(pair, QueryModel.VERTEX, lenient=True),
+        out = run_algorithm2(new_oracle(pair, QueryModel.VERTEX),
                              params, rng)
         if out.success:
             assert check_claim(pair.graph, out.cycle)
     for seed in range(3):
         params = BRParams(64, 4, 32, 3)
         pair = gen_br_pair(params, np.random.default_rng(400 + seed))
-        out = run_bfs_heuristic(new_oracle(pair, QueryModel.VERTEX, lenient=True),
+        out = run_bfs_heuristic(new_oracle(pair, QueryModel.VERTEX),
                                 8, rng, max_queries=2000)
         if out.success:
             assert check_claim(pair.graph, out.cycle)

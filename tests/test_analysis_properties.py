@@ -74,7 +74,7 @@ steps = st.lists(st.integers(0, 2**16), max_size=80)
 @given(small_params, st.integers(0, 2**32 - 1), steps, st.integers(1, 6))
 def test_layered_walks_match_reference(params, seed, walk_steps, cap):
     pair = gen_br_pair(params, np.random.default_rng(seed))
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     history = walk(oracle, params.v_count, walk_steps)
     assert epoch_stats(history, pair.coloring, cap) == reference_stats(history, pair.coloring, cap)
 
@@ -92,7 +92,7 @@ def test_nonlayered_walks_match_reference(params, d, seed, walk_steps, cap):
     rng = np.random.default_rng(seed)
     graph = gen_br_simple(2 * params.n_blue, d, rng)
     coloring = gen_coloring(params, rng)
-    history = walk(new_oracle(graph, QueryModel.VERTEX, lenient=True), graph.v_count, walk_steps)
+    history = walk(new_oracle(graph, QueryModel.VERTEX), graph.v_count, walk_steps)
     assert epoch_stats(history, coloring, cap) == reference_stats(history, coloring, cap)
 
 
@@ -112,7 +112,7 @@ def walked_oracles(draw):
     kind = draw(st.sampled_from(["br", "brsimple", "lists"]))
     if kind == "br":
         pair = gen_br_pair(params, rng)
-        oracle, coloring = new_oracle(pair, QueryModel.VERTEX, lenient=True), pair.coloring
+        oracle, coloring = new_oracle(pair, QueryModel.VERTEX), pair.coloring
     else:
         coloring = gen_coloring(params, rng)
         if kind == "brsimple":
@@ -124,7 +124,7 @@ def walked_oracles(draw):
             if draw(st.booleans()):
                 rows = [row + [u] if coloring.is_blue(u) else row for u, row in enumerate(rows)]
             graph = Digraph.from_lists(rows)
-        oracle = new_oracle(graph, QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(graph, QueryModel.VERTEX)
     walk(oracle, oracle.v_count, draw(steps))
     return oracle, coloring
 
@@ -157,7 +157,7 @@ def test_answer_map_reads_like_the_history(seed):
         (pair, pair.coloring, params.v_count),
         (graph, gen_coloring(params, rng), graph.v_count),
     ):
-        oracle = new_oracle(instance, QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(instance, QueryModel.VERTEX)
         walk(oracle, v_count, walk_steps)
         for cap in (1, 3, 6):
             got = epoch_stats(oracle.kg.out.items(), coloring, cap)
@@ -176,7 +176,7 @@ def test_answer_map_reads_like_the_history_on_the_fallback(monkeypatch):
 
     monkeypatch.setattr(analysis, "max_blue_path", counted)
     rows = [[1], [2], [0]] + [[4]] * 9
-    oracle = new_oracle(Digraph.from_lists(rows), QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(Digraph.from_lists(rows), QueryModel.VERTEX)
     for v in (0, 1, 2):
         oracle.query_vertex(v)
     coloring = tiny_coloring()

@@ -42,9 +42,9 @@ def test_a_source_passed_to_a_finder_is_left_to_its_owner():
     pair = gen_br_pair(BRParams(64, 4, 32, 3), np.random.default_rng(8))
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     source = DrawSource(rng)
-    out = run_algorithm1(new_oracle(pair, QueryModel.VERTEX, lenient=True), pair.params,
+    out = run_algorithm1(new_oracle(pair, QueryModel.VERTEX), pair.params,
                          source, budget=300)
-    want = run_algorithm1(new_oracle(pair, QueryModel.VERTEX, lenient=True), pair.params,
+    want = run_algorithm1(new_oracle(pair, QueryModel.VERTEX), pair.params,
                           IntegersOnly(ref), budget=300)
     assert out == want
     # the source keeps drawing in step with the scalar twin, across a refill, then syncs

@@ -40,7 +40,7 @@ def test_outcome_success_property():
 
 def test_walk_forced_two_cycle():
     g = gen_br_simple(2, 1, np.random.default_rng(0))
-    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.VERTEX)
     out = run_random_walk_finder(oracle, 4, np.random.default_rng(1))
     assert out.success and set(out.cycle) == {0, 1}
     assert out.queries_used <= 2
@@ -63,7 +63,7 @@ def test_walk_from_red_drains_to_sink():
 
 def test_walk_respects_budget():
     g = gen_br_simple(10_000, 3, np.random.default_rng(2))
-    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.VERTEX)
     out = run_random_walk_finder(oracle, 5, np.random.default_rng(3))
     assert not out.success
     assert out.queries_used <= 5
@@ -74,7 +74,7 @@ def test_walk_sink_restarts_count_against_the_step_cap():
     # every vertex is a sink: once all three are known, restarts charge no
     # query, so only the step cap (20 x budget) can end the finder
     g = Digraph.from_lists([[], [], []])
-    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.VERTEX)
     out = run_random_walk_finder(oracle, 4, np.random.default_rng(0))
     assert not out.success
     assert out.queries_used == 3
@@ -86,7 +86,7 @@ def test_walk_sink_restarts_count_against_the_step_cap():
 
 def test_birthday_needs_adjacency_model():
     g = gen_br_simple(10, 1, np.random.default_rng(0))
-    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.VERTEX)
     with pytest.raises(ValueError):
         run_birthday_sampler(oracle, 10, np.random.default_rng(0))
 
@@ -94,7 +94,7 @@ def test_birthday_needs_adjacency_model():
 def test_birthday_never_repeats_a_cell():
     # 4 vertices at d=1 leave only 4 cells; a huge budget must stop there
     g = gen_br_simple(4, 1, np.random.default_rng(1))
-    oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.ADJ_LIST)
     out = run_birthday_sampler(oracle, 100, np.random.default_rng(2))
     assert out.aux["cells"] == 4
     assert oracle.adj_query_count == 4
@@ -106,7 +106,7 @@ def test_birthday_few_collisions_below_sqrt():
     total = 0
     for _ in range(500):
         g = gen_br_simple(10_000, 3, rng)
-        oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+        oracle = new_oracle(g, model=QueryModel.ADJ_LIST)
         out = run_birthday_sampler(oracle, 30, rng)
         total += out.aux["collisions"]
         assert out.queries_used == oracle.adj_query_count
@@ -120,7 +120,7 @@ def test_birthday_collisions_grow_past_sqrt():
         total = 0
         for _ in range(30):
             g = gen_br_simple(10_000, 3, rng)
-            oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+            oracle = new_oracle(g, model=QueryModel.ADJ_LIST)
             total += run_birthday_sampler(oracle, budget, rng).aux["collisions"]
         means.append(total / 30)
     assert means[0] < means[1] < means[2]
@@ -133,12 +133,12 @@ def test_birthday_collision_counts_are_pinned():
     for seed in (5, 6, 7):
         rng = np.random.default_rng(seed)
         g = gen_br_simple(2000, 3, rng)
-        oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+        oracle = new_oracle(g, model=QueryModel.ADJ_LIST)
         cases.append(run_birthday_sampler(oracle, 400, rng).aux["collisions"])
     for seed in (5, 6, 7):
         rng = np.random.default_rng(seed)
         pair = gen_br_pair(auto_params(512, 2), rng)
-        oracle = new_oracle(pair, model=QueryModel.ADJ_LIST, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.ADJ_LIST)
         cases.append(run_birthday_sampler(oracle, 300, rng).aux["collisions"])
     assert cases == [61, 63, 65, 50, 47, 43]
 
@@ -148,7 +148,7 @@ def test_birthday_claimed_cycles_verify():
     wins = 0
     for _ in range(30):
         g = gen_br_simple(400, 3, rng)
-        oracle = new_oracle(g, model=QueryModel.ADJ_LIST, lenient=True)
+        oracle = new_oracle(g, model=QueryModel.ADJ_LIST)
         out = run_birthday_sampler(oracle, 200, rng)
         if out.success:
             assert verify_cycle(g, out.cycle)
@@ -160,14 +160,14 @@ def test_birthday_claimed_cycles_verify():
 
 
 def test_identify_zero_walks_is_unknown():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     est = identify_color(oracle, 16, 8, np.random.default_rng(0), num_walks=0)
     assert est.is_unknown and est.walks_used == 0
 
 
 def test_identify_red_layers_exactly():
     # all walks from red_i sink-terminate after exactly L - i edges
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     rng = np.random.default_rng(7)
     for v, layer in ((16, 1), (24, 3), (32, 5), (44, 8)):
         est = identify_color(oracle, v, 8, rng)
@@ -176,7 +176,7 @@ def test_identify_red_layers_exactly():
 
 def test_identify_blue_by_differing_distances():
     # blues 0 and 1 see sink distances 8 and 9 depending on the first hop
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     rng = np.random.default_rng(0)
     assert identify_color(oracle, 0, 8, rng).is_blue
     assert identify_color(oracle, 1, 8, rng).is_blue
@@ -186,7 +186,7 @@ def test_identify_bulk_accuracy_on_generated_pair():
     params = BRParams(256, 8, 64, 4)
     rng = np.random.default_rng(40)
     pair = gen_br_pair(params, rng)
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     blues = [v for v in range(pair.params.v_count) if pair.coloring.is_blue(v)][:20]
     verdicts = [identify_color(oracle, v, 8, rng) for v in blues]
     assert sum(est.is_blue for est in verdicts) >= 18  # walk evidence is statistical
@@ -228,7 +228,7 @@ def test_settle_rules_over_every_outcome_sequence(verdict, settled):
 def test_identify_stops_once_blue_is_settled():
     # hand pair L = 8: blue 0's first hop decides a sink distance of 8 or 9,
     # implying layer 0 or -1, so the first walk already settles blue
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     est = identify_color(oracle, 0, 8, np.random.default_rng(0), num_walks=50)
     assert est.is_blue and est.walks_used == 1
     red = identify_color(oracle, 24, 8, np.random.default_rng(0), num_walks=50)
@@ -237,7 +237,7 @@ def test_identify_stops_once_blue_is_settled():
 
 def test_identify_unknown_without_sinks():
     g = Digraph.from_lists([[1], [0]])
-    oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(g, model=QueryModel.VERTEX)
     est = identify_color(oracle, 0, 4, np.random.default_rng(0))
     assert est.is_unknown
 
@@ -256,7 +256,7 @@ def test_path_extension_closes_cycles_at_linear_rate():
     for _ in range(30):
         pair = gen_br_pair(params, rng)
         col = pair.coloring
-        oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
         blues = np.flatnonzero(col.layer_by_vertex == BLUE)
         path = [int(rng.choice(blues))]
         on_path = set(path)
@@ -285,7 +285,7 @@ def test_algorithm1_finds_verified_cycles():
     rng = np.random.default_rng(41)
     for _ in range(5):
         pair = gen_br_pair(params, rng)
-        oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
         out = run_algorithm1(oracle, pair.params, rng)
         assert out.success
         assert verify_cycle(pair.graph, out.cycle)
@@ -297,7 +297,7 @@ def test_algorithm1_respects_budget():
     params = BRParams(1024, 4, 512, 4)
     rng = np.random.default_rng(43)
     pair = gen_br_pair(params, rng)
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     out = run_algorithm1(oracle, pair.params, rng, budget=50)
     assert out.queries_used <= 50
 
@@ -308,7 +308,7 @@ def test_algorithm1_stops_seeding_when_no_seed_can_start_a_path():
     # instead of drawing seeds that cannot start a path until the step cap
     rng = np.random.default_rng(2008)
     pair = gen_br_pair(auto_params(4096, 2), rng)
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     out = run_algorithm1(oracle, pair.params, rng)
     assert not out.success
     assert out.queries_used == oracle.vertex_query_count == pair.graph.v_count == 12288
@@ -319,14 +319,14 @@ def test_algorithm1_stops_seeding_when_no_seed_can_start_a_path():
 
 
 def test_wall_depth_zero_is_origin():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     wall = build_wall(oracle, 16, 0)
     assert wall.members == frozenset({16})
     assert wall.origin == 16
 
 
 def test_wall_from_sink_fails():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     assert build_wall(oracle, 44, 2) is None
 
 
@@ -339,7 +339,7 @@ def test_wall_covers_most_of_target_layer():
         pair = gen_br_pair(params, rng)
         lay = pair.coloring.layer_by_vertex
         v = int(rng.choice(np.flatnonzero(lay == 1)))
-        oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
         wall = build_wall(oracle, v, 4)
         layer5 = set(np.flatnonzero(lay == 5).tolist())
         assert wall.members <= layer5
@@ -348,7 +348,7 @@ def test_wall_covers_most_of_target_layer():
 
 def test_wall_membership_shortcut():
     pair = hand_pair_l8()
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     wall = build_wall(oracle, 16, 2, layer_hint=1)
     member = next(iter(wall.members))
     member_layer = {m: wall.layer_estimate for m in wall.members}
@@ -362,7 +362,7 @@ def test_algorithm2_finds_verified_cycles():
     rng = np.random.default_rng(42)
     for _ in range(3):
         pair = gen_br_pair(params, rng)
-        oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
         out = run_algorithm2(oracle, pair.params, rng)
         assert out.success
         assert verify_cycle(pair.graph, out.cycle)
@@ -379,7 +379,7 @@ def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
     # its 30 x num_walls + 60 attempts
     rng = np.random.default_rng(5)
     pair = gen_br_pair(auto_params(64, 8), rng)
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     for v in range(pair.graph.v_count):
         oracle.query_vertex(v)
     calls = []
@@ -404,7 +404,7 @@ def test_bfs_red_start_finds_nothing():
     pair = gen_br_pair(BRParams(64, 4, 32, 3), np.random.default_rng(80))
     probe = np.random.default_rng(1)
     assert pair.coloring.color(int(probe.integers(pair.params.v_count))) >= 1
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     out = run_bfs_heuristic(oracle, 1, np.random.default_rng(1), explore_budget=500)
     assert not out.success
     assert out.queries_used <= 13
@@ -415,7 +415,7 @@ def test_bfs_finds_cycles_with_repetitions():
     wins = 0
     for _ in range(3):
         pair = gen_br_pair(BRParams(256, 4, 128, 3), rng)
-        oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
         out = run_bfs_heuristic(oracle, 8, rng)
         if out.success:
             assert verify_cycle(pair.graph, out.cycle)
@@ -438,12 +438,12 @@ def test_finders_never_read_the_hidden_graph(monkeypatch):
     rng = np.random.default_rng(92)
 
     def vertex_oracle(graph_or_pair):
-        return new_oracle(graph_or_pair, model=QueryModel.VERTEX, lenient=True)
+        return new_oracle(graph_or_pair, model=QueryModel.VERTEX)
 
     runs = [
         (simple, run_random_walk_finder(vertex_oracle(simple), 400, rng)),
         (simple, run_birthday_sampler(
-            new_oracle(simple, model=QueryModel.ADJ_LIST, lenient=True), 400, rng)),
+            new_oracle(simple, model=QueryModel.ADJ_LIST), 400, rng)),
         (pair.graph, run_algorithm1(vertex_oracle(pair), pair.params, rng)),
         (pair.graph, run_algorithm2(vertex_oracle(pair), pair.params, rng)),
         (pair.graph, run_bfs_heuristic(vertex_oracle(pair), 4, rng)),
@@ -457,7 +457,7 @@ def test_finders_take_rng_by_position_or_keyword():
     pair = gen_br_pair(BRParams(64, 4, 32, 3), np.random.default_rng(8))
     runs = []
     for by_keyword in (False, True):
-        oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(pair, QueryModel.VERTEX)
         rng = np.random.default_rng(9)
         if by_keyword:
             out = run_algorithm1(oracle, pair.params, rng=rng, budget=300)

@@ -23,7 +23,7 @@ from cyclelab import (
     wall_identify,
 )
 from cyclelab import finders
-from cyclelab._draws import DrawSource
+from cyclelab._draws import DrawSource, ScalarDraws
 from cyclelab.finders import (
     _Budget,
     _implied_layers,
@@ -31,7 +31,7 @@ from cyclelab.finders import (
     _wall_settled,
     _wall_verdict,
 )
-from cyclelab.oracle import RepeatedQuery, VertexOutOfRange
+from cyclelab.oracle import VertexOutOfRange
 
 
 def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop):
@@ -71,8 +71,6 @@ def walk_cases(draw):
     return {
         "params": params,
         "seed": draw(st.integers(0, 2**32 - 1)),
-        # mostly lenient: a strict oracle raises at the first revisit
-        "lenient": draw(st.sampled_from([True, True, True, False])),
         "num_walks": draw(st.integers(0, 8)),
         "max_walk_len": draw(st.integers(0, 4 * layers)),
         # wall origins; an empty list leaves member_layer empty
@@ -87,14 +85,11 @@ def walk_cases(draw):
 def twin(case):
     """An oracle with walls already built, a walk RNG and a budget."""
     pair = gen_br_pair(case["params"], np.random.default_rng(case["seed"]))
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=case["lenient"])
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     member_layer: dict[int, int] = {}
     for origin, depth in case["walls"]:
         color = pair.coloring.color(origin)
-        try:
-            wall = build_wall(oracle, origin, depth, layer_hint=color if color != BLUE else None)
-        except RepeatedQuery:
-            continue
+        wall = build_wall(oracle, origin, depth, layer_hint=color if color != BLUE else None)
         if wall is not None:
             for m in wall.members:
                 member_layer.setdefault(m, wall.layer_estimate)
@@ -103,13 +98,9 @@ def twin(case):
 
 
 def walk_once(loop, oracle, v, member_layer, layers, rng, case, stop):
-    try:
-        return loop(
-            oracle, v, member_layer, layers, rng,
-            case["num_walks"], case["max_walk_len"], stop,
-        )
-    except RepeatedQuery:
-        return RepeatedQuery
+    return loop(
+        oracle, v, member_layer, layers, rng, case["num_walks"], case["max_walk_len"], stop
+    )
 
 
 def never_settled(implied, left, layers):
@@ -125,12 +116,12 @@ def full_walks(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, st
 
 @given(walk_cases(), st.booleans())
 def test_walk_loop_matches_reference(case, fast):
-    # fast: the loop draws from a DrawSource over rng, synced after each
-    # start; otherwise it gets the Generator itself
+    # the loop draws from a DrawSource over rng (fast) or from the scalar
+    # ScalarDraws, synced after each start
     layers = case["params"].layers
     ref_oracle, ref_members, ref_rng, ref_budget = twin(case)
     oracle, members, rng, budget = twin(case)
-    walk_rng = DrawSource(rng) if fast else rng
+    walk_rng = DrawSource(rng) if fast else ScalarDraws(rng)
     assert members == ref_members
     for v in case["starts"]:
         # one budget step per colour test, as in the path-growth loop
@@ -141,15 +132,12 @@ def test_walk_loop_matches_reference(case, fast):
             ref_budget.exhausted,
         )
         got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget.ceiling())
-        if fast:
-            walk_rng.sync()
+        walk_rng.sync()
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert oracle.vertex_query_count == ref_oracle.vertex_query_count
         assert oracle.history == ref_oracle.history
         assert budget.used() <= case["max_queries"]
-        if want is RepeatedQuery:
-            break
 
 
 @given(walk_cases(), st.booleans())
@@ -173,21 +161,14 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
     for v in case["starts"]:
         budget.steps += 1
         ref_oracle, ref_rng, ref_budget = copy.deepcopy((oracle, rng, budget))
-        try:
-            want = reference_implied_layers(
-                ref_oracle, v, members, layers, ref_rng, num_walks, 4 * layers,
-                ref_budget.exhausted,
-            )
-        except RepeatedQuery:
-            want = RepeatedQuery
+        want = reference_implied_layers(
+            ref_oracle, v, members, layers, ref_rng, num_walks, 4 * layers,
+            ref_budget.exhausted,
+        )
         walked.clear()
-        try:
-            with mock.patch.object(finders, "_implied_layers", recorded):
-                est = test(oracle, v, layers=layers, rng=rng, num_walks=num_walks,
-                           stop_at=budget.ceiling())
-        except RepeatedQuery:
-            assert want is RepeatedQuery  # the test's walks are a prefix of the reference's
-            break
+        with mock.patch.object(finders, "_implied_layers", recorded):
+            est = test(oracle, v, layers=layers, rng=rng, num_walks=num_walks,
+                       stop_at=budget.ceiling())
         history = list(oracle.history)
         assert history == list(ref_oracle.history)[:len(history)]
         assert budget.used() <= case["max_queries"]
@@ -197,8 +178,6 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
             continue
         implied, attempted = walked[-1]
         assert est.walks_used == attempted
-        if want is RepeatedQuery:
-            break  # settled before the revisit that ends the reference's walks
         want_implied, want_attempted = want
         assert implied == want_implied[:len(implied)]
         assert attempted <= want_attempted
@@ -209,34 +188,26 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     # W = d = 2: a depth-1 wall under one layer-1 vertex is all of layer 2,
     # so the other layer-1 vertex steps onto the wall from its first query.
     pair = gen_br_pair(BRParams(4, 4, 2, 2), np.random.default_rng(0))
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     origin, other = (int(v) for v in pair.coloring.layer_vertices(1))
     wall = build_wall(oracle, origin, 1, layer_hint=1)
     assert wall.members == set(pair.coloring.layer_vertices(2))
     members = dict.fromkeys(wall.members, wall.layer_estimate)
     budget = _Budget(oracle, 1, 10)
+    draws = DrawSource(np.random.default_rng(1))
     implied, attempted = _implied_layers(
-        oracle, other, members, 4, np.random.default_rng(1), 3, 16, budget.ceiling(),
-        _wall_settled,
+        oracle, other, members, 4, draws, 3, 16, budget.ceiling(), _wall_settled
     )
+    draws.sync()
     # the query on `other` spends the budget; its walk still ends on the
     # wall, and no further walk starts
     assert (implied, attempted) == ([1], 1)
     assert budget.used() == 1
 
 
-def test_strict_oracle_still_raises_on_revisit():
-    # 0 -> 1 -> 0: the second visit to 0 is a repeat
-    g = gen_br_simple(2, 1, np.random.default_rng(0))
-    oracle = new_oracle(g, QueryModel.VERTEX)
-    with pytest.raises(RepeatedQuery):
-        identify_color(oracle, 0, 2, np.random.default_rng(1), num_walks=1)
-    assert oracle.vertex_query_count == 2
-
-
 def test_adjacency_oracle_still_refuses_vertex_walks():
     g = gen_br_simple(8, 2, np.random.default_rng(0))
-    oracle = new_oracle(g, QueryModel.ADJ_LIST, lenient=True)
+    oracle = new_oracle(g, QueryModel.ADJ_LIST)
     with pytest.raises(ValueError, match="adjacency-list"):
         identify_color(oracle, 0, 2, np.random.default_rng(1), num_walks=1)
     assert oracle.vertex_query_count == 0
@@ -245,7 +216,7 @@ def test_adjacency_oracle_still_refuses_vertex_walks():
 @pytest.mark.parametrize("v", [-1, 24])
 def test_out_of_range_start_still_raises(v):
     pair = gen_br_pair(BRParams(8, 4, 4, 2), np.random.default_rng(3))
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     identify_color(oracle, 0, 4, np.random.default_rng(4))  # fill the answer cache
     with pytest.raises(VertexOutOfRange):
         identify_color(oracle, v, 4, np.random.default_rng(4), num_walks=1)
@@ -271,10 +242,10 @@ def reference_build_wall(oracle, v, depth, stop):
 
 
 def layer_one_twins(params, seed):
-    """Two lenient oracles on one instance, and a layer-1 vertex of it."""
+    """Two oracles on one instance, and a layer-1 vertex of it."""
     pair = gen_br_pair(params, np.random.default_rng(seed))
     v = int(pair.coloring.layer_vertices(1)[0])
-    return [new_oracle(pair, QueryModel.VERTEX, lenient=True) for _ in range(2)], v, pair
+    return [new_oracle(pair, QueryModel.VERTEX) for _ in range(2)], v, pair
 
 
 @pytest.mark.parametrize("max_queries", range(0, 19))
@@ -334,7 +305,7 @@ def test_spent_step_cap_starts_no_walk_and_no_build():
 def test_ceiling_agrees_with_exhausted(model):
     # after each query and each step, until both the budget and the cap are spent
     pair = gen_br_pair(BRParams(16, 4, 8, 3), np.random.default_rng(14))
-    oracle = new_oracle(pair, model, lenient=True)
+    oracle = new_oracle(pair, model)
     query = oracle.query_vertex if model is QueryModel.VERTEX else lambda u: oracle.query_adj(u, 1)
     query(0)  # a budget opens on a meter that has moved
     budget = _Budget(oracle, 5, step_cap=9)

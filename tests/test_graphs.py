@@ -244,7 +244,7 @@ def test_trail_collision_at_birthday_scale():
     hits = 0
     for _ in range(trials):
         g = gen_br_simple(n, 3, rng)
-        oracle = new_oracle(g, model=QueryModel.VERTEX, lenient=True)
+        oracle = new_oracle(g, model=QueryModel.VERTEX)
         out = run_random_walk_finder(oracle, budget, rng)
         hits += out.success
     assert hits >= 0.95 * trials

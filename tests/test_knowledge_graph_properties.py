@@ -145,7 +145,7 @@ def walk(oracle, plan):
 
 @given(graphs(), plans)
 def test_detect_cycle_matches_backward_reference(instance, plan):
-    oracle = new_oracle(instance, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(instance, QueryModel.VERTEX)
     for u, answer in walk(oracle, plan):
         check_against_reference(oracle.kg, QueryRecord(u, answer), oracle.hidden_graph)
 
@@ -182,7 +182,7 @@ def test_detect_cycle_is_shortest_through_the_queried_vertex():
 
 @given(graphs(), plans, st.lists(st.booleans(), min_size=150, max_size=150))
 def test_in_edges_follow_the_history(instance, plan, reads):
-    oracle = new_oracle(instance, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(instance, QueryModel.VERTEX)
     first_visits: dict[int, None] = {}
     for (u, _), read in zip(walk(oracle, plan), reads):
         first_visits.setdefault(u)

@@ -12,7 +12,6 @@ from cyclelab import (
     IndexOutOfRange,
     QueryModel,
     QueryRecord,
-    RepeatedQuery,
     VertexOutOfRange,
     decompose_epochs,
     detect_cycle,
@@ -99,15 +98,8 @@ def test_surprise_closes_epoch_early():
     assert dec.closed_epochs[0].vertices() == {16, 18, 20, 21}
 
 
-def test_strict_mode_rejects_repeats():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
-    oracle.query_vertex(16)
-    with pytest.raises(RepeatedQuery):
-        oracle.query_vertex(16)
-
-
 def test_lenient_mode_replays_from_cache():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     first = oracle.query_vertex(16)
     again = oracle.query_vertex(16)
     assert first == again == (20, 21)
@@ -144,6 +136,19 @@ def test_adjacency_slots():
         oracle.query_adj(16, 0)
     with pytest.raises(IndexOutOfRange):
         oracle.query_adj(16, 3)
+
+
+def test_adjacency_oracle_has_no_transcript():
+    # adjacency answers are single entries and are not recorded, so a
+    # transcript would read empty however many queries were charged
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.ADJ_LIST)
+    for slot in (1, 2):
+        oracle.query_adj(16, slot)
+    assert oracle.adj_query_count == 2
+    with pytest.raises(ValueError, match="adjacency-list"):
+        oracle.history
+    with pytest.raises(ValueError, match="adjacency-list"):
+        oracle.transcript()
 
 
 def test_adjacency_simulation_costs_factor_d():
@@ -292,7 +297,7 @@ def test_knowledge_graph_shapes():
 def test_full_outdegree_vertices_were_queried():
     pair = hand_pair_l8()
     d = pair.params.outdeg
-    oracle = new_oracle(pair, model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
     rng = np.random.default_rng(21)
     for v in rng.permutation(48)[:20]:
         oracle.query_vertex(int(v))
@@ -347,7 +352,7 @@ def test_verify_cycle_rules():
 
 
 def test_transcript_records_queries():
-    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     for v in (16, 17, 44, 16, 24):  # a sink, and a replay that is not charged
         oracle.query_vertex(v)
     assert oracle.transcript() == "q 16 : 20 21\nq 17 : 22 23\nq 44 :\nq 24 : 28 29\n"

@@ -38,7 +38,7 @@ def rebuilt_transcript(history: QueryHistory) -> str:
 def test_live_bookkeeping_matches_rebuild(run):
     params, seed, queries = run
     pair = gen_br_pair(params, np.random.default_rng(seed))
-    oracle = new_oracle(pair, QueryModel.VERTEX, lenient=True)
+    oracle = new_oracle(pair, QueryModel.VERTEX)
     for u in queries:
         assert oracle.query_vertex(u) == pair.graph.out_list(u)
     assert oracle.vertex_query_count == len(oracle.history) == len(set(queries))

@@ -8,6 +8,8 @@ Five strategies:
   (vertex, slot) cells and counting answer collisions.
 * ``run_algorithm1`` -- find a blue seed, grow a long all-blue path with
   walk-based color tests, then wait for the path to close on itself.
+  Each red verdict labels the known vertices below it with their layers,
+  and later walks stop on a label.
 * ``run_algorithm2`` -- same growth, but color tests measure walk length
   against pre-built red "walls" instead of walking all the way to sinks.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
@@ -258,8 +260,9 @@ def _implied_layers(
 ) -> tuple[list[int], int]:
     """Random walks from v; returns the start layers they imply and the walks tried.
 
-    A walk ends at a sink, implying L - steps, or on a wall member after at
-    least one step, implying that member's layer - steps.  Walks cut short
+    A walk ends at a sink, implying L - steps, or after at least one step
+    on a vertex of ``member_layer`` (a wall member, or a layer alg1 has
+    learned), implying that vertex's layer - steps.  Walks cut short
     by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled.
@@ -347,6 +350,7 @@ def identify_color(
     *,
     num_walks: int = 6,
     stop_at: int | None = None,
+    member_layer: dict[int, int] | None = None,
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
@@ -354,6 +358,12 @@ def identify_color(
     steps, pinning the layer exactly; differing distances prove the start
     is blue.  Walks that never reach a sink within 4L steps are
     discarded; if none terminate the verdict is Unknown.
+
+    ``member_layer`` maps vertices to layers already known, as alg1's
+    learned labels (see ``run_algorithm1``).  A walk ends on the first
+    labelled vertex it steps onto, implying its label - steps, as on a
+    wall; a labelled start gets its label with no walk.  The verdict rule
+    stays unanimity.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled:
     BLUE at the first walk that differs from the first or implies a layer
@@ -368,10 +378,39 @@ def identify_color(
     where scalar ``int(rng.integers(k))`` draws would leave it, even on a
     raise.
     """
+    if member_layer is None:
+        member_layer = {}
+    elif v in member_layer:
+        return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
     )
     return ColorEstimate(_sink_verdict(implied, layers), attempted)
+
+
+def _learn_layers(
+    out: dict[int, tuple[int, ...]], member_layer: dict[int, int], v: int, layer: int, layers: int
+) -> None:
+    """Label red v with ``layer`` and each known vertex below it with its layer.
+
+    A red vertex at layer l points only into layer l + 1, so every child
+    named in ``out`` gets its parent's label + 1, queried or not, up to L.
+    A vertex keeps the first label it gets, and only newly labelled
+    vertices that have been queried are descended into, so the cost is
+    O(new labels).  Nothing is queried.
+    """
+    member_layer[v] = layer
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        below = member_layer[u] + 1
+        if below > layers:
+            continue
+        for c in out[u]:
+            if c not in member_layer:
+                member_layer[c] = below
+                if c in out:
+                    stack.append(c)
 
 
 def _grow_blue_path(
@@ -484,9 +523,13 @@ def run_algorithm1(
 ) -> FinderOutcome:
     """Blue-seed search, blue path growth, cycle wait.
 
-    Color tests walk to sinks, at most 4*L steps each; at most
-    ``num_walks`` walks; a test stops once its verdict is settled (see
-    ``identify_color``).  Defaults: path target 2*sqrt(N) rounded up,
+    Color tests walk to sinks or to learned layers, at most 4*L steps
+    each; at most ``num_walks`` walks; a test stops once its verdict is
+    settled (see ``identify_color``).  Learned layers: a red verdict at
+    layer l labels the start with l and every vertex known below it with
+    l + depth (``_learn_layers``), at no query.  Later walks end on the
+    first labelled vertex they step onto, and a labelled vertex gets its
+    label with no walk.  Defaults: path target 2*sqrt(N) rounded up,
     budget 100*L*sqrt(N) queries.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
@@ -496,12 +539,17 @@ def run_algorithm1(
     tracker, path_target = _layered_defaults(oracle, params, budget, path_target)
     aux = {"walks": 0, "color_ids": 0, "seeds_tested": 0, "appends": 0, "backtracks": 0}
 
+    member_layer: dict[int, int] = {}  # learned layers
+    out = oracle.kg.out
+
     def color_of(x: int) -> int | None:
         est = identify_color(
             oracle, x, layers, rng,
-            num_walks=num_walks, stop_at=tracker.ceiling(),
+            num_walks=num_walks, stop_at=tracker.ceiling(), member_layer=member_layer,
         )
         aux["walks"] += est.walks_used
+        if est.is_red and x not in member_layer:
+            _learn_layers(out, member_layer, x, est.color, layers)
         return est.color
 
     cycle = _grow_blue_path(oracle, params, rng, color_of, tracker, path_target, aux)

@@ -148,9 +148,8 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
     oracle, members, rng, budget = twin(case)
     if walls:
         test, verdict = functools.partial(wall_identify, member_layer=members), _wall_verdict
-    else:
-        members = {}
-        test, verdict = identify_color, _sink_verdict
+    else:  # the same drawn map, as alg1's learned layers
+        test, verdict = functools.partial(identify_color, member_layer=members), _sink_verdict
     num_walks = case["num_walks"]
     walked = []
 
@@ -173,7 +172,7 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         assert history == list(ref_oracle.history)[:len(history)]
         assert budget.used() <= case["max_queries"]
         assert est.walks_used <= num_walks
-        if v in members:  # a wall member's layer, with no walk
+        if v in members:  # a known layer, with no walk
             assert est.color == members[v] and est.walks_used == 0 and not walked
             continue
         implied, attempted = walked[-1]

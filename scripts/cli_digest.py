@@ -13,13 +13,14 @@ each at three seeds, four trials each with the deadline off, plus alg1 and
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus alg1 on 31 red layers of 512 rows (``--n 8192 --layers 32 --d 8``),
 which the generator draws in two groups of layers, four trials,
+plus alg2 with three walls (``--n 8192 --d 8 --walls 3``), four trials,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
 layer count, an odd brsimple n), plus seven values refused before any trial
 runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
 alg1, which reads neither, ``--time-limit 5``, ``--path-target-mult nan``
 on alg1, an ``--out`` path in a directory that does not exist and
-``--num-walks 1`` on alg2): 166 in all, some of them usage errors, whose stderr and exit status are compared
+``--num-walks 1`` on alg2): 167 in all, some of them usage errors, whose stderr and exit status are compared
 too.  The six bad shapes exit 2 with one ``cyclelab:`` line; before the
 shape check in ``ExperimentConfig.validate`` they ended in a traceback, so
 their digests differ from those of older checkouts.  "Layers wider than d"
@@ -62,6 +63,9 @@ PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2", "-
 # 31 red layers of 512 rows, drawn by the generator in two groups of layers
 TWO_GROUPS = ["--algo", "alg1", "--dist", "br", "--n", "8192", "--layers", "32", "--d", "8",
               "--seed", "5", *TAIL]
+# alg2 with three walls, so overlapping walls and learned labels keep a digest
+THREE_WALLS = ["--algo", "alg2", "--dist", "br", "--n", "8192", "--d", "8", "--walls", "3",
+               "--seed", "5", *TAIL]
 BAD_SHAPES = (
     ["--dist", "br", "--n", "2048", "--layers", "0"],
     ["--dist", "br", "--n", "2048", "--layers", "-4"],
@@ -100,7 +104,7 @@ def configs() -> list[list[str]]:
     ]
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
-    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS] + [
+    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, THREE_WALLS] + [
         args if "--time-limit" in args else args + TAIL for args in bad + list(BAD_VALUES)
     ]
 

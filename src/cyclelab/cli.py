@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")
     parser.add_argument("--wall-p", type=int, default=None,
-                        help="alg2: per-wall fan-out budget P (default W*ceil(log2 W))")
+                        help="alg2: per-wall fan-out budget P (default W, the layer width)")
     parser.add_argument("--path-target-mult", type=float, default=None,
                         help="alg1, alg2: path target as a multiple of sqrt(N) (default 2)")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")

@@ -12,6 +12,8 @@ Five strategies:
   and later walks stop on a label.
 * ``run_algorithm2`` -- same growth, but color tests measure walk length
   against pre-built red "walls" instead of walking all the way to sinks.
+  Its red verdicts label layers as alg1's do, into the walls' layer map,
+  and walks stop on a label as on a wall.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from ._draws import draw_source
@@ -261,8 +263,8 @@ def _implied_layers(
     """Random walks from v; returns the start layers they imply and the walks tried.
 
     A walk ends at a sink, implying L - steps, or after at least one step
-    on a vertex of ``member_layer`` (a wall member, or a layer alg1 has
-    learned), implying that vertex's layer - steps.  Walks cut short
+    on a vertex of ``member_layer`` (a wall member, or a layer alg1 or
+    alg2 has learned), implying that vertex's layer - steps.  Walks cut short
     by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled.
@@ -599,7 +601,12 @@ def default_num_walls(params: BRParams) -> int:
 
 
 def default_wall_budget(params: BRParams) -> int:
-    return params.width * math.ceil(math.log2(params.width))
+    """The per-wall fan-out budget P: W, the layer width.
+
+    A wall is floor(log_d W) levels deep, so it stops a level short of
+    saturating a layer and costs about W/(d - 1) queries.
+    """
+    return params.width
 
 
 @_with_draw_source
@@ -615,16 +622,16 @@ def wall_identify(
 ) -> ColorEstimate:
     """Color a vertex by walk lengths against walls instead of sinks.
 
-    Each walk runs until it steps onto a wall member or a sink, for at
-    most 4L steps; the terminator's layer minus the step count is the
-    start's implied layer, which is one fixed value for a red start and
-    scatters for a blue one.
+    Each walk runs until it steps onto a vertex of ``member_layer`` (a
+    wall member or a learned layer) or a sink, for at most 4L steps; the
+    terminator's layer minus the step count is the start's implied layer,
+    which is one fixed value for a red start and scatters for a blue one.
     Verdict: red when at least 80% of terminated walks agree on a layer
     in 1..L; blue on scatter or on agreement at a layer below 1 (only a
     blue prefix pushes the implied value that low); unknown with fewer
-    than two terminated walks.  A start that is itself a wall member gets
-    that wall's layer for free.  rng is a numpy Generator or a finder's
-    draw source, as in ``identify_color``.
+    than two terminated walks.  A start in ``member_layer`` gets its
+    layer for free.  rng is a numpy Generator or a finder's draw source,
+    as in ``identify_color``.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled
     (``_wall_settled``): red once one layer in 1..L holds 80% of the
@@ -645,9 +652,12 @@ def _wall_verdict(implied: list[int], layers: int) -> int | None:
     """wall_identify's verdict on the layers its terminated walks imply."""
     if len(implied) < 2:
         return None
-    counts = Counter(implied)
-    top_val = max(counts, key=lambda val: (counts[val], -val))
-    if counts[top_val] / len(implied) >= _AGREE and 1 <= top_val <= layers:
+    top = 0
+    for x in set(implied):  # the most frequent value, the lowest of a tie
+        c = implied.count(x)
+        if c > top or (c == top and x < top_val):
+            top, top_val = c, x
+    if top / len(implied) >= _AGREE and 1 <= top_val <= layers:
         return top_val
     return BLUE
 
@@ -665,7 +675,12 @@ def _wall_settled(implied: list[int], left: int, layers: int) -> bool:
     total = len(implied) + left
     if total < 2:
         return True
-    best = max((implied.count(x) for x in implied if 1 <= x <= layers), default=0)
+    best = 0
+    for x in set(implied):
+        if 1 <= x <= layers:
+            c = implied.count(x)
+            if c > best:
+                best = c
     return best / total >= _AGREE or (len(implied) >= 2 and (best + left) / total < _AGREE)
 
 
@@ -684,9 +699,14 @@ def run_algorithm2(
     """Wall-building stage, then blue path growth with wall-based colors.
 
     Stage 1 samples vertices, keeps red ones, and BFS-builds a wall
-    floor(log_d P) levels below each (P defaults to W*ceil(log2 W)).
-    Stage 2 colors a vertex by walking until a wall or sink is hit: the
-    terminator's layer minus the step count is the start's implied layer.
+    floor(log_d P) levels below each (P defaults to W, so a wall costs
+    about W/(d - 1) queries).  Stage 2 colors a vertex by walking until a
+    wall member, a learned layer or a sink is hit: the terminator's layer
+    minus the step count is the start's implied layer.  Learned layers
+    are alg1's (``_learn_layers``): a red stage-2 verdict labels the start
+    and every vertex known below it, at no query, in the map that holds
+    the wall members, where a vertex keeps its first label; a labelled
+    start gets its label with no walk and counts in aux["wall_hits"].
     Red starts repeat one implied value; blue starts scatter.  Verdict is
     red when at least 80% of terminated walks agree on a layer >= 1, blue
     on scatter or agreement at an impossible layer, unknown with fewer
@@ -727,7 +747,7 @@ def run_algorithm2(
     }
     v_count = int(params.v_count)  # below() needs a Python int
 
-    member_layer: dict[int, int] = {}
+    member_layer: dict[int, int] = {}  # wall members, then learned layers
     walls: list[Wall] = []
     attempts = 0
     while len(walls) < num_walls and attempts < 30 * num_walls + 60 and not tracker.exhausted():
@@ -754,6 +774,8 @@ def run_algorithm2(
             member_layer.setdefault(m, wall.layer_estimate)
     aux["stage1_queries"] = tracker.used()
 
+    out = oracle.kg.out
+
     def wall_color_of(x: int) -> int | None:
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
@@ -762,6 +784,8 @@ def run_algorithm2(
         if est.walks_used == 0 and est.color is not None:
             aux["wall_hits"] += 1
         aux["walks"] += est.walks_used
+        if est.is_red and x not in member_layer:
+            _learn_layers(out, member_layer, x, est.color, layers)
         return est.color
 
     cycle = _grow_blue_path(oracle, params, rng, wall_color_of, tracker, path_target, aux)

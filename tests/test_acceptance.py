@@ -341,8 +341,9 @@ def test_08_wall_verdicts_match_hidden_colors():
     ok = decided >= 500 and agree / decided >= 0.95
     report(8, "wall color verdicts", ok,
            f"{agree}/{decided} verdicts match the hidden coloring "
-           f"({100 * agree / decided:.1f}%), 4 walls of {len(member_layer)} members, "
-           f"{elapsed:.1f}s")
+           f"({100 * agree / decided:.1f}%, margin {100 * (agree / decided - 0.95):.1f} points "
+           f"over 95%; {decided - 500} decided over 500), depth-{depth} walls, "
+           f"4 walls of {len(member_layer)} members, {elapsed:.1f}s")
     assert ok
 
 

@@ -449,6 +449,87 @@ def test_algorithm2_finds_verified_cycles():
         assert out.aux["stage1_queries"] + out.aux["stage2_queries"] == out.queries_used
 
 
+def test_algorithm2_learned_labels_keep_wall_labels_and_answer_without_a_walk(monkeypatch):
+    # hand pair L = 8 with every wall labelled one layer too deep, so a red
+    # verdict above a wall would label its members otherwise: the members
+    # keep their wall labels, and a labelled start, wall member or learned,
+    # gets its label with no walk and counts as a wall hit
+    real_build, real_identify = finders.build_wall, finders.wall_identify
+    maps = []  # the layer map every stage-2 test gets, and its wall labels
+    hits = []  # (start, label, estimate) of each test on a labelled start
+
+    def deep_wall(*args, **kwargs):
+        wall = real_build(*args, **kwargs)
+        return wall and finders.Wall(wall.layer_estimate + 1, wall.members, wall.origin)
+
+    def spied(oracle, v, member_layer, *args, **kwargs):
+        if not maps:
+            maps.append((member_layer, dict(member_layer)))  # wall members alone so far
+        est = real_identify(oracle, v, member_layer, *args, **kwargs)
+        if v in member_layer:
+            hits.append((v, member_layer[v], est))
+        return est
+
+    monkeypatch.setattr(finders, "build_wall", deep_wall)
+    monkeypatch.setattr(finders, "wall_identify", spied)
+    pair = hand_pair_l8()
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
+    out = run_algorithm2(oracle, pair.params, np.random.default_rng(0))
+    labels, walls = maps[0]
+    learned = {u: layer for u, layer in labels.items() if u not in walls}
+    assert out.aux["walls_built"] == 2 and walls and learned
+    conflicts = [c for u, layer in learned.items() if layer < 8
+                 for c in oracle.kg.out.get(u, ()) if walls.get(c, layer + 1) != layer + 1]
+    assert conflicts
+    assert all(labels[m] == layer for m, layer in walls.items())
+    assert any(v in learned for v, _, _ in hits)
+    assert all(est == ColorEstimate(label, 0) for _, label, est in hits)
+    assert out.aux["wall_hits"] == len(hits)
+
+
+@pytest.mark.parametrize("shape, params, trials, bound", [
+    ("2^11, d=8", auto_params(2048, 8), 200, 0.04),
+    ("2^11, L=32, d=3", BRParams(2048, 32, 128, 3), 200, 0.06),
+    ("2^14, d=8", auto_params(16384, 8), 40, 0.02),
+])
+def test_algorithm2_learned_labels_are_rarely_wrong(monkeypatch, shape, params, trials, bound):
+    # alg2's red verdicts take 80% agreement, not unanimity, so a blue start
+    # judged red, and the known vertices below it, are labelled wrongly more
+    # often than alg1's; on frozen seeds the learned (non-wall) labels stay
+    # under each shape's bound, and every trial finds a verified cycle
+    maps = []
+
+    def spied(*args, **kwargs):
+        if not maps:
+            maps.append((args[2], set(args[2])))  # the layer map and its wall members
+        return wall_identify(*args, **kwargs)
+
+    monkeypatch.setattr(finders, "wall_identify", spied)
+    rng = np.random.default_rng(2111)
+    wrong = labels = wall_wrong = wall_labels = found = 0
+    for _ in range(trials):
+        maps.clear()
+        pair = gen_br_pair(params, rng)
+        out = run_algorithm2(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng)
+        found += out.success and verify_cycle(pair.graph, out.cycle)
+        lay = pair.coloring.layer_by_vertex
+        layer_map, walls = maps[0]
+        for u, layer in layer_map.items():
+            miss = int(lay[u]) != layer
+            if u in walls:
+                wall_labels += 1
+                wall_wrong += miss
+            else:
+                labels += 1
+                wrong += miss
+    rate = wrong / labels
+    print(f"alg2 learned labels at {shape}: {wrong}/{labels} wrong ({100 * rate:.2f}%, "
+          f"bound {100 * bound:.2f}%, margin {100 * (bound - rate):.2f} points); "
+          f"wall labels {wall_wrong}/{wall_labels} wrong; {found}/{trials} cycles")
+    assert found == trials
+    assert rate <= bound
+
+
 def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
     # at N = 64, d = 8 (L = 2, wall depth 2) every red start is doomed, so
     # no wall is built; with every vertex queried first nothing is charged,

@@ -14,25 +14,29 @@ alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus alg1 on 31 red layers of 512 rows (``--n 8192 --layers 32 --d 8``),
 which the generator draws in two groups of layers, four trials,
 plus alg2 with three walls (``--n 8192 --d 8 --walls 3``), four trials,
+plus alg2 with one walk a colour test (``--n 512 --num-walks 1``), four
+trials,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus seven values refused before any trial
+layer count, an odd brsimple n), plus six values refused before any trial
 runs (``--seed -1``, ``--wall-p -5`` on alg2, ``--walls 3 --wall-p 5`` on
 alg1, which reads neither, ``--time-limit 5``, ``--path-target-mult nan``
-on alg1, an ``--out`` path in a directory that does not exist and
-``--num-walks 1`` on alg2): 167 in all, some of them usage errors, whose stderr and exit status are compared
+on alg1 and an ``--out`` path in a directory that does not exist): 167 in
+all, some of them usage errors, whose stderr and exit status are compared
 too.  The six bad shapes exit 2 with one ``cyclelab:`` line; before the
 shape check in ``ExperimentConfig.validate`` they ended in a traceback, so
 their digests differ from those of older checkouts.  "Layers wider than d"
 runs at the default d, so its message changed when that default went from
-2 to 8.  The seven bad values also exit 2 with one ``cyclelab:`` line; before
+2 to 8.  The six bad values also exit 2 with one ``cyclelab:`` line; before
 they were refused up front, ``--seed -1`` ended in numpy's traceback,
 ``--wall-p -5`` ran as depth-0 walls, alg1 ran as if it had no wall
 options, ``--time-limit 5`` ran with a wall-clock deadline,
-``--path-target-mult nan`` ended in a ``math.ceil`` traceback, the bad
-``--out`` ran every trial before its ``FileNotFoundError`` traceback and
-alg2 with one walk a test ran every trial with no stage-2 verdict, so
-their digests differ from those of older checkouts too.
+``--path-target-mult nan`` ended in a ``math.ceil`` traceback and the bad
+``--out`` ran every trial before its ``FileNotFoundError`` traceback, so
+their digests differ from those of older checkouts too.  alg2 with one
+walk a test takes a unanimous verdict of that one walk, as alg1 does;
+checkouts whose stage 2 took an 80% vote refused it, or ran it with no
+stage-2 verdict, so its digest differs from theirs.
 Two configs run at a time.
 """
 
@@ -74,6 +78,9 @@ BAD_SHAPES = (
     ["--dist", "br", "--n", "3", "--d", "8"],
     ["--dist", "brsimple", "--n", "3"],
 )
+# alg2 with one walk a colour test, whose unanimous verdict needs no second walk
+ONE_WALK = ["--algo", "alg2", "--dist", "br", "--n", "512", "--num-walks", "1", "--seed", "0",
+            *TAIL]
 # values refused before any trial runs; each config ends with its own seed and
 # then TAIL, except the --time-limit one, which ends with its own tail because
 # TAIL's --time-limit 0 would override its value
@@ -88,7 +95,6 @@ BAD_VALUES = (
      "--seed", "0"],
     ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
      "--seed", "0"],
-    ["--algo", "alg2", "--dist", "br", "--n", "512", "--num-walks", "1", "--seed", "0"],
 )
 
 
@@ -104,7 +110,7 @@ def configs() -> list[list[str]]:
     ]
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
-    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, THREE_WALLS] + [
+    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, THREE_WALLS, ONE_WALK] + [
         args if "--time-limit" in args else args + TAIL for args in bad + list(BAD_VALUES)
     ]
 

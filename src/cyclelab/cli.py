@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--num-walks", type=int, default=6,
                         help="alg1, alg2: at most NUM_WALKS walks per color "
                              "identification; a test stops once its verdict is settled "
-                             "(default 6; at least 2 for alg2)")
+                             "(default 6)")
     parser.add_argument("--walls", type=int, default=None,
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")

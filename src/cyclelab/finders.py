@@ -6,14 +6,14 @@ Five strategies:
   re-enters its own trail; restart from a random vertex at sinks.
 * ``run_birthday_sampler`` -- adjacency-model baseline sampling random
   (vertex, slot) cells and counting answer collisions.
-* ``run_algorithm1`` -- find a blue seed, grow a long all-blue path with
-  walk-based color tests, then wait for the path to close on itself.
-  Each red verdict labels the known vertices below it with their layers,
-  and later walks stop on a label.
-* ``run_algorithm2`` -- same growth, but color tests measure walk length
-  against pre-built red "walls" instead of walking all the way to sinks.
-  Its red verdicts label layers as alg1's do, into the walls' layer map,
-  and walks stop on a label as on a wall.
+* ``run_algorithm2`` -- first build red "walls" below sampled red
+  vertices, then find a blue seed, grow a long all-blue path with
+  walk-based color tests, and wait for the path to close on itself.  A
+  test's walks stop at a sink, a wall or a learned layer, and its verdict
+  is red only when every walk agrees.  Each red verdict labels the known
+  vertices below it with their layers, and later walks stop on a label.
+* ``run_algorithm1`` -- ``run_algorithm2`` with no walls: walks stop only
+  at sinks and at learned layers.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
 
@@ -117,7 +117,7 @@ class _Budget:
 def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
 
-    Wraps the five finders and the two colour tests, which draw through
+    Wraps the finders and the two colour tests, which draw through
     ``rng.below`` and ``rng.stream``.  Whatever way one ends, a return or
     an exception, the caller's generator is left exactly where
     ``int(rng.integers(k))`` draws would have left it.  A draw source
@@ -244,11 +244,6 @@ def run_birthday_sampler(
     return FinderOutcome(cycle, budget.used(), aux)
 
 
-# share of terminated walks that must agree on one layer for wall_identify's
-# red verdict; the verdict and its settle rule both read it
-_AGREE = 0.8
-
-
 def _implied_layers(
     oracle: Oracle,
     v: int,
@@ -263,8 +258,8 @@ def _implied_layers(
     """Random walks from v; returns the start layers they imply and the walks tried.
 
     A walk ends at a sink, implying L - steps, or after at least one step
-    on a vertex of ``member_layer`` (a wall member, or a layer alg1 or
-    alg2 has learned), implying that vertex's layer - steps.  Walks cut short
+    on a vertex of ``member_layer`` (a wall member, or a layer the finder
+    has learned), implying that vertex's layer - steps.  Walks cut short
     by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled.
@@ -324,7 +319,7 @@ def _implied_layers(
 
 
 def _sink_verdict(implied: list[int], layers: int) -> int | None:
-    """identify_color's verdict: the layer all walks imply, if in 1..L; else BLUE."""
+    """The colour tests' verdict: the layer all walks imply, if in 1..L; else BLUE."""
     if not implied:
         return None
     layer = implied[0]
@@ -352,20 +347,14 @@ def identify_color(
     *,
     num_walks: int = 6,
     stop_at: int | None = None,
-    member_layer: dict[int, int] | None = None,
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
     From a red vertex every walk bottoms out after the same number of
     steps, pinning the layer exactly; differing distances prove the start
     is blue.  Walks that never reach a sink within 4L steps are
-    discarded; if none terminate the verdict is Unknown.
-
-    ``member_layer`` maps vertices to layers already known, as alg1's
-    learned labels (see ``run_algorithm1``).  A walk ends on the first
-    labelled vertex it steps onto, implying its label - steps, as on a
-    wall; a labelled start gets its label with no walk.  The verdict rule
-    stays unanimity.
+    discarded; if none terminate the verdict is Unknown.  ``wall_identify``
+    is this test with walls and learned layers as well as sinks.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled:
     BLUE at the first walk that differs from the first or implies a layer
@@ -380,12 +369,8 @@ def identify_color(
     where scalar ``int(rng.integers(k))`` draws would leave it, even on a
     raise.
     """
-    if member_layer is None:
-        member_layer = {}
-    elif v in member_layer:
-        return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
+        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
     )
     return ColorEstimate(_sink_verdict(implied, layers), attempted)
 
@@ -424,7 +409,7 @@ def _grow_blue_path(
     path_target: int,
     aux: dict[str, int],
 ) -> list[int] | None:
-    """Seed-search plus depth-first blue path growth shared by both stages.
+    """Seed search plus depth-first blue path growth: alg2's stage 2, and all of alg1.
 
     color_of(v) -> 0 | layer | None is injected; a vertex is appended only
     on a blue verdict.  Dead ends (all children non-blue) backtrack and
@@ -497,67 +482,6 @@ def _grow_blue_path(
     return None
 
 
-def _layered_defaults(
-    oracle: Oracle, params: BRParams, budget: int | None, path_target: int | None
-) -> tuple[_Budget, int]:
-    """The budget tracker and path target of ``run_algorithm1`` and ``run_algorithm2``.
-
-    Defaults: path target 2*sqrt(N) rounded up, budget 100*L*sqrt(N)
-    queries rounded up; the step cap is 40 * budget + 200 * V.
-    """
-    n = params.n_blue
-    if path_target is None:
-        path_target = math.ceil(2 * math.sqrt(n))
-    if budget is None:
-        budget = math.ceil(100 * params.layers * math.sqrt(n))
-    return _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count), path_target
-
-
-@_with_draw_source
-def run_algorithm1(
-    oracle: Oracle,
-    params: BRParams,
-    rng,
-    *,
-    budget: int | None = None,
-    num_walks: int = 6,
-    path_target: int | None = None,
-) -> FinderOutcome:
-    """Blue-seed search, blue path growth, cycle wait.
-
-    Color tests walk to sinks or to learned layers, at most 4*L steps
-    each; at most ``num_walks`` walks; a test stops once its verdict is
-    settled (see ``identify_color``).  Learned layers: a red verdict at
-    layer l labels the start with l and every vertex known below it with
-    l + depth (``_learn_layers``), at no query.  Later walks end on the
-    first labelled vertex they step onto, and a labelled vertex gets its
-    label with no walk.  Defaults: path target 2*sqrt(N) rounded up,
-    budget 100*L*sqrt(N) queries.
-
-    Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
-    ``_draws``); rng ends where those draws would leave it, even on a raise.
-    """
-    layers = params.layers
-    tracker, path_target = _layered_defaults(oracle, params, budget, path_target)
-    aux = {"walks": 0, "color_ids": 0, "seeds_tested": 0, "appends": 0, "backtracks": 0}
-
-    member_layer: dict[int, int] = {}  # learned layers
-    out = oracle.kg.out
-
-    def color_of(x: int) -> int | None:
-        est = identify_color(
-            oracle, x, layers, rng,
-            num_walks=num_walks, stop_at=tracker.ceiling(), member_layer=member_layer,
-        )
-        aux["walks"] += est.walks_used
-        if est.is_red and x not in member_layer:
-            _learn_layers(out, member_layer, x, est.color, layers)
-        return est.color
-
-    cycle = _grow_blue_path(oracle, params, rng, color_of, tracker, path_target, aux)
-    return FinderOutcome(cycle, tracker.used(), aux)
-
-
 def build_wall(
     oracle: Oracle,
     v: int,
@@ -620,68 +544,30 @@ def wall_identify(
     num_walks: int = 6,
     stop_at: int | None = None,
 ) -> ColorEstimate:
-    """Color a vertex by walk lengths against walls instead of sinks.
+    """Color a vertex by walk lengths against walls and learned layers as well as sinks.
 
     Each walk runs until it steps onto a vertex of ``member_layer`` (a
     wall member or a learned layer) or a sink, for at most 4L steps; the
     terminator's layer minus the step count is the start's implied layer,
     which is one fixed value for a red start and scatters for a blue one.
-    Verdict: red when at least 80% of terminated walks agree on a layer
-    in 1..L; blue on scatter or on agreement at a layer below 1 (only a
-    blue prefix pushes the implied value that low); unknown with fewer
-    than two terminated walks.  A start in ``member_layer`` gets its
-    layer for free.  rng is a numpy Generator or a finder's draw source,
-    as in ``identify_color``.
+    The verdict is ``identify_color``'s: red when every terminated walk
+    implies one layer in 1..L, blue on any scatter or on a layer outside
+    1..L (only a blue prefix pushes the implied value below 1), unknown
+    when no walk terminates.  A start in ``member_layer`` gets its layer
+    with no walk.  rng is a numpy Generator or a finder's draw source, as
+    in ``identify_color``.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled
-    (``_wall_settled``): red once one layer in 1..L holds 80% of the
-    terminated walks plus those left, blue once no layer in 1..L could
-    reach 80% even if every walk left implied it.  Walks charge no query
-    once the oracle's ``vertex_query_count`` reaches ``stop_at``, as in
-    ``identify_color``.
+    (``_sink_settled``): blue at the first walk that differs.  Walks
+    charge no query once the oracle's ``vertex_query_count`` reaches
+    ``stop_at``, as in ``identify_color``.
     """
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _wall_settled
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
     )
-    return ColorEstimate(_wall_verdict(implied, layers), attempted)
-
-
-def _wall_verdict(implied: list[int], layers: int) -> int | None:
-    """wall_identify's verdict on the layers its terminated walks imply."""
-    if len(implied) < 2:
-        return None
-    top = 0
-    for x in set(implied):  # the most frequent value, the lowest of a tie
-        c = implied.count(x)
-        if c > top or (c == top and x < top_val):
-            top, top_val = c, x
-    if top / len(implied) >= _AGREE and 1 <= top_val <= layers:
-        return top_val
-    return BLUE
-
-
-def _wall_settled(implied: list[int], left: int, layers: int) -> bool:
-    """True once ``_wall_verdict`` holds whatever ``left`` more walks do.
-
-    With n walks terminated and c the largest count of one layer in 1..L,
-    the most any such layer can end with is c + left of at most n + left
-    terminated walks, and the least a layer holding c keeps is c of
-    n + left.  So the verdict is red once c / (n + left) reaches _AGREE,
-    BLUE once n >= 2 and (c + left) / (n + left) falls short of it, and
-    unknown once n + left < 2.
-    """
-    total = len(implied) + left
-    if total < 2:
-        return True
-    best = 0
-    for x in set(implied):
-        if 1 <= x <= layers:
-            c = implied.count(x)
-            if c > best:
-                best = c
-    return best / total >= _AGREE or (len(implied) >= 2 and (best + left) / total < _AGREE)
+    return ColorEstimate(_sink_verdict(implied, layers), attempted)
 
 
 @_with_draw_source
@@ -700,33 +586,39 @@ def run_algorithm2(
 
     Stage 1 samples vertices, keeps red ones, and BFS-builds a wall
     floor(log_d P) levels below each (P defaults to W, so a wall costs
-    about W/(d - 1) queries).  Stage 2 colors a vertex by walking until a
-    wall member, a learned layer or a sink is hit: the terminator's layer
-    minus the step count is the start's implied layer.  Learned layers
-    are alg1's (``_learn_layers``): a red stage-2 verdict labels the start
-    and every vertex known below it, at no query, in the map that holds
-    the wall members, where a vertex keeps its first label; a labelled
-    start gets its label with no walk and counts in aux["wall_hits"].
-    Red starts repeat one implied value; blue starts scatter.  Verdict is
-    red when at least 80% of terminated walks agree on a layer >= 1, blue
-    on scatter or agreement at an impossible layer, unknown with fewer
-    than two terminated walks.  In both stages a color test takes at most
-    ``num_walks`` walks; a test stops once its verdict is settled (see
-    ``identify_color`` and ``wall_identify``).  A red start at layer
-    l > L - depth is skipped without a build and counted in
-    aux["wall_failures"]: its BFS would query layer L, whose vertices
+    about W/(d - 1) queries).  Stage 2 colors a vertex with
+    ``wall_identify``, walking until a wall member, a learned layer or a
+    sink is hit: the terminator's layer minus the step count is the
+    start's implied layer.  Red starts repeat one implied value; blue
+    starts scatter.  In both stages the verdict is red only when every
+    terminated walk implies one layer in 1..L, and a test takes at most
+    ``num_walks`` walks and stops once its verdict is settled (see
+    ``identify_color``).  Learned layers: a red stage-2 verdict at layer
+    l labels the start with l and every vertex known below it with
+    l + depth (``_learn_layers``), at no query, in the map that holds the
+    wall members, where a vertex keeps its first label; a labelled start
+    gets its label with no walk and counts in aux["wall_hits"].  A red
+    start at layer l > L - depth is skipped without a build and counted
+    in aux["wall_failures"]: its BFS would query layer L, whose vertices
     are sinks, so the build could only fail.  Each stage-1 attempt counts
-    one step against the step cap, as it may charge nothing.
+    one step against the step cap, as it may charge nothing.  Defaults:
+    path target 2*sqrt(N) rounded up, budget 100*L*sqrt(N) queries
+    rounded up; the step cap is 40 * budget + 200 * V.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     layers = params.layers
+    n = params.n_blue
     if num_walls is None:
         num_walls = default_num_walls(params)
     if wall_p is None:
         wall_p = default_wall_budget(params)
-    tracker, path_target = _layered_defaults(oracle, params, budget, path_target)
+    if path_target is None:
+        path_target = math.ceil(2 * math.sqrt(n))
+    if budget is None:
+        budget = math.ceil(100 * layers * math.sqrt(n))
+    tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
     depth = 0
     reach = 1
     while reach * params.outdeg <= wall_p:
@@ -791,6 +683,27 @@ def run_algorithm2(
     cycle = _grow_blue_path(oracle, params, rng, wall_color_of, tracker, path_target, aux)
     aux["stage2_queries"] = tracker.used() - aux["stage1_queries"]
     return FinderOutcome(cycle, tracker.used(), aux)
+
+
+def run_algorithm1(
+    oracle: Oracle,
+    params: BRParams,
+    rng,
+    *,
+    budget: int | None = None,
+    num_walks: int = 6,
+    path_target: int | None = None,
+) -> FinderOutcome:
+    """Blue-seed search, blue path growth, cycle wait: ``run_algorithm2`` with no walls.
+
+    Color tests walk to sinks or to learned layers, at most 4*L steps
+    each, and take the same unanimous verdict; the bytes, the defaults
+    and the aux counters are alg2's with ``num_walls=0``.
+    """
+    return run_algorithm2(
+        oracle, params, rng,
+        num_walls=0, budget=budget, num_walks=num_walks, path_target=path_target,
+    )
 
 
 @_with_draw_source

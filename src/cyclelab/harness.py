@@ -114,9 +114,6 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         if self.num_walks < 1:
             raise ConfigError("num_walks must be >= 1")
-        if self.algo == "alg2" and self.num_walks < 2:
-            # wall_identify needs two terminated walks for any verdict
-            raise ConfigError("num_walks must be >= 2 for alg2")
         if self.explore_budget is not None and self.explore_budget < 1:
             raise ConfigError("explore_budget must be >= 1")
         if self.time_limit is not None:

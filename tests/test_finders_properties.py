@@ -27,9 +27,8 @@ from cyclelab._draws import DrawSource, ScalarDraws
 from cyclelab.finders import (
     _Budget,
     _implied_layers,
+    _sink_settled,
     _sink_verdict,
-    _wall_settled,
-    _wall_verdict,
 )
 from cyclelab.oracle import VertexOutOfRange
 
@@ -146,10 +145,11 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
     # walk on a copy of that state, so its walks extend the test's own
     layers = case["params"].layers
     oracle, members, rng, budget = twin(case)
+    # both tests take the sink rule's unanimous verdict
     if walls:
-        test, verdict = functools.partial(wall_identify, member_layer=members), _wall_verdict
-    else:  # the same drawn map, as alg1's learned layers
-        test, verdict = functools.partial(identify_color, member_layer=members), _sink_verdict
+        test = functools.partial(wall_identify, member_layer=members)
+    else:  # walks to sinks alone, on the same oracle state
+        test, members = identify_color, {}
     num_walks = case["num_walks"]
     walked = []
 
@@ -180,7 +180,7 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         want_implied, want_attempted = want
         assert implied == want_implied[:len(implied)]
         assert attempted <= want_attempted
-        assert est.color == verdict(want_implied, layers)
+        assert est.color == _sink_verdict(want_implied, layers)
 
 
 def test_last_charged_query_can_still_step_onto_a_wall():
@@ -195,7 +195,7 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     budget = _Budget(oracle, 1, 10)
     draws = DrawSource(np.random.default_rng(1))
     implied, attempted = _implied_layers(
-        oracle, other, members, 4, draws, 3, 16, budget.ceiling(), _wall_settled
+        oracle, other, members, 4, draws, 3, 16, budget.ceiling(), _sink_settled
     )
     draws.sync()
     # the query on `other` spends the budget; its walk still ends on the

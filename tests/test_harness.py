@@ -55,8 +55,6 @@ def test_config_rejects_bad_combinations():
         walk_config(budget=0).validate()
     with pytest.raises(ConfigError):
         walk_config(num_walks=0).validate()  # every color test inconclusive
-    with pytest.raises(ConfigError, match=r"^num_walks must be >= 2 for alg2$"):
-        walk_config(dist="br", algo="alg2", num_walks=1).validate()  # no wall verdict
     with pytest.raises(ConfigError):
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
     with pytest.raises(ConfigError):
@@ -80,6 +78,8 @@ def test_config_rejects_bad_combinations():
     walk_config(dist="br", algo="alg2", wall_p=1).validate()
     walk_config(dist="br", algo="alg2", num_walks=2).validate()
     walk_config(dist="br", algo="alg1", num_walks=1).validate()
+    # one walk gives a unanimous verdict, in alg2's stage 2 as in alg1
+    walk_config(dist="br", algo="alg2", num_walks=1).validate()
     walk_config(base_seed=0).validate()
 
 
@@ -218,6 +218,23 @@ def test_trial_alg1_end_to_end():
     rec = run_trial(config, seed=2)
     assert rec.success
     assert rec.cycle_len is not None and rec.cycle_len >= 2
+
+
+@pytest.mark.parametrize("shape", [dict(n=2048, d=8), dict(n=2048, layers=32, d=3),
+                                   dict(n=16384, d=8)],
+                         ids=["2^11, d=8", "2^11, L=32, d=3", "2^14, d=8"])
+def test_alg1_rows_are_alg2_rows_without_walls(shape):
+    # one colour-test rule: alg1 is alg2 with no walls, so every CSV column
+    # but algo is the same, epoch statistics included
+    for seed in range(3):
+        rows = [
+            run_trial(ExperimentConfig(dist="br", algo=algo, trials=1, **shape, **walls), seed)
+            for algo, walls in (("alg1", {}), ("alg2", {"walls": 0}))
+        ]
+        alg1, alg2 = (records_to_csv([r]).splitlines()[1].split(",") for r in rows)
+        assert alg1[2] == "alg1" and alg2[2] == "alg2"
+        assert alg1[:2] + alg1[3:] == alg2[:2] + alg2[3:], (shape, seed)
+        assert rows[0].success
 
 
 def test_experiment_seeds_are_sequential():
@@ -404,8 +421,6 @@ def test_cli_rejects_bad_combination(capsys):
         (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
         (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
         (["--layers", "4096"], "outdeg 8 exceeds layer width 1"),  # the default d
-        # wall_identify needs two terminated walks, so no stage-2 verdict
-        (["--algo", "alg2", "--num-walks", "1"], "num_walks must be >= 2 for alg2"),
     ],
 )
 def test_cli_rejects_bad_instance_shapes(args, message, capsys):
@@ -415,6 +430,16 @@ def test_cli_rejects_bad_instance_shapes(args, message, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"cyclelab: {message}\n"
+
+
+def test_cli_runs_alg2_with_one_walk_a_colour_test(capsys):
+    # one walk gives a unanimous verdict, so alg2 runs with it as alg1 does
+    code = main(["--dist", "br", "--algo", "alg2", "--n", "512", "--num-walks", "1",
+                 "--trials", "2", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.count("\nv1,br,alg2,512,") == 2
+    assert captured.err == "cyclelab: 2/2 trials found a cycle\n"
 
 
 def test_cli_unknown_algo_is_usage_error():

@@ -11,7 +11,8 @@ Five strategies:
   walk-based color tests, and wait for the path to close on itself.  A
   test's walks stop at a sink, a wall or a learned layer, and its verdict
   is red only when every walk agrees.  Each red verdict labels the known
-  vertices below it with their layers, and later walks stop on a label.
+  vertices below it with their layers, each walk that reaches a sink
+  labels the bottom half of its path, and later walks stop on a label.
 * ``run_algorithm1`` -- ``run_algorithm2`` with no walls: walks stop only
   at sinks and at learned layers.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
@@ -262,10 +263,21 @@ def _implied_layers(
     has learned), implying that vertex's layer - steps.  Walks cut short
     by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
 
-    At most ``num_walks`` walks; a test stops once its verdict is settled.
-    settled(implied, left, layers) is asked before each walk, with ``left``
-    the walks still to go, and a true result means no outcome of those
-    walks (any value, or no termination) can change the caller's verdict.
+    A walk that reaches a sink after s steps teaches ``member_layer`` exact
+    layers: on br a vertex in layer j > L/2 has parents only in layer
+    j - 1, so the walk's last k = min(s, L/2) steps ran down layers
+    L - k .. L.  One ``_learn_layers`` call labels the vertex k steps above
+    the sink with L - k, and with it the rest of the walk and every known
+    vertex below; a sink start gets L.  A blue start's sink walk implies at
+    most L/2 - 1, so only a red start in layer L/2 or deeper is labelled.
+
+    At most ``num_walks`` walks; a test stops once its verdict is settled,
+    or once v has a label in ``member_layer``, which the colour tests then
+    return as its layer; within a test only a sink walk of at most L/2
+    steps gives v a label.  settled(implied, left, layers) is asked before
+    each walk, with ``left`` the walks still to go, and a true result
+    means no outcome of those walks (any value, or no termination) can
+    change the caller's unanimous verdict.
 
     stop_at is an oracle meter reading (``vertex_query_count``), None for
     no ceiling; a finder passes its budget's ``_Budget.ceiling()``.  The
@@ -287,14 +299,18 @@ def _implied_layers(
         stop_at = math.inf
     implied = []
     attempted = 0
-    cached = oracle.kg.out.get
+    out = oracle.kg.out
+    cached = out.get
+    half = layers // 2
     stream = rng.stream
     bound = 0  # the bound take() serves; reopened when an answer's length differs
     for left in range(num_walks, 0, -1):
-        if settled(implied, left, layers) or oracle.vertex_query_count >= stop_at:
+        if (v in member_layer or settled(implied, left, layers)
+                or oracle.vertex_query_count >= stop_at):
             break
         attempted += 1
         cur = v
+        path = [v]  # path[i] is the vertex after i steps
         steps = 0
         halted = False
         while steps <= max_walk_len:
@@ -309,11 +325,14 @@ def _implied_layers(
                 halted = oracle.vertex_query_count >= stop_at
             if not answer:
                 implied.append(layers - steps)
+                k = min(steps, half)
+                _learn_layers(out, member_layer, path[steps - k], layers - k, layers)
                 break
             if len(answer) != bound:
                 bound = len(answer)
                 take = stream(bound)
             cur = answer[take()]
+            path.append(cur)
             steps += 1
     return implied, attempted
 
@@ -332,8 +351,14 @@ def _sink_settled(implied: list[int], left: int, layers: int) -> bool:
     """True once ``_sink_verdict`` is BLUE, which no walk left can undo.
 
     A walk that differs from the first, or implies a layer outside 1..L,
-    stays in the record.  A red verdict is never settled before the last
-    walk, since any walk left could still differ.
+    stays in the record.  A red verdict is never settled by this rule
+    before the last walk, since any walk left could still differ; the
+    walk loop ends a red test early only through the start's label, once
+    a sink walk of at most L/2 steps teaches it (``_implied_layers``).
+    When earlier walks stepped onto wrong labels and disagree, the settled
+    blue stands, even though a later sink walk might have labelled a red
+    start; a blue start is never labelled, so only wrong labels can do
+    this.
     """
     return _sink_verdict(implied, layers) == BLUE
 
@@ -356,9 +381,17 @@ def identify_color(
     discarded; if none terminate the verdict is Unknown.  ``wall_identify``
     is this test with walls and learned layers as well as sinks.
 
+    A sink walk labels the bottom half of its path with exact layers (see
+    ``_implied_layers``), in a map of this test's own, and later walks of
+    the test stop on those labels.  The map starts empty, so the first
+    walk from a start in layer L/2 or deeper reaches a sink and labels the
+    start; the test ends there, and that one walk's layer is the verdict
+    (L for a sink).
+
     At most ``num_walks`` walks; a test stops once its verdict is settled:
     BLUE at the first walk that differs from the first or implies a layer
-    outside 1..L (``_sink_settled``).  A red verdict takes every walk.
+    outside 1..L (``_sink_settled``), or the start's label once it has
+    one.  Any other red verdict takes every walk.
 
     Walks charge no query once the oracle's ``vertex_query_count`` reaches
     ``stop_at`` (see ``_implied_layers``), so a caller's budget is never
@@ -557,17 +590,24 @@ def wall_identify(
     with no walk.  rng is a numpy Generator or a finder's draw source, as
     in ``identify_color``.
 
+    Sink walks label the bottom half of their paths in ``member_layer``
+    itself (see ``_implied_layers``), so the labels serve every later test
+    that walks against the map.  A start that its own sink walk labels
+    (layer L/2 or deeper) ends the test with that label, as in
+    ``identify_color``.
+
     At most ``num_walks`` walks; a test stops once its verdict is settled
-    (``_sink_settled``): blue at the first walk that differs.  Walks
-    charge no query once the oracle's ``vertex_query_count`` reaches
-    ``stop_at``, as in ``identify_color``.
+    (``_sink_settled``): blue at the first walk that differs, or the
+    start's label once it has one.  Walks charge no query once the
+    oracle's ``vertex_query_count`` reaches ``stop_at``, as in
+    ``identify_color``.
     """
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
     implied, attempted = _implied_layers(
         oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
     )
-    return ColorEstimate(_sink_verdict(implied, layers), attempted)
+    return ColorEstimate(member_layer.get(v, _sink_verdict(implied, layers)), attempted)
 
 
 @_with_draw_source
@@ -596,8 +636,10 @@ def run_algorithm2(
     ``identify_color``).  Learned layers: a red stage-2 verdict at layer
     l labels the start with l and every vertex known below it with
     l + depth (``_learn_layers``), at no query, in the map that holds the
-    wall members, where a vertex keeps its first label; a labelled start
-    gets its label with no walk and counts in aux["wall_hits"].  A red
+    wall members, where a vertex keeps its first label; stage-2 walks that
+    reach a sink label the bottom half of their paths in the same map
+    (stage-1 tests keep theirs to themselves); a labelled start gets its
+    label with no walk and counts in aux["wall_hits"].  A red
     start at layer l > L - depth is skipped without a build and counted
     in aux["wall_failures"]: its BFS would query layer L, whose vertices
     are sinks, so the build could only fail.  Each stage-1 attempt counts

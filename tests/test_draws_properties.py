@@ -320,12 +320,13 @@ def test_non_pcg64_generators_take_the_scalar_path(name):
 @pytest.mark.parametrize("walls", [False, True])
 def test_colour_tests_put_the_generator_back_when_the_oracle_raises(walls):
     # a walk from layer 1 of 8 charges 8 queries, so the oracle raises in
-    # the second walk
+    # the second walk; each twin gets its own layer map, since the first
+    # walk's sink labels the bottom half of its path in it
     pair = gen_br_pair(BRParams(256, 8, 64, 4), np.random.default_rng(11))
     v = int(pair.coloring.layer_vertices(1)[0])
-    members = dict.fromkeys(pair.coloring.layer_vertices(7)[:1].tolist(), 7) if walls else {}
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     for twin_rng in (rng, IntegersOnly(ref)):
+        members = dict.fromkeys(pair.coloring.layer_vertices(7)[:1].tolist(), 7) if walls else {}
         oracle = InterruptingOracle(pair.graph, QueryModel.VERTEX, 10)
         with pytest.raises(Interrupted):
             if walls:

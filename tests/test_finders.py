@@ -266,20 +266,29 @@ def test_red_verdict_labels_known_descendants_and_later_walks_stop_on_labels():
     out = oracle.kg.out
     labels: dict[int, int] = {}
     est = wall_identify(oracle, 24, labels, 8, np.random.default_rng(0), num_walks=1)
-    assert est == ColorEstimate(3, 1) and not labels
+    assert est == ColorEstimate(3, 1)
+
+    def below(v):  # every known descendant of v, named-only children included
+        depth = {v: 0}
+        frontier = [v]
+        while frontier:
+            u = frontier.pop()
+            for c in out.get(u, ()):
+                depth.setdefault(c, depth[u] + 1)
+                frontier.append(c)
+        return depth
+
+    # the walk reached its sink in 5 steps, so its last L/2 = 4 steps ran
+    # down layers 4..8: the vertex it stepped to, 29 (layer 4), and every
+    # known vertex below it are labelled, while 24 itself (layer 3, above
+    # the bottom half) and 28 are not
+    assert labels == {u: 4 + k for u, k in below(29).items()}
+    assert 24 not in labels and 28 not in labels and 28 not in out
     answers, queries = dict(out), oracle.vertex_query_count
     finders._learn_layers(out, labels, 24, 3, 8)
     assert out == answers and oracle.vertex_query_count == queries
-    depth = {24: 0}
-    frontier = [24]
-    while frontier:  # every known descendant, named-only children included
-        u = frontier.pop()
-        for c in out.get(u, ()):
-            depth.setdefault(c, depth[u] + 1)
-            frontier.append(c)
-    assert labels == {u: 3 + k for u, k in depth.items()}
+    assert labels == {u: 3 + k for u, k in below(24).items()}
     assert all(labels[u] == pair.coloring.color(u) for u in labels)
-    assert 28 in labels and 28 not in out
     # 26 shares 24's children: every walk ends on 28 or 29 after one step,
     # implying 4 - 1 = 3, and only 26 itself is queried
     est = wall_identify(oracle, 26, labels, 8, np.random.default_rng(1))
@@ -295,6 +304,31 @@ def test_red_verdict_labels_known_descendants_and_later_walks_stop_on_labels():
     capped: dict[int, int] = {}
     finders._learn_layers(out, capped, 0, 8, 8)
     assert capped == {0: 8}
+
+
+def test_a_sink_walk_from_the_bottom_half_ends_the_test_with_its_exact_layer():
+    # hand pair L = 8: 36 (layer 6) reaches a sink of layer 8 in 2 <= L/2
+    # steps, so its first walk labels 36 itself with 6 and the test ends
+    # there, where a red verdict used to take every walk
+    pair = hand_pair_l8()
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
+    labels: dict[int, int] = {}
+    assert wall_identify(oracle, 36, labels, 8, np.random.default_rng(0)) == ColorEstimate(6, 1)
+    assert oracle.vertex_query_count == 3
+    # 36 and its two children, and the two sinks its queried child names
+    (child,) = (c for c in (40, 41) if c in oracle.kg.out)
+    sinks = oracle.kg.out[child]
+    assert labels == {36: 6, 40: 7, 41: 7, sinks[0]: 8, sinks[1]: 8}
+    assert all(labels[u] == pair.coloring.color(u) for u in labels)
+    # identify_color learns into a map of its own: the same one-walk stop,
+    # and a sink start gets L from its first walk
+    for v, layer in ((37, 6), (47, 8), (44, 8)):
+        est = identify_color(oracle, v, 8, np.random.default_rng(1), num_walks=50)
+        assert est == ColorEstimate(layer, 1)
+    # a start above the bottom half is never labelled by its own walks: a
+    # red verdict from layer 3 still takes every walk, though its later
+    # walks may stop on the labels that its first one taught
+    assert identify_color(oracle, 25, 8, np.random.default_rng(2)) == ColorEstimate(3, 6)
 
 
 # -- blue path growth -----------------------------------------------------------
@@ -446,19 +480,21 @@ def test_algorithm2_learned_labels_keep_wall_labels_and_answer_without_a_walk(mo
     def spied(oracle, v, member_layer, *args, **kwargs):
         if not maps:
             maps.append((member_layer, dict(member_layer)))  # wall members alone so far
+        label = member_layer.get(v)  # a label the start had before its test
         est = real_identify(oracle, v, member_layer, *args, **kwargs)
-        if v in member_layer:
-            hits.append((v, member_layer[v], est))
+        if label is not None:
+            hits.append((v, label, est))
         return est
 
     monkeypatch.setattr(finders, "build_wall", deep_wall)
     monkeypatch.setattr(finders, "wall_identify", spied)
     pair = hand_pair_l8()
     oracle = new_oracle(pair, model=QueryModel.VERTEX)
-    # seed 32 gives learned labels with a wall member among their children
-    # (6 such children); most seeds give none, since a red verdict at the
-    # true layer needs every walk of its start to miss those members
-    out = run_algorithm2(oracle, pair.params, np.random.default_rng(32))
+    # seed 120 gives learned labels with a wall member among their children
+    # (6 such children); 27 of seeds 0..199 give any, since a red verdict or
+    # a sink walk needs its walks to miss those members.  A start labelled
+    # by its own sink walk took a walk, so it is no hit
+    out = run_algorithm2(oracle, pair.params, np.random.default_rng(120))
     labels, walls = maps[0]
     learned = {u: layer for u, layer in labels.items() if u not in walls}
     assert out.aux["walls_built"] == 2 and walls and learned

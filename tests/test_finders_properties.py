@@ -33,15 +33,39 @@ from cyclelab.finders import (
 from cyclelab.oracle import VertexOutOfRange
 
 
+def reference_labels(out, member_layer, anchor, layer):
+    """Breadth first from a red anchor: it gets ``layer``, and each vertex that is
+    unlabelled and known below it through unlabelled queried vertices gets
+    ``layer`` plus its distance.  On br every red path between two vertices
+    has the same length, so the order of the search cannot change a label."""
+    fresh = {anchor: layer}
+    frontier = [anchor]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for c in out.get(u, ()):
+                if c not in member_layer and c not in fresh:
+                    fresh[c] = fresh[u] + 1
+                    nxt.append(c)
+        frontier = nxt
+    member_layer.update(fresh)
+
+
 def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop):
-    """One query_vertex call and one stop() poll before every step."""
+    """One query_vertex call and one stop() poll before every step.
+
+    A walk that reaches a sink after s steps labels the vertex k = min(s, L/2)
+    steps above the sink with L - k, and every known vertex below it; no
+    walk starts once v has a label.
+    """
     implied = []
     attempted = 0
     for _ in range(num_walks):
-        if stop is not None and stop():
+        if v in member_layer or (stop is not None and stop()):
             break
         attempted += 1
         cur = v
+        path = [v]
         steps = 0
         while steps <= max_walk_len:
             if steps >= 1 and cur in member_layer:
@@ -52,8 +76,11 @@ def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, ma
             answer = oracle.query_vertex(cur)
             if not answer:
                 implied.append(layers - steps)
+                k = min(steps, layers // 2)
+                reference_labels(oracle.kg.out, member_layer, path[steps - k], layers - k)
                 break
             cur = answer[int(rng.integers(len(answer)))]
+            path.append(cur)
             steps += 1
     return implied, attempted
 
@@ -82,7 +109,7 @@ def walk_cases(draw):
 
 
 def twin(case):
-    """An oracle with walls already built, a walk RNG and a budget."""
+    """An oracle with walls already built, a walk RNG, a budget and the colouring."""
     pair = gen_br_pair(case["params"], np.random.default_rng(case["seed"]))
     oracle = new_oracle(pair, QueryModel.VERTEX)
     member_layer: dict[int, int] = {}
@@ -93,7 +120,7 @@ def twin(case):
             for m in wall.members:
                 member_layer.setdefault(m, wall.layer_estimate)
     budget = _Budget(oracle, case["max_queries"], case["step_cap"])
-    return oracle, member_layer, np.random.default_rng(case["seed"] + 1), budget
+    return oracle, member_layer, np.random.default_rng(case["seed"] + 1), budget, pair.coloring
 
 
 def walk_once(loop, oracle, v, member_layer, layers, rng, case, stop):
@@ -118,8 +145,8 @@ def test_walk_loop_matches_reference(case, fast):
     # the loop draws from a DrawSource over rng (fast) or from the scalar
     # ScalarDraws, synced after each start
     layers = case["params"].layers
-    ref_oracle, ref_members, ref_rng, ref_budget = twin(case)
-    oracle, members, rng, budget = twin(case)
+    ref_oracle, ref_members, ref_rng, ref_budget, _ = twin(case)
+    oracle, members, rng, budget, _ = twin(case)
     walk_rng = DrawSource(rng) if fast else ScalarDraws(rng)
     assert members == ref_members
     for v in case["starts"]:
@@ -133,6 +160,7 @@ def test_walk_loop_matches_reference(case, fast):
         got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget.ceiling())
         walk_rng.sync()
         assert got == want
+        assert members == ref_members
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert oracle.vertex_query_count == ref_oracle.vertex_query_count
         assert oracle.history == ref_oracle.history
@@ -144,8 +172,9 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
     # each colour test runs on the finder's state; the reference runs every
     # walk on a copy of that state, so its walks extend the test's own
     layers = case["params"].layers
-    oracle, members, rng, budget = twin(case)
-    # both tests take the sink rule's unanimous verdict
+    oracle, members, rng, budget, coloring = twin(case)
+    # both tests take the sink rule's unanimous verdict, or the start's label
+    # once a sink walk teaches it
     if walls:
         test = functools.partial(wall_identify, member_layer=members)
     else:  # walks to sinks alone, on the same oracle state
@@ -154,17 +183,18 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
     walked = []
 
     def recorded(*args):
-        walked.append(_implied_layers(*args))
-        return walked[-1]
+        walked.append((_implied_layers(*args), args[2]))
+        return walked[-1][0]
 
     for v in case["starts"]:
         budget.steps += 1
-        ref_oracle, ref_rng, ref_budget = copy.deepcopy((oracle, rng, budget))
+        ref_oracle, ref_rng, ref_budget, ref_members = copy.deepcopy((oracle, rng, budget, members))
         want = reference_implied_layers(
-            ref_oracle, v, members, layers, ref_rng, num_walks, 4 * layers,
+            ref_oracle, v, ref_members, layers, ref_rng, num_walks, 4 * layers,
             ref_budget.exhausted,
         )
         walked.clear()
+        known = members.get(v)  # identify_color's own map starts empty
         with mock.patch.object(finders, "_implied_layers", recorded):
             est = test(oracle, v, layers=layers, rng=rng, num_walks=num_walks,
                        stop_at=budget.ceiling())
@@ -172,15 +202,27 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         assert history == list(ref_oracle.history)[:len(history)]
         assert budget.used() <= case["max_queries"]
         assert est.walks_used <= num_walks
-        if v in members:  # a known layer, with no walk
-            assert est.color == members[v] and est.walks_used == 0 and not walked
+        if known is not None:  # a known layer, with no walk
+            assert est == ColorEstimate(known, 0) and not walked
             continue
-        implied, attempted = walked[-1]
+        (implied, attempted), learned = walked[-1]
+        # the test's walks are the reference's first walks, and so are the
+        # labels they teach
         assert est.walks_used == attempted
         want_implied, want_attempted = want
         assert implied == want_implied[:len(implied)]
         assert attempted <= want_attempted
-        assert est.color == _sink_verdict(want_implied, layers)
+        assert learned.items() <= ref_members.items()
+        want_color = ref_members.get(v, _sink_verdict(want_implied, layers))
+        if attempted == want_attempted:  # the same walks, the same stop
+            assert est.color == want_color
+        else:  # settled early: blue, which only a label can override
+            assert est.is_blue and _sink_settled(implied, want_attempted - attempted, layers)
+            if est.color != want_color:
+                # a later walk labelled the start with its true layer: the
+                # walks before it disagreed, which needs a wrong wall label
+                assert want_color == ref_members[v] == coloring.color(v)
+                assert any(coloring.color(u) != layer for u, layer in members.items())
 
 
 def test_last_charged_query_can_still_step_onto_a_wall():

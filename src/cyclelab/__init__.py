@@ -5,21 +5,13 @@ from .analysis import (
     EpochReason,
     EpochStats,
     FasResult,
-    InvalidTreeHeight,
-    NotAForest,
     TooLarge,
-    TreeKind,
-    TreeType,
     ancestor_count,
     backedge_count,
-    classify_trees,
     decompose_epochs,
-    enumerate_conditional_colorings,
     epoch_stats,
-    is_good_partial,
     max_blue_path,
     min_fas_exact,
-    sample_naive_coloring,
 )
 from .finders import (
     ColorEstimate,
@@ -27,7 +19,6 @@ from .finders import (
     Wall,
     build_wall,
     default_num_walls,
-    default_wall_budget,
     identify_color,
     run_algorithm1,
     run_algorithm2,

@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--walls", type=int, default=None,
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")
-    parser.add_argument("--wall-p", type=int, default=None,
-                        help="alg2: per-wall fan-out budget P (default W, the layer width)")
     parser.add_argument("--path-target-mult", type=float, default=None,
                         help="alg1, alg2: path target as a multiple of sqrt(N) (default 2)")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
@@ -78,7 +76,6 @@ def main(argv=None) -> int:
         budget=args.budget,
         num_walks=args.num_walks,
         walls=args.walls,
-        wall_p=args.wall_p,
         path_target_mult=args.path_target_mult,
         reps=args.reps,
         explore_budget=args.explore_budget,

@@ -557,15 +557,6 @@ def default_num_walls(params: BRParams) -> int:
     return max(1, round(n ** 0.25 * layers / math.sqrt(n + layers * layers)))
 
 
-def default_wall_budget(params: BRParams) -> int:
-    """The per-wall fan-out budget P: W, the layer width.
-
-    A wall is floor(log_d W) levels deep, so it stops a level short of
-    saturating a layer and costs about W/(d - 1) queries.
-    """
-    return params.width
-
-
 @_with_draw_source
 def wall_identify(
     oracle: Oracle,
@@ -617,7 +608,6 @@ def run_algorithm2(
     rng,
     *,
     num_walls: int | None = None,
-    wall_p: int | None = None,
     budget: int | None = None,
     num_walks: int = 6,
     path_target: int | None = None,
@@ -625,15 +615,15 @@ def run_algorithm2(
     """Wall-building stage, then blue path growth with wall-based colors.
 
     Stage 1 samples vertices, keeps red ones, and BFS-builds a wall
-    floor(log_d P) levels below each (P defaults to W, so a wall costs
-    about W/(d - 1) queries).  Stage 2 colors a vertex with
-    ``wall_identify``, walking until a wall member, a learned layer or a
-    sink is hit: the terminator's layer minus the step count is the
-    start's implied layer.  Red starts repeat one implied value; blue
-    starts scatter.  In both stages the verdict is red only when every
-    terminated walk implies one layer in 1..L, and a test takes at most
-    ``num_walks`` walks and stops once its verdict is settled (see
-    ``identify_color``).  Learned layers: a red stage-2 verdict at layer
+    depth = floor(log_d W) levels below each, so a wall stops a level
+    short of saturating a layer and costs about W/(d - 1) queries.  Stage
+    2 colors a vertex with ``wall_identify``, walking until a wall member,
+    a learned layer or a sink is hit: the terminator's layer minus the
+    step count is the start's implied layer.  Red starts repeat one
+    implied value; blue starts scatter.  In both stages the verdict is
+    red only when every terminated walk implies one layer in 1..L, and a
+    test takes at most ``num_walks`` walks and stops once its verdict is
+    settled (see ``identify_color``).  Learned layers: a red stage-2 verdict at layer
     l labels the start with l and every vertex known below it with
     l + depth (``_learn_layers``), at no query, in the map that holds the
     wall members, where a vertex keeps its first label; stage-2 walks that
@@ -642,7 +632,9 @@ def run_algorithm2(
     label with no walk and counts in aux["wall_hits"].  A red
     start at layer l > L - depth is skipped without a build and counted
     in aux["wall_failures"]: its BFS would query layer L, whose vertices
-    are sinks, so the build could only fail.  Each stage-1 attempt counts
+    are sinks, so the build could only fail; when the wall depth reaches
+    L every red start is such a start, so stage 1 is skipped (no walls,
+    and the run is ``run_algorithm1``'s).  Each stage-1 attempt counts
     one step against the step cap, as it may charge nothing.  Defaults:
     path target 2*sqrt(N) rounded up, budget 100*L*sqrt(N) queries
     rounded up; the step cap is 40 * budget + 200 * V.
@@ -652,20 +644,18 @@ def run_algorithm2(
     """
     layers = params.layers
     n = params.n_blue
-    if num_walls is None:
+    depth = 1  # floor(log_d W), at least 1 since BRParams keeps d <= W
+    while params.outdeg ** (depth + 1) <= params.width:
+        depth += 1
+    if depth >= layers:  # every red start is doomed, so no wall can be built
+        num_walls = 0
+    elif num_walls is None:
         num_walls = default_num_walls(params)
-    if wall_p is None:
-        wall_p = default_wall_budget(params)
     if path_target is None:
         path_target = math.ceil(2 * math.sqrt(n))
     if budget is None:
         budget = math.ceil(100 * layers * math.sqrt(n))
     tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
-    depth = 0
-    reach = 1
-    while reach * params.outdeg <= wall_p:
-        reach *= params.outdeg
-        depth += 1
 
     aux = {
         "walks": 0,

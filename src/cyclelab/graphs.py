@@ -148,9 +148,6 @@ class Coloring:
     def is_blue(self, v: int) -> bool:
         return self.layer_by_vertex[v] == BLUE
 
-    def blue_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.layer_by_vertex == BLUE)
-
     def layer_vertices(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.layer_by_vertex == i)
 
@@ -218,16 +215,10 @@ class Digraph:
         shift = np.repeat(starts - (ends - degrees), degrees)  # row start minus its output start
         return degrees, self._targets[np.arange(len(shift)) + shift].astype(np.int64)
 
-    def out_degree(self, u: int) -> int:
-        return int(self._offsets[u + 1] - self._offsets[u])
-
     def max_out_degree(self) -> int:
         if self.v_count == 0:
             return 0
         return int(np.max(np.diff(self._offsets)))
-
-    def edge_count(self) -> int:
-        return len(self._targets)
 
     def edges(self):
         """Yield (u, v) pairs in adjacency order."""

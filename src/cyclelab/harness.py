@@ -50,7 +50,6 @@ CSV_COLUMNS = (
 # the same with or without it, so a non-default value there is refused
 _FINDER_OPTIONS = (
     ("walls", ("alg2",)),
-    ("wall_p", ("alg2",)),
     ("reps", ("bfs",)),
     ("explore_budget", ("bfs",)),
     ("num_walks", ("alg1", "alg2")),
@@ -81,7 +80,6 @@ class ExperimentConfig:
     budget: int | None = None
     num_walks: int = 6
     walls: int | None = None
-    wall_p: int | None = None
     path_target_mult: float | None = None
     reps: int = 1
     explore_budget: int | None = None
@@ -122,8 +120,6 @@ class ExperimentConfig:
             )
         if self.walls is not None and self.walls < 0:
             raise ConfigError("walls must be >= 0")
-        if self.wall_p is not None and self.wall_p < 1:
-            raise ConfigError("wall_p must be >= 1")
         if self.path_target_mult is not None and self.path_target_mult <= 0:
             raise ConfigError("path_target_mult must be > 0")
         if self.path_target_mult is not None and not math.isfinite(
@@ -223,7 +219,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
             params,
             rng,
             num_walls=config.walls,
-            wall_p=config.wall_p,
             budget=config.budget,
             num_walks=config.num_walks,
             path_target=path_target,

@@ -61,9 +61,6 @@ class QueryHistory:
     def __getitem__(self, i):
         return self.records[i]
 
-    def prefix(self, k: int) -> "QueryHistory":
-        return QueryHistory(self.records[:k])
-
     def vertices(self) -> set[int]:
         """VKG: every vertex queried or returned so far."""
         return _seen_set(self.records)
@@ -83,14 +80,14 @@ def _seen_set(records: _Pairs) -> set[int]:
 
 
 class KnowledgeGraph:
-    """Everything a history has exposed: answer edges, seen vertices, sinks.
+    """Everything a history has exposed: answer edges and seen vertices.
 
     ``out`` maps each queried vertex to its answer, in the order they were
     added, and is the only thing stored; it is the oracle's answer cache
-    and transcript too.  ``vertices`` (the seen set), ``sinks`` and
-    ``in_edges`` are derived from ``out`` on each read, so a reader that
-    loops reads a view once, before its loop.  Can be built incrementally
-    from records or assembled by hand for the tree-classification helpers.
+    and transcript too.  ``vertices`` (the seen set) and ``in_edges`` are
+    derived from ``out`` on each read, so a reader that loops reads a view
+    once, before its loop.  Can be built incrementally from records or
+    assembled by hand, one answer entry at a time.
     """
 
     def __init__(self) -> None:
@@ -110,11 +107,6 @@ class KnowledgeGraph:
         return _seen_set(self.out.items())
 
     @property
-    def sinks(self) -> set[int]:
-        """Queried vertices whose answer was empty."""
-        return {u for u, row in self.out.items() if not row}
-
-    @property
     def in_edges(self) -> dict[int, list[int]]:
         """Parents of each vertex, one per answer entry, in ``out`` order."""
         index: dict[int, list[int]] = {}
@@ -125,18 +117,6 @@ class KnowledgeGraph:
 
     def out_of(self, v: int) -> tuple[int, ...]:
         return self.out.get(v, ())
-
-    def parents_of(self, v: int) -> list[int]:
-        """v's parents, from a fresh ``in_edges``; a loop reads ``in_edges`` once."""
-        return self.in_edges.get(v, [])
-
-    def edges(self):
-        for u, row in self.out.items():
-            for v in row:
-                yield u, v
-
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.out.values())
 
 
 def knowledge_graph(history: _Pairs) -> KnowledgeGraph:

@@ -21,10 +21,7 @@ from cyclelab import (
     QueryRecord,
     backedge_count,
     build_wall,
-    classify_trees,
     decompose_epochs,
-    default_wall_budget,
-    enumerate_conditional_colorings,
     fit_scaling,
     gen_br_pair,
     identify_color,
@@ -38,13 +35,13 @@ from cyclelab import (
     run_bfs_heuristic,
     run_experiment,
     run_random_walk_finder,
-    sample_naive_coloring,
     validate_br,
     verify_cycle,
     wall_identify,
 )
 from cyclelab.graphs import Digraph
 
+from colouring_law import classify_trees, enumerate_conditional_colorings, sample_naive_coloring
 from fas_reference import min_fas_bruteforce
 
 # the whole module is the slow end-to-end tier; `pytest -m "not acceptance"`
@@ -305,9 +302,9 @@ def test_08_wall_verdicts_match_hidden_colors():
     oracle = new_oracle(pair, QueryModel.VERTEX)
     lay = pair.coloring.layer_by_vertex
 
-    depth = 0
+    depth = 0  # floor(log_d W), alg2's wall depth
     reach = 1
-    while reach * params.outdeg <= default_wall_budget(params):
+    while reach * params.outdeg <= params.width:
         reach *= params.outdeg
         depth += 1
 

@@ -11,23 +11,25 @@ from cyclelab import (
     BRParams,
     Coloring,
     Digraph,
-    NotAForest,
     QueryRecord,
     TooLarge,
-    TreeKind,
     ancestor_count,
     backedge_count,
-    classify_trees,
-    enumerate_conditional_colorings,
     epoch_stats,
-    is_good_partial,
     knowledge_graph,
     max_blue_path,
     min_fas_exact,
-    sample_naive_coloring,
 )
 from cyclelab.oracle import QueryHistory
 
+from colouring_law import (
+    NotAForest,
+    TreeKind,
+    classify_trees,
+    enumerate_conditional_colorings,
+    is_good_partial,
+    sample_naive_coloring,
+)
 from fas_reference import min_fas_bruteforce
 from test_oracle import hand_pair_l8
 

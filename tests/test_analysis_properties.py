@@ -46,7 +46,7 @@ def reference_stats(history, coloring, cap) -> EpochStats:
     per_epoch = tuple(max_blue_path(knowledge_graph(seg), coloring) for seg in segments)
     kg = knowledge_graph(history)
     max_anc = max((ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0)
-    return EpochStats(dec.epoch_count(), sum(surprises), blue_surprises, per_epoch, max_anc)
+    return EpochStats(len(segments), sum(surprises), blue_surprises, per_epoch, max_anc)
 
 
 def walk(oracle, v_count: int, steps: list[int]) -> QueryHistory:

@@ -552,12 +552,12 @@ def test_learned_layers_are_rarely_wrong(monkeypatch, finder, shape, params, tri
 
 
 def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
-    # at N = 64, d = 8 (L = 2, wall depth 2) every red start is doomed, so
-    # no wall is built; with every vertex queried first nothing is charged,
-    # and only the step cap (40 x budget + 200 x V) can end stage 1 before
-    # its 30 x num_walls + 60 attempts
+    # at N = 64, L = 8, W = 16, d = 2 (wall depth 4, V = 192) with every
+    # vertex queried first nothing is charged, and only the step cap
+    # (40 x budget + 200 x V) can end stage 1 before its num_walls walls
+    # or its 30 x num_walls + 60 attempts
     rng = np.random.default_rng(5)
-    pair = gen_br_pair(auto_params(64, 8), rng)
+    pair = gen_br_pair(BRParams(64, 8, 16, 2), rng)
     oracle = new_oracle(pair, model=QueryModel.VERTEX)
     for v in range(pair.graph.v_count):
         oracle.query_vertex(v)
@@ -568,10 +568,28 @@ def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
         return identify_color(*args, **kwargs)
 
     monkeypatch.setattr(finders, "identify_color", counted)
-    out = run_algorithm2(oracle, pair.params, rng, num_walls=10**4, budget=1)
+    num_walls = 40 * 1 + 200 * pair.graph.v_count + 1  # more than the step cap allows
+    out = run_algorithm2(oracle, pair.params, rng, num_walls=num_walls, budget=1)
     assert out.queries_used == 0
-    assert out.aux["walls_built"] == 0
+    assert 0 < out.aux["walls_built"] < num_walls
     assert len(calls) <= 40 * 1 + 200 * pair.graph.v_count
+
+
+@pytest.mark.parametrize("n, d", [(64, 8), (512, 2)])
+def test_algorithm2_skips_stage1_when_the_wall_depth_reaches_the_layer_count(n, d):
+    # floor(log_d W) >= L (L = 2, depth 2; L = 4, W = 256, depth 8): every
+    # red start's wall would reach the sink layer, so alg2 is alg1 byte for
+    # byte, and even an asked-for wall count starts no attempt
+    params = auto_params(n, d)
+    pair = gen_br_pair(params, np.random.default_rng(n))
+    runs = []
+    for finder, kwargs in ((run_algorithm1, {}), (run_algorithm2, {"num_walls": 3})):
+        rng = np.random.default_rng(17)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
+        out = finder(oracle, params, rng, **kwargs)
+        runs.append((out, oracle.transcript(), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert runs[1][0].aux["stage1_queries"] == 0
 
 
 # -- breadth-first heuristic ------------------------------------------------------

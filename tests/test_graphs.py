@@ -84,7 +84,7 @@ def test_generated_shape_n4():
     pair = gen_br_pair(BRParams(4, 4, 2, 2), np.random.default_rng(7))
     g = pair.graph
     assert g.v_count == 12
-    degs = [g.out_degree(v) for v in range(12)]
+    degs = [len(g.out_list(v)) for v in range(12)]
     assert degs.count(2) == 10  # 4 blue + 6 red in layers 1..3
     assert degs.count(0) == 2  # layer 4
 

@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cyclelab import (
+    BLUE,
     BRPair,
     BRParams,
     Digraph,
@@ -66,7 +67,7 @@ def reference_from_matrix(matrix, has_out):
 def reference_gen_br_graph(coloring, rng, reached=None):
     p = coloring.params
     n, l, w, d = p.n_blue, p.layers, p.width, p.outdeg
-    blue = coloring.blue_vertices()
+    blue = np.flatnonzero(coloring.layer_by_vertex == BLUE)
     top_red = np.flatnonzero(
         (coloring.layer_by_vertex >= 1) & (coloring.layer_by_vertex <= l // 2)
     )

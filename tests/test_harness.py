@@ -59,10 +59,8 @@ def test_config_rejects_bad_combinations():
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
     with pytest.raises(ConfigError):
         walk_config(walls=-1).validate()  # used to run as zero walls
-    with pytest.raises(ConfigError):
-        walk_config(wall_p=0).validate()  # used to run as depth-0 walls
-    with pytest.raises(ConfigError):
-        walk_config(wall_p=-5).validate()
+    with pytest.raises(TypeError):
+        walk_config(wall_p=5)  # the wall depth is floor(log_d W), not an option
     with pytest.raises(ConfigError):
         walk_config(base_seed=-1).validate()  # numpy refuses a negative seed
     with pytest.raises(ConfigError):
@@ -75,7 +73,6 @@ def test_config_rejects_bad_combinations():
     walk_config(dist="br", algo="alg1", n=2048, d=8, path_target_mult=1e300).validate()
     walk_config().validate()
     walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
-    walk_config(dist="br", algo="alg2", wall_p=1).validate()
     walk_config(dist="br", algo="alg2", num_walks=2).validate()
     walk_config(dist="br", algo="alg1", num_walks=1).validate()
     # one walk gives a unanimous verdict, in alg2's stage 2 as in alg1
@@ -86,7 +83,7 @@ def test_config_rejects_bad_combinations():
 # each finder option, a value other than its default, and the finders that read it
 FINDER_OPTIONS = [
     ("walls", 3, {"alg2"}),
-    ("wall_p", 5, {"alg2"}),
+    ("walls", 0, {"alg2"}),  # no walls is a choice too: alg1 is alg2 with none
     ("reps", 2, {"bfs"}),
     ("explore_budget", 10, {"bfs"}),
     ("num_walks", 3, {"alg1", "alg2"}),
@@ -411,13 +408,12 @@ def test_cli_rejects_bad_combination(capsys):
         (["--layers", "4096", "--d", "2"], "outdeg 2 exceeds layer width 1"),
         (["--n", "3", "--d", "8"], "no even divisor of 6 within a factor 4 of 1.489"),
         (["--dist", "brsimple", "--n", "3"], "brsimple needs an even n, got 3"),
-        # values that ran as depth-0 walls or ended in numpy's seed traceback
-        (["--algo", "alg2", "--wall-p", "-5"], "wall_p must be >= 1"),
-        (["--algo", "alg2", "--wall-p", "0"], "wall_p must be >= 1"),
+        # values no finder can run with, or that ended in numpy's seed traceback
+        (["--algo", "alg2", "--budget", "0"], "budget must be >= 1"),
+        (["--algo", "bfs", "--explore-budget", "0"], "explore_budget must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
         # finder options that the chosen finder would ignore
-        (["--algo", "alg1", "--walls", "3", "--wall-p", "5"],
-         "walls applies only to alg2, not alg1"),
+        (["--algo", "alg1", "--walls", "3"], "walls applies only to alg2, not alg1"),
         (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
         (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
         (["--layers", "4096"], "outdeg 8 exceeds layer width 1"),  # the default d
@@ -430,6 +426,16 @@ def test_cli_rejects_bad_instance_shapes(args, message, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"cyclelab: {message}\n"
+
+
+def test_cli_has_no_wall_fan_out_option(capsys):
+    # the wall depth is floor(log_d W), so --wall-p is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--algo", "alg2", "--n", "2048", "--trials", "0", "--wall-p", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("cyclelab: error: unrecognized arguments: --wall-p 5\n")
 
 
 def test_cli_runs_alg2_with_one_walk_a_colour_test(capsys):

@@ -186,7 +186,7 @@ def test_decompose_short_history_stays_open():
     dec = decompose_epochs(h, epoch_cap=4)
     assert dec.closed_epochs == ()
     assert len(dec.current_epoch) == 3
-    assert dec.epoch_count() == 1
+    assert len(dec.closed_epochs) + bool(len(dec.current_epoch)) == 1
 
 
 def test_decompose_surprise_at_three():
@@ -204,7 +204,7 @@ def test_decompose_surprise_wins_tie_at_cap():
     recs.append(QueryRecord(100, (1, 101)))  # surprise lands exactly at cap
     dec = decompose_epochs(QueryHistory(tuple(recs)), epoch_cap=3)
     assert dec.end_reasons == (EpochReason.SURPRISE,)
-    assert dec.epoch_count() == 1
+    assert len(dec.closed_epochs) + bool(len(dec.current_epoch)) == 1
 
 
 def test_decompose_counts_answer_entries_only():
@@ -234,7 +234,7 @@ def _splits(records, cap):
 def test_decompose_empty_history():
     dec = decompose_epochs(QueryHistory(()), epoch_cap=3)
     assert (dec.closed_epochs, dec.end_reasons) == ((), ())
-    assert len(dec.current_epoch) == 0 and dec.epoch_count() == 0
+    assert len(dec.current_epoch) == 0
 
 
 def test_decompose_one_record():
@@ -289,9 +289,9 @@ def test_knowledge_graph_shapes():
     assert knowledge_graph(QueryHistory(())).vertices == set()
     kg = knowledge_graph(QueryHistory((QueryRecord(5, (7, 9)),)))
     assert kg.vertices == {5, 7, 9}
-    assert kg.edge_count() == 2
+    assert sum(map(len, kg.out.values())) == 2
     assert kg.out_of(5) == (7, 9)
-    assert kg.parents_of(7) == [5]
+    assert kg.in_edges.get(7, []) == [5]
 
 
 def test_full_outdegree_vertices_were_queried():

@@ -58,7 +58,7 @@ def reference_split(history: QueryHistory, cap: int):
     the vertices of the first k-1 records; an epoch also closes at cap records."""
     closed, reasons, start = [], [], 0
     for k in range(1, len(history) + 1):
-        surprise = not history.prefix(k - 1).vertices().isdisjoint(history[k - 1].answer)
+        surprise = not QueryHistory(history.records[:k - 1]).vertices().isdisjoint(history[k - 1].answer)
         if surprise or k - start == cap:
             closed.append(QueryHistory(history.records[start:k]))
             reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)

@@ -9,7 +9,7 @@ first on ``PYTHONPATH`` (default: this checkout's ``src``), and its digest
 covers the process's stdout, stderr and exit status.  The configs are every
 finder on both distributions at three (n, d) sizes, and on br at four
 (n, layers, d) shapes that reach every branch of the instance generator,
-each at three seeds, four trials each with the deadline off, plus alg1 and
+each at three seeds, four trials each, plus alg1 and
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus alg1 on 31 red layers of 512 rows (``--n 8192 --layers 32 --d 8``),
 which the generator draws in two groups of layers, four trials,
@@ -39,6 +39,8 @@ with no stage-2 verdict, so its digest differs from theirs.  alg2 on br
 where the wall depth floor(log_d W) reaches L (the ``--n 512 --d 2``
 configs) skips stage 1 and prints alg1's rows under its own name;
 checkouts that ran its futile wall attempts print other rows there.
+``--time-limit`` defaults to 0, no deadline, the only value it accepts,
+so only the refused config names it.
 Two configs run at a time.
 """
 
@@ -63,9 +65,9 @@ SIZES = ((128, 3), (512, 2), (1024, 8))
 # d = W (W = 4)
 LAYERED = ((128, 32, 5), (2048, 32, 3), (64, 2, 63), (16, 8, 4))
 SEEDS = (11, 37, 4242)
-TAIL = ["--trials", "4", "--time-limit", "0"]
+TAIL = ["--trials", "4"]
 # N = 2^20 costs a few seconds and about 400 MB a trial, so two trials
-PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2", "--time-limit", "0"]
+PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2"]
 # 31 red layers of 512 rows, drawn by the generator in two groups of layers
 TWO_GROUPS = ["--algo", "alg1", "--dist", "br", "--n", "8192", "--layers", "32", "--d", "8",
               "--seed", "5", *TAIL]
@@ -84,13 +86,11 @@ BAD_SHAPES = (
 ONE_WALK = ["--algo", "alg2", "--dist", "br", "--n", "512", "--num-walks", "1", "--seed", "0",
             *TAIL]
 # values refused before any trial runs; each config ends with its own seed and
-# then TAIL, except the --time-limit one, which ends with its own tail because
-# TAIL's --time-limit 0 would override its value
+# then TAIL
 BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
     ["--algo", "alg1", "--dist", "br", "--n", "2048", "--walls", "3", "--seed", "0"],
-    ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "0", "--trials", "4",
-     "--time-limit", "5"],
+    ["--algo", "walk", "--dist", "br", "--n", "2048", "--time-limit", "5", "--seed", "0"],
     ["--algo", "alg1", "--dist", "br", "--n", "2048", "--d", "8", "--path-target-mult", "nan",
      "--seed", "0"],
     ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
@@ -111,7 +111,7 @@ def configs() -> list[list[str]]:
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
     return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, THREE_WALLS, ONE_WALK] + [
-        args if "--time-limit" in args else args + TAIL for args in bad + list(BAD_VALUES)
+        args + TAIL for args in bad + list(BAD_VALUES)
     ]
 
 

@@ -58,7 +58,7 @@ def run_trials(src: Path, algo: str, pt: tuple[int, int, int], seeds: range) -> 
     ))
     args = ["--algo", algo, "--dist", "br", "--n", str(n), "--layers", str(layers),
             "--d", str(d), "--seed", str(seeds.start), "--trials", str(len(seeds)),
-            "--no-epoch-stats", "--time-limit", "0"]
+            "--no-epoch-stats"]
     proc = subprocess.run([sys.executable, "-m", "cyclelab", *args],
                           capture_output=True, text=True, env=env, check=False)
     if proc.returncode != 0:

@@ -58,14 +58,11 @@ from .harness import (
 )
 from .oracle import (
     IndexOutOfRange,
-    KnowledgeGraph,
     Oracle,
-    QueryHistory,
     QueryModel,
     QueryRecord,
     VertexOutOfRange,
     detect_cycle,
-    knowledge_graph,
     new_oracle,
     verify_cycle,
 )

@@ -11,14 +11,17 @@ Two groups of tools:
   an already-seen vertex (a "surprise").  Only ``_epoch_ends`` applies
   this rule, on arrays of the records: a record is a surprise iff one of
   its answer entries was first named by an earlier record, and the cap
-  closes fall at fixed strides between surprises.
+  closes fall at fixed strides between surprises.  A knowledge graph is
+  a dict from each queried vertex to its answer, in query order, such as
+  ``Oracle.kg``; ``_seen_set`` and ``_in_edges`` derive its seen vertices
+  and its parents.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -26,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import BLUE, Coloring, Digraph
-from .oracle import KnowledgeGraph, Oracle, QueryHistory, QueryModel, knowledge_graph
+from .oracle import Oracle, QueryModel, QueryRecord
 
 
 class TooLarge(ValueError):
@@ -181,34 +184,33 @@ def _epoch_ends(
 
 @dataclass(frozen=True)
 class EpochDecomposition:
-    closed_epochs: tuple[QueryHistory, ...]
+    closed_epochs: tuple[tuple[QueryRecord, ...], ...]
     end_reasons: tuple[EpochReason, ...]
-    current_epoch: QueryHistory
+    current_epoch: tuple[QueryRecord, ...]
     epoch_cap: int
 
 
-def decompose_epochs(history: QueryHistory, epoch_cap: int) -> EpochDecomposition:
+def decompose_epochs(history: Sequence[QueryRecord], epoch_cap: int) -> EpochDecomposition:
     """Split a history into surprise/timeout epochs of at most epoch_cap.
 
+    The history is any sequence of records, such as ``Oracle.history``.
     Slices the records at the ends ``_epoch_ends`` computes from their
-    arrays; the records after the last close form the current epoch.  A
-    query that is both a surprise and the cap-filling query closes its
-    epoch with reason SURPRISE.
+    arrays, so each epoch is a tuple of records; the records after the
+    last close form the current epoch.  A query that is both a surprise
+    and the cap-filling query closes its epoch with reason SURPRISE.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    records = history.records
+    records = tuple(history)
     ends, surprises = _epoch_ends(_record_arrays(records), epoch_cap)
-    closed: list[QueryHistory] = []
+    closed: list[tuple[QueryRecord, ...]] = []
     reasons: list[EpochReason] = []
     start = 0
     for end, surprise in zip(ends.tolist(), surprises.tolist()):
-        closed.append(QueryHistory(tuple(records[start:end])))
+        closed.append(records[start:end])
         reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
         start = end
-    return EpochDecomposition(
-        tuple(closed), tuple(reasons), QueryHistory(tuple(records[start:])), epoch_cap
-    )
+    return EpochDecomposition(tuple(closed), tuple(reasons), records[start:], epoch_cap)
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,29 @@ class EpochStats:
     max_ancestors_blue: int
 
 
-def max_blue_path(kg: KnowledgeGraph, coloring: Coloring) -> int:
+def _seen_set(kg: dict[int, tuple[int, ...]]) -> set[int]:
+    """VKG: every vertex queried or named in an answer.
+
+    Added record by record, so the set iterates as one kept up to date
+    query by query would.
+    """
+    seen: set[int] = set()
+    for u, row in kg.items():
+        seen.add(u)
+        seen.update(row)
+    return seen
+
+
+def _in_edges(kg: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """Parents of each vertex, one per answer entry, in ``kg`` order."""
+    index: dict[int, list[int]] = {}
+    for u, row in kg.items():
+        for v in row:
+            index.setdefault(v, []).append(u)
+    return index
+
+
+def max_blue_path(kg: dict[int, tuple[int, ...]], coloring: Coloring) -> int:
     """Edge count of the longest directed all-blue path in kg.
 
     The blue part of an epoch knowledge graph is a forest, where this is
@@ -228,11 +252,9 @@ def max_blue_path(kg: KnowledgeGraph, coloring: Coloring) -> int:
     the number of blue vertices is returned instead: a documented upper
     bound on any simple path, not the path length itself.
     """
-    blue = [v for v in kg.vertices if coloring.is_blue(v)]
+    blue = [v for v in _seen_set(kg) if coloring.is_blue(v)]
     blue_set = set(blue)
-    succ = {
-        u: [w for w in kg.out_of(u) if w in blue_set] for u in blue if u in kg.out
-    }
+    succ = {u: [w for w in kg[u] if w in blue_set] for u in blue if u in kg}
     indeg = dict.fromkeys(blue, 0)
     for row in succ.values():
         for w in row:
@@ -254,9 +276,9 @@ def max_blue_path(kg: KnowledgeGraph, coloring: Coloring) -> int:
     return max(dist.values(), default=0)
 
 
-def ancestor_count(kg: KnowledgeGraph, u: int) -> int:
+def ancestor_count(kg: dict[int, tuple[int, ...]], u: int) -> int:
     """Vertices other than u with a directed path to u in kg."""
-    parents = kg.in_edges
+    parents = _in_edges(kg)
     seen = {u}
     frontier = [u]
     while frontier:
@@ -371,10 +393,10 @@ def epoch_stats(
     """Post-hoc epoch/surprise/blue-path accounting for a finished run.
 
     The transcript is a finished run's oracle, or any iterable of
-    (vertex, answer) pairs in query order, such as a QueryHistory or
-    ``oracle.kg.out.items()``.  Pairs are read into a tuple once and their
+    (vertex, answer) pairs in query order, such as ``oracle.history`` or
+    ``oracle.kg.items()``.  Pairs are read into a tuple once and their
     answers into arrays entry by entry.  An oracle's answers are its hidden
-    graph's out-lists, so its arrays come from ``kg.out``'s keys and one
+    graph's out-lists, so its arrays come from ``kg``'s keys and one
     gather of those rows (Digraph.rows), and its transcript is not copied;
     an adjacency-list oracle, whose answers are single entries, is refused
     with ValueError.  From the arrays on, both take one path, and a record
@@ -393,9 +415,9 @@ def epoch_stats(
     at or before its source only on the closing surprise or as a
     self-loop, so query order is otherwise a topological order of the
     epoch's blue edges and the walk takes the longest path in passing; the
-    rare epoch with such an edge goes to max_blue_path, on a knowledge
-    graph of that epoch's pairs.  Ancestor counts come from one pass over
-    the SCC condensation of the blue vertices and their ancestors, in which
+    rare epoch with such an edge goes to max_blue_path, on a dict of that
+    epoch's pairs.  Ancestor counts come from one pass over the SCC
+    condensation of the blue vertices and their ancestors, in which
     each SCC's ancestor set is a bitset: the OR of its members' bits and
     its parent SCCs' sets, each freed after its last reader.  A leaf, one
     of those vertices with a single edge into it and none out to the
@@ -407,7 +429,7 @@ def epoch_stats(
     if isinstance(history, Oracle):
         if history.model is QueryModel.ADJ_LIST:
             raise ValueError("an adjacency-list oracle answers single entries, not out-lists")
-        out = history.kg.out
+        out = history.kg
         vertices = np.fromiter(out, dtype=np.int64, count=len(out))
         degrees, targets = history.hidden_graph.rows(vertices)
 
@@ -448,7 +470,7 @@ def epoch_stats(
                 if per_epoch[e] < step:
                     per_epoch[e] = step
     for e in back:
-        epoch = knowledge_graph(pairs_at(np.arange(bounds[e], bounds[e + 1])))
+        epoch = dict(pairs_at(np.arange(bounds[e], bounds[e + 1])))
         per_epoch[e] = max_blue_path(epoch, coloring)
     closing_blue = layer[vertices[ends[surprise] - 1]] == BLUE
     return EpochStats(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ._draws import draw_source
 from .graphs import BLUE, BRParams
-from .oracle import KnowledgeGraph, Oracle, QueryModel, QueryRecord, detect_cycle
+from .oracle import Oracle, QueryModel, detect_cycle
 
 
 @dataclass
@@ -185,7 +185,7 @@ def run_random_walk_finder(
         aux["steps"] += 1
         budget.steps += 1
         if nxt in trail:
-            cycle = detect_cycle(oracle.kg, QueryRecord(cur, answer))
+            cycle = detect_cycle(oracle.kg, cur, answer)
             assert cycle is not None, "trail collision must close a visible cycle"
             break
         trail.add(nxt)
@@ -218,7 +218,7 @@ def run_birthday_sampler(
     draw = rng.below
     budget = _Budget(oracle, max_queries, step_cap=50 * max_queries + 100)
     aux = {"collisions": 0, "cells": 0}
-    partial = KnowledgeGraph()
+    partial: dict[int, tuple[int, ...]] = {}  # answer entries found so far, by vertex
     seen: set[int] = set()  # sampled vertices and answers, for the collision count
     seen_cells: set[tuple[int, int]] = set()
     total_cells = v_count * d
@@ -238,8 +238,8 @@ def run_birthday_sampler(
         if v in seen:
             aux["collisions"] += 1
         seen.update((u, v))
-        partial.add_edge(u, v)
-        cycle = detect_cycle(partial, QueryRecord(u, (v,)))
+        partial[u] = partial.get(u, ()) + (v,)
+        cycle = detect_cycle(partial, u, (v,))
         if cycle is not None:
             break
     return FinderOutcome(cycle, budget.used(), aux)
@@ -299,7 +299,7 @@ def _implied_layers(
         stop_at = math.inf
     implied = []
     attempted = 0
-    out = oracle.kg.out
+    out = oracle.kg
     cached = out.get
     half = layers // 2
     stream = rng.stream
@@ -363,6 +363,49 @@ def _sink_settled(implied: list[int], left: int, layers: int) -> bool:
     return _sink_verdict(implied, layers) == BLUE
 
 
+def _colour_test(
+    oracle: Oracle,
+    v: int,
+    member_layer: dict[int, int],
+    layers: int,
+    rng,
+    num_walks: int,
+    stop_at: int | None,
+) -> ColorEstimate:
+    """Colour v by walk lengths against sinks and the labels of ``member_layer``.
+
+    Each walk runs until it steps onto a vertex of ``member_layer`` (a
+    wall member or a learned layer) or a sink, for at most 4L steps; the
+    terminator's layer minus the step count is the start's implied layer.
+    From a red start every walk implies one fixed value, pinning its layer
+    exactly; from a blue start they scatter.  The verdict is red when
+    every terminated walk implies one layer in 1..L, blue on any scatter
+    or on a layer outside 1..L (only a blue prefix pushes the implied
+    value below 1), unknown when no walk terminates.  A start in
+    ``member_layer`` gets its layer with no walk.
+
+    Sink walks label the bottom half of their paths in ``member_layer``
+    itself (see ``_implied_layers``), and later walks stop on those labels.
+    A start that its own sink walk labels (layer L/2 or deeper) ends the
+    test with that label: that one walk's layer, or L for a sink.
+
+    At most ``num_walks`` walks; a test stops once its verdict is settled:
+    blue at the first walk that differs from the first or implies a layer
+    outside 1..L (``_sink_settled``), or the start's label once it has
+    one.  Any other red verdict takes every walk.  Walks charge no query
+    once the oracle's ``vertex_query_count`` reaches ``stop_at`` (see
+    ``_implied_layers``), so a caller's budget is never overdrawn
+    mid-test; an interrupted walk counts as non-terminating.  rng is a
+    draw source, which its owner syncs.
+    """
+    if v in member_layer:
+        return ColorEstimate(member_layer[v], 0)
+    implied, attempted = _implied_layers(
+        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
+    )
+    return ColorEstimate(member_layer.get(v, _sink_verdict(implied, layers)), attempted)
+
+
 @_with_draw_source
 def identify_color(
     oracle: Oracle,
@@ -375,37 +418,32 @@ def identify_color(
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
-    From a red vertex every walk bottoms out after the same number of
-    steps, pinning the layer exactly; differing distances prove the start
-    is blue.  Walks that never reach a sink within 4L steps are
-    discarded; if none terminate the verdict is Unknown.  ``wall_identify``
-    is this test with walls and learned layers as well as sinks.
-
-    A sink walk labels the bottom half of its path with exact layers (see
-    ``_implied_layers``), in a map of this test's own, and later walks of
-    the test stop on those labels.  The map starts empty, so the first
-    walk from a start in layer L/2 or deeper reaches a sink and labels the
-    start; the test ends there, and that one walk's layer is the verdict
-    (L for a sink).
-
-    At most ``num_walks`` walks; a test stops once its verdict is settled:
-    BLUE at the first walk that differs from the first or implies a layer
-    outside 1..L (``_sink_settled``), or the start's label once it has
-    one.  Any other red verdict takes every walk.
-
-    Walks charge no query once the oracle's ``vertex_query_count`` reaches
-    ``stop_at`` (see ``_implied_layers``), so a caller's budget is never
-    overdrawn mid-identification; an interrupted walk counts as
-    non-terminating.
-
-    rng is a numpy Generator or a finder's draw source; a Generator ends
-    where scalar ``int(rng.integers(k))`` draws would leave it, even on a
-    raise.
+    ``_colour_test`` over a fresh, empty layer map, so walks stop only at
+    sinks and at the labels this test's own sink walks teach.  rng is a
+    numpy Generator or a finder's draw source; a Generator ends where
+    scalar ``int(rng.integers(k))`` draws would leave it, even on a raise.
     """
-    implied, attempted = _implied_layers(
-        oracle, v, {}, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
-    )
-    return ColorEstimate(_sink_verdict(implied, layers), attempted)
+    return _colour_test(oracle, v, {}, layers, rng, num_walks, stop_at)
+
+
+@_with_draw_source
+def wall_identify(
+    oracle: Oracle,
+    v: int,
+    member_layer: dict[int, int],
+    layers: int,
+    rng,
+    *,
+    num_walks: int = 6,
+    stop_at: int | None = None,
+) -> ColorEstimate:
+    """Color a vertex by walk lengths against walls and learned layers as well as sinks.
+
+    ``_colour_test`` over the caller's ``member_layer``, whose labels its
+    sink walks extend for every later test.  rng is a numpy Generator or
+    a finder's draw source, as in ``identify_color``.
+    """
+    return _colour_test(oracle, v, member_layer, layers, rng, num_walks, stop_at)
 
 
 def _learn_layers(
@@ -485,7 +523,7 @@ def _grow_blue_path(
         head = path[-1]
         answer = oracle.query_vertex(head)
         if len(path) >= path_target or any(c in on_path for c in answer):
-            cycle = detect_cycle(oracle.kg, QueryRecord(head, answer))
+            cycle = detect_cycle(oracle.kg, head, answer)
             if cycle is not None:
                 return cycle
         if head not in pending:
@@ -558,50 +596,6 @@ def default_num_walls(params: BRParams) -> int:
 
 
 @_with_draw_source
-def wall_identify(
-    oracle: Oracle,
-    v: int,
-    member_layer: dict[int, int],
-    layers: int,
-    rng,
-    *,
-    num_walks: int = 6,
-    stop_at: int | None = None,
-) -> ColorEstimate:
-    """Color a vertex by walk lengths against walls and learned layers as well as sinks.
-
-    Each walk runs until it steps onto a vertex of ``member_layer`` (a
-    wall member or a learned layer) or a sink, for at most 4L steps; the
-    terminator's layer minus the step count is the start's implied layer,
-    which is one fixed value for a red start and scatters for a blue one.
-    The verdict is ``identify_color``'s: red when every terminated walk
-    implies one layer in 1..L, blue on any scatter or on a layer outside
-    1..L (only a blue prefix pushes the implied value below 1), unknown
-    when no walk terminates.  A start in ``member_layer`` gets its layer
-    with no walk.  rng is a numpy Generator or a finder's draw source, as
-    in ``identify_color``.
-
-    Sink walks label the bottom half of their paths in ``member_layer``
-    itself (see ``_implied_layers``), so the labels serve every later test
-    that walks against the map.  A start that its own sink walk labels
-    (layer L/2 or deeper) ends the test with that label, as in
-    ``identify_color``.
-
-    At most ``num_walks`` walks; a test stops once its verdict is settled
-    (``_sink_settled``): blue at the first walk that differs, or the
-    start's label once it has one.  Walks charge no query once the
-    oracle's ``vertex_query_count`` reaches ``stop_at``, as in
-    ``identify_color``.
-    """
-    if v in member_layer:
-        return ColorEstimate(member_layer[v], 0)
-    implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
-    )
-    return ColorEstimate(member_layer.get(v, _sink_verdict(implied, layers)), attempted)
-
-
-@_with_draw_source
 def run_algorithm2(
     oracle: Oracle,
     params: BRParams,
@@ -623,7 +617,7 @@ def run_algorithm2(
     implied value; blue starts scatter.  In both stages the verdict is
     red only when every terminated walk implies one layer in 1..L, and a
     test takes at most ``num_walks`` walks and stops once its verdict is
-    settled (see ``identify_color``).  Learned layers: a red stage-2 verdict at layer
+    settled (see ``_colour_test``).  Learned layers: a red stage-2 verdict at layer
     l labels the start with l and every vertex known below it with
     l + depth (``_learn_layers``), at no query, in the map that holds the
     wall members, where a vertex keeps its first label; stage-2 walks that
@@ -698,8 +692,6 @@ def run_algorithm2(
             member_layer.setdefault(m, wall.layer_estimate)
     aux["stage1_queries"] = tracker.used()
 
-    out = oracle.kg.out
-
     def wall_color_of(x: int) -> int | None:
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
@@ -709,7 +701,7 @@ def run_algorithm2(
             aux["wall_hits"] += 1
         aux["walks"] += est.walks_used
         if est.is_red and x not in member_layer:
-            _learn_layers(out, member_layer, x, est.color, layers)
+            _learn_layers(oracle.kg, member_layer, x, est.color, layers)
         return est.color
 
     cycle = _grow_blue_path(oracle, params, rng, wall_color_of, tracker, path_target, aux)
@@ -777,7 +769,7 @@ def run_bfs_heuristic(
             answer = oracle.query_vertex(u)
             explored += 1
             aux["explored"] += 1
-            cycle = detect_cycle(oracle.kg, QueryRecord(u, answer))
+            cycle = detect_cycle(oracle.kg, u, answer)
             if cycle is not None:
                 return FinderOutcome(cycle, budget.used(), aux)
             for w in answer:

@@ -10,17 +10,18 @@ Both count the paper's one cost, queries.  The epochs of a transcript are
 derived after the run (``analysis.decompose_epochs``); the oracle keeps
 no epoch state.
 
-A query history never repeats a vertex: asking about a vertex again tells
-a finder nothing new, so a repeated vertex query is answered from the
-knowledge graph at no cost, which the walk-based finders rely on.
+The knowledge graph of a vertex-model run is ``Oracle.kg``, a plain dict
+from each queried vertex to its answer in query order: the transcript
+and the answer cache at once.  A query history never repeats a vertex:
+asking about a vertex again tells a finder nothing new, so a repeated
+vertex query is answered from ``kg`` at no cost, which the walk-based
+finders rely on.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import BRPair, Coloring, Digraph
@@ -46,95 +47,16 @@ class QueryRecord(NamedTuple):
     answer: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QueryHistory:
-    """Ordered sequence of records over distinct vertices."""
-
-    records: tuple[QueryRecord, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def vertices(self) -> set[int]:
-        """VKG: every vertex queried or returned so far."""
-        return _seen_set(self.records)
-
-
-_Pairs = Iterable[tuple[int, tuple[int, ...]]]  # (vertex, answer) in record order
-
-
-def _seen_set(records: _Pairs) -> set[int]:
-    # added record by record, so a set derived from a knowledge graph's
-    # out-lists iterates as one kept up to date query by query would
-    seen: set[int] = set()
-    for u, row in records:
-        seen.add(u)
-        seen.update(row)
-    return seen
-
-
-class KnowledgeGraph:
-    """Everything a history has exposed: answer edges and seen vertices.
-
-    ``out`` maps each queried vertex to its answer, in the order they were
-    added, and is the only thing stored; it is the oracle's answer cache
-    and transcript too.  ``vertices`` (the seen set) and ``in_edges`` are
-    derived from ``out`` on each read, so a reader that loops reads a view
-    once, before its loop.  Can be built incrementally from records or
-    assembled by hand, one answer entry at a time.
-    """
-
-    def __init__(self) -> None:
-        self.out: dict[int, tuple[int, ...]] = {}
-
-    def add_record(self, rec: tuple[int, tuple[int, ...]]) -> None:
-        u, answer = rec
-        self.out[u] = answer
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Append one answer entry v to u's known out-list."""
-        self.out[u] = self.out.get(u, ()) + (v,)
-
-    @property
-    def vertices(self) -> set[int]:
-        """VKG: every vertex queried or named in an answer."""
-        return _seen_set(self.out.items())
-
-    @property
-    def in_edges(self) -> dict[int, list[int]]:
-        """Parents of each vertex, one per answer entry, in ``out`` order."""
-        index: dict[int, list[int]] = {}
-        for u, row in self.out.items():
-            for v in row:
-                index.setdefault(v, []).append(u)
-        return index
-
-    def out_of(self, v: int) -> tuple[int, ...]:
-        return self.out.get(v, ())
-
-
-def knowledge_graph(history: _Pairs) -> KnowledgeGraph:
-    kg = KnowledgeGraph()
-    for rec in history:
-        kg.add_record(rec)
-    return kg
-
-
 class Oracle:
     """Query counter and transcript keeper in front of a hidden graph.
 
-    A charged query stores its answer in ``kg.out`` and nothing else.  A
-    vertex already queried is answered from ``kg.out`` at no cost, so
-    ``kg.out`` is at once the answer cache and the transcript in query
-    order; ``history`` builds its records from it on each read.  ``history``
-    and ``transcript`` cost O(q) a read.  An ``ADJ_LIST`` oracle records no
-    answers, so it has neither and raises ``ValueError`` for both.
+    A charged query stores its answer in ``kg``, a dict from each queried
+    vertex to its answer, and nothing else.  A vertex already queried is
+    answered from ``kg`` at no cost, so ``kg`` is at once the answer cache
+    and the transcript in query order; ``history`` builds a tuple of its
+    records from it on each read.  ``history`` and ``transcript`` cost O(q)
+    a read.  An ``ADJ_LIST`` oracle records no answers, so it has neither
+    and raises ``ValueError`` for both.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -154,7 +76,7 @@ class Oracle:
         self.model = model
         self.vertex_query_count = 0
         self.adj_query_count = 0
-        self.kg = KnowledgeGraph()
+        self.kg: dict[int, tuple[int, ...]] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -177,15 +99,16 @@ class Oracle:
         return self._coloring
 
     @property
-    def history(self) -> QueryHistory:
-        return QueryHistory(tuple(itertools.starmap(QueryRecord, self._answers().items())))
+    def history(self) -> tuple[QueryRecord, ...]:
+        """The transcript as records, in query order; ``kg``'s items, copied."""
+        return tuple(itertools.starmap(QueryRecord, self._answers().items()))
 
     # -- queries ---------------------------------------------------------
 
     def query_vertex(self, u: int) -> tuple[int, ...]:
         # Only in-range vertex queries are ever cached (an ADJ_LIST oracle
         # caches nothing), so a cache hit needs neither check.
-        cached = self.kg.out.get(u)
+        cached = self.kg.get(u)
         if cached is not None:
             return cached
         if self.model is QueryModel.ADJ_LIST:
@@ -194,7 +117,7 @@ class Oracle:
             raise VertexOutOfRange(f"vertex {u} outside 0..{self._graph.v_count - 1}")
 
         answer = self._graph.out_list(u)
-        self.kg.out[u] = answer
+        self.kg[u] = answer
         self.vertex_query_count += 1
         return answer
 
@@ -215,7 +138,7 @@ class Oracle:
     def _answers(self) -> dict[int, tuple[int, ...]]:
         if self.model is QueryModel.ADJ_LIST:
             raise ValueError("an adjacency-list oracle records no transcript")
-        return self.kg.out
+        return self.kg
 
     def transcript(self) -> str:
         """Text dump: one `q <u> : <answers>` line per charged vertex query."""
@@ -233,30 +156,31 @@ def new_oracle(pair_or_graph: BRPair | Digraph, model: QueryModel) -> Oracle:
     return Oracle(pair_or_graph, model)
 
 
-def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
-    """A shortest cycle through ``last.vertex`` visible in the knowledge graph.
+def detect_cycle(
+    kg: dict[int, tuple[int, ...]], u: int, answer: tuple[int, ...]
+) -> list[int] | None:
+    """A shortest cycle through ``u`` visible in the knowledge graph ``kg``.
 
-    Searches breadth-first forward along ``kg.out`` from every answer entry
-    of ``last`` other than the queried vertex, and stops on reaching it; the
-    cycle starts at ``last.vertex``.  A self-loop alone is not a cycle.
-    Only queried vertices (keys of ``kg.out``) join the frontier: a vertex
-    with no known out-edge cannot lead back, and leaving it out changes no
-    other vertex's BFS order or predecessor, so the same cycle comes back.
-    Pure bookkeeping; costs no queries.
+    ``answer`` holds the out-entries of u just learned: its answer after a
+    vertex query, or the one entry an adjacency query added.  Searches
+    breadth-first forward along ``kg`` from each of them other than u
+    itself, and stops on reaching u; the cycle starts at u.  A self-loop
+    alone is not a cycle.  Only queried vertices (keys of ``kg``) join the
+    frontier: a vertex with no known out-edge cannot lead back, and leaving
+    it out changes no other vertex's BFS order or predecessor, so the same
+    cycle comes back.  Pure bookkeeping; costs no queries.
     """
-    u, answer = last
-    out = kg.out
     # prev[x] = predecessor of x on a shortest path u -> answer entry -> ... -> x.
     prev: dict[int, int] = {}
     frontier = []
     for x in answer:
-        if x != u and x not in prev and x in out:
+        if x != u and x not in prev and x in kg:
             prev[x] = u
             frontier.append(x)
     while frontier:
         nxt = []
         for y in frontier:
-            for z in out[y]:
+            for z in kg[y]:
                 if z == u:
                     cycle = [y]
                     while (y := prev[y]) != u:
@@ -264,7 +188,7 @@ def detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
                     cycle.append(u)
                     cycle.reverse()
                     return cycle
-                if z not in prev and z in out:
+                if z not in prev and z in kg:
                     prev[z] = y
                     nxt.append(z)
         frontier = nxt

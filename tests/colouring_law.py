@@ -12,7 +12,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cyclelab import BLUE, BRParams, KnowledgeGraph, QueryHistory, TooLarge, knowledge_graph
+from cyclelab import BLUE, BRParams, QueryRecord, TooLarge
+from cyclelab.analysis import _in_edges, _seen_set
+
+KG = dict[int, tuple[int, ...]]  # a knowledge graph: queried vertex -> its answer
 
 
 class NotAForest(ValueError):
@@ -23,14 +26,14 @@ class InvalidTreeHeight(ValueError):
     pass
 
 
-def sinks(kg: KnowledgeGraph) -> set[int]:
+def sinks(kg: KG) -> set[int]:
     """Queried vertices whose answer was empty."""
-    return {u for u, row in kg.out.items() if not row}
+    return {u for u, row in kg.items() if not row}
 
 
-def edges(kg: KnowledgeGraph):
-    """Every answer edge (u, v), in ``out`` order."""
-    for u, row in kg.out.items():
+def edges(kg: KG):
+    """Every answer edge (u, v), in ``kg`` order."""
+    for u, row in kg.items():
         for v in row:
             yield u, v
 
@@ -49,10 +52,10 @@ class TreeType:
     height: int
 
 
-def _tree_components(kg: KnowledgeGraph):
-    seen = kg.vertices
+def _tree_components(kg: KG):
+    seen = _seen_set(kg)
     indeg = dict.fromkeys(seen, 0)
-    for v, parents in kg.in_edges.items():
+    for v, parents in _in_edges(kg).items():
         if len(parents) > 1:
             raise NotAForest(f"vertex {v} has in-degree {len(parents)}")
         indeg[v] = len(parents)
@@ -66,7 +69,7 @@ def _tree_components(kg: KnowledgeGraph):
         while frontier:
             nxt = []
             for u in frontier:
-                for w in kg.out_of(u):
+                for w in kg.get(u, ()):
                     depth[w] = depth[u] + 1
                     order.append(w)
                     nxt.append(w)
@@ -80,7 +83,7 @@ def _tree_components(kg: KnowledgeGraph):
 
 
 def classify_trees(
-    epoch_kg: KnowledgeGraph,
+    epoch_kg: KG,
     prior_vkg: set[int],
     revealed: dict[int, int],
 ) -> list[TreeType]:
@@ -107,7 +110,7 @@ def classify_trees(
 
 
 def sample_naive_coloring(
-    epoch_kg: KnowledgeGraph,
+    epoch_kg: KG,
     trees: list[TreeType],
     forced: dict[int, int],
     params: BRParams,
@@ -149,7 +152,7 @@ def sample_naive_coloring(
                 u, depth = frontier.pop()
                 if u in known_sinks:
                     sink_depths.add(depth)
-                frontier.extend((w, depth + 1) for w in epoch_kg.out_of(u))
+                frontier.extend((w, depth + 1) for w in epoch_kg.get(u, ()))
             if len(sink_depths) != 1:
                 raise ValueError(f"tree at {root} has sinks at depths {sorted(sink_depths)}")
             k = sink_depths.pop()
@@ -171,7 +174,7 @@ def sample_naive_coloring(
             nxt = []
             for parent in frontier:
                 pc = colors[parent]
-                for child in epoch_kg.out_of(parent):
+                for child in epoch_kg.get(parent, ()):
                     if pc == BLUE:
                         if child in colors or child in forced:
                             assign(child, colors.get(child, forced.get(child)))
@@ -190,7 +193,7 @@ def sample_naive_coloring(
     return colors
 
 
-def is_good_partial(colors: dict[int, int], kg: KnowledgeGraph, params: BRParams) -> bool:
+def is_good_partial(colors: dict[int, int], kg: KG, params: BRParams) -> bool:
     """Edge rules hold and no color class exceeds its capacity."""
     layers, width = params.layers, params.width
     counts: dict[int, int] = {}
@@ -216,7 +219,7 @@ def is_good_partial(colors: dict[int, int], kg: KnowledgeGraph, params: BRParams
 
 
 def enumerate_conditional_colorings(
-    history: QueryHistory,
+    history: tuple[QueryRecord, ...],
     revealed: dict[int, int],
     params: BRParams,
 ) -> dict[tuple[tuple[int, int], ...], Fraction]:
@@ -234,8 +237,8 @@ def enumerate_conditional_colorings(
         raise TooLarge("exact enumeration is limited to 12 vertices and outdegree 2")
     n, layers, width, d = params.n_blue, params.layers, params.width, params.outdeg
     total = params.v_count
-    kg = knowledge_graph(history)
-    seen, parents = kg.vertices, kg.in_edges
+    kg = dict(history)
+    seen, parents = _seen_set(kg), _in_edges(kg)
     vkg = sorted(seen)
     if not set(revealed) <= seen:
         raise ValueError("revealed colors must concern seen vertices")
@@ -264,7 +267,7 @@ def enumerate_conditional_colorings(
     def consistent_so_far(v: int) -> bool:
         # Checks every constraint whose endpoints are now both assigned.
         cv = assignment[v]
-        answer = kg.out.get(v)
+        answer = kg.get(v)
         if answer is not None:
             if cv == layers:
                 if answer:
@@ -286,7 +289,7 @@ def enumerate_conditional_colorings(
         for c, k in used.items():
             prior *= falling(capacity[c], k)
         lists = Fraction(1)
-        for u in kg.out:
+        for u in kg:
             cu = assignment[u]
             if cu == BLUE:
                 lists *= blue_list_prob

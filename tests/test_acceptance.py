@@ -16,7 +16,6 @@ from cyclelab import (
     BRParams,
     EpochReason,
     ExperimentConfig,
-    QueryHistory,
     QueryModel,
     QueryRecord,
     backedge_count,
@@ -25,7 +24,6 @@ from cyclelab import (
     fit_scaling,
     gen_br_pair,
     identify_color,
-    knowledge_graph,
     max_blue_path,
     min_fas_exact,
     new_oracle,
@@ -39,6 +37,7 @@ from cyclelab import (
     verify_cycle,
     wall_identify,
 )
+from cyclelab.analysis import _seen_set
 from cyclelab.graphs import Digraph
 
 from colouring_law import classify_trees, enumerate_conditional_colorings, sample_naive_coloring
@@ -216,7 +215,7 @@ def test_06_long_blue_paths_rare():
     def harvest(pair, oracle):
         dec = decompose_epochs(oracle.history, pair.params.epoch_cap)
         for seg in dec.closed_epochs:
-            lengths.append(max_blue_path(knowledge_graph(seg), pair.coloring))
+            lengths.append(max_blue_path(dict(seg), pair.coloring))
 
     # strategy 1: distinct uniform vertices
     pair = gen_br_pair(params, rng)
@@ -374,16 +373,13 @@ def test_09_forced_pairs_exact_vs_sampled():
     samples = 10**5
     worst_low, worst_high = 1.0, 1.0
     for name, recs, n_prior, revealed in FORCED_PAIRS:
-        history = QueryHistory(tuple(QueryRecord(v, tuple(a)) for v, a in recs))
+        history = tuple(QueryRecord(v, tuple(a)) for v, a in recs)
         exact = enumerate_conditional_colorings(history, revealed, TINY)
 
-        epoch = QueryHistory(tuple(QueryRecord(v, tuple(a)) for v, a in recs[n_prior:]))
-        prior_vkg = QueryHistory(
-            tuple(QueryRecord(v, tuple(a)) for v, a in recs[:n_prior])
-        ).vertices()
-        epoch_kg = knowledge_graph(epoch)
+        prior_vkg = _seen_set(dict(history[:n_prior]))
+        epoch_kg = dict(history[n_prior:])
         trees = classify_trees(epoch_kg, prior_vkg, revealed)
-        all_seen = sorted(history.vertices())
+        all_seen = sorted(_seen_set(dict(history)))
 
         counts: dict[tuple, int] = {}
         for _ in range(samples):

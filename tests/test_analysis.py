@@ -16,11 +16,9 @@ from cyclelab import (
     ancestor_count,
     backedge_count,
     epoch_stats,
-    knowledge_graph,
     max_blue_path,
     min_fas_exact,
 )
-from cyclelab.oracle import QueryHistory
 
 from colouring_law import (
     NotAForest,
@@ -92,19 +90,18 @@ def test_backedge_count_orderings():
 
 def test_max_blue_path_all_red_is_zero():
     pair = hand_pair_l8()
-    h = QueryHistory((QueryRecord(16, (20, 21)), QueryRecord(20, (24, 25))))
-    assert max_blue_path(knowledge_graph(h), pair.coloring) == 0
+    assert max_blue_path({16: (20, 21), 20: (24, 25)}, pair.coloring) == 0
 
 
 def test_max_blue_path_counts_chain_edges():
     pair = hand_pair_l8()
     recs = tuple(QueryRecord(u, (u + 1, 16 + u)) for u in range(5))
-    kg = knowledge_graph(QueryHistory(recs))  # blue chain 0..5
+    kg = dict(recs)  # blue chain 0..5
     assert max_blue_path(kg, pair.coloring) == 5
 
 
 def test_ancestor_counts():
-    kg = knowledge_graph(QueryHistory((QueryRecord(0, (1,)), QueryRecord(1, (2,)))))
+    kg = {0: (1,), 1: (2,)}
     assert ancestor_count(kg, 2) == 2
     assert ancestor_count(kg, 0) == 0
     assert ancestor_count(kg, 77) == 0
@@ -115,7 +112,7 @@ def test_epoch_stats_surprise_free_run():
     recs = tuple(
         QueryRecord(v, pair.graph.out_list(v)) for v in (16, 17, 24, 25, 32, 33, 40, 41)
     )
-    st = epoch_stats(QueryHistory(recs), pair.coloring, pair.params.epoch_cap)
+    st = epoch_stats(recs, pair.coloring, pair.params.epoch_cap)
     assert st.num_surprise == 0
     assert st.num_epochs == 2  # ceil(8 / (L/2))
     assert st.num_blue_surprise == 0
@@ -130,7 +127,7 @@ def test_epoch_stats_blue_surprise():
         QueryRecord(0, pair.graph.out_list(0)),
         QueryRecord(15, pair.graph.out_list(15)),
     )
-    st = epoch_stats(QueryHistory(recs), pair.coloring, pair.params.epoch_cap)
+    st = epoch_stats(recs, pair.coloring, pair.params.epoch_cap)
     assert st.num_surprise == 1
     assert st.num_blue_surprise == 1
     # 15 -> 0 and 15 -> 31 plus 0's own edges: longest blue chain is 15 -> 0 -> 1
@@ -142,7 +139,7 @@ def test_epoch_stats_blue_surprise():
 
 
 def test_classify_prior_roots():
-    kg = knowledge_graph(QueryHistory((QueryRecord(3, (4, 17)),)))
+    kg = {3: (4, 17)}
     trees = classify_trees(kg, prior_vkg={3, 9}, revealed={3: BLUE, 9: 2})
     assert [(t.root, t.kind, t.height) for t in trees] == [(3, TreeKind.TYPE2, 1)]
     trees = classify_trees(kg, prior_vkg={3, 9}, revealed={3: 2, 9: BLUE})
@@ -150,42 +147,36 @@ def test_classify_prior_roots():
 
 
 def test_classify_fresh_roots():
-    with_sink = knowledge_graph(
-        QueryHistory((QueryRecord(5, (6, 7)), QueryRecord(6, ())))
-    )
+    with_sink = {5: (6, 7), 6: ()}
     trees = classify_trees(with_sink, set(), {})
     assert trees[0].kind is TreeKind.TYPE3
 
-    no_sink = knowledge_graph(QueryHistory((QueryRecord(3, (4, 17)),)))
+    no_sink = {3: (4, 17)}
     trees = classify_trees(no_sink, set(), {})
     assert trees[0].kind is TreeKind.TYPE4
 
 
 def test_classify_multiple_trees_sorted_by_root():
-    kg = knowledge_graph(
-        QueryHistory((QueryRecord(8, (9, 10)), QueryRecord(2, (5, 6))))
-    )
+    kg = {8: (9, 10), 2: (5, 6)}
     trees = classify_trees(kg, set(), {})
     assert [t.root for t in trees] == [2, 8]
 
 
 def test_classify_rejects_shared_child():
-    kg = knowledge_graph(
-        QueryHistory((QueryRecord(0, (2, 3)), QueryRecord(1, (2, 4))))
-    )
+    kg = {0: (2, 3), 1: (2, 4)}
     with pytest.raises(NotAForest):
         classify_trees(kg, set(), {})
 
 
 def test_classify_rejects_cycle():
-    kg = knowledge_graph(QueryHistory((QueryRecord(0, (1,)), QueryRecord(1, (0,)))))
+    kg = {0: (1,), 1: (0,)}
     with pytest.raises(NotAForest):
         classify_trees(kg, set(), {})
 
 
 # -- naive coloring distribution ----------------------------------------------
 
-OPEN_PAIR = QueryHistory((QueryRecord(0, (1, 4)),))
+OPEN_PAIR = (QueryRecord(0, (1, 4)),)
 
 
 def naive_mass(assignment: dict[int, int]) -> Fraction:
@@ -201,7 +192,7 @@ def naive_mass(assignment: dict[int, int]) -> Fraction:
 
 
 def test_sample_output_is_always_good():
-    kg = knowledge_graph(OPEN_PAIR)
+    kg = dict(OPEN_PAIR)
     trees = classify_trees(kg, set(), {})
     rng = np.random.default_rng(5)
     for _ in range(300):
@@ -212,7 +203,7 @@ def test_sample_output_is_always_good():
 
 def test_sample_red_root_chain_is_forced():
     # prior-red root: all depths follow at probability one
-    kg = knowledge_graph(QueryHistory((QueryRecord(4, (6, 7)),)))
+    kg = {4: (6, 7)}
     trees = classify_trees(kg, prior_vkg={4}, revealed={4: 1})
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -221,7 +212,7 @@ def test_sample_red_root_chain_is_forced():
 
 
 def test_sample_sink_tree_is_forced():
-    kg = knowledge_graph(QueryHistory((QueryRecord(8, (10, 11)), QueryRecord(10, ()))))
+    kg = {8: (10, 11), 10: ()}
     trees = classify_trees(kg, set(), {})
     assert trees[0].kind is TreeKind.TYPE3
     rng = np.random.default_rng(0)
@@ -231,7 +222,7 @@ def test_sample_sink_tree_is_forced():
 
 
 def test_sample_matches_product_form():
-    kg = knowledge_graph(OPEN_PAIR)
+    kg = dict(OPEN_PAIR)
     trees = classify_trees(kg, set(), {})
     rng = np.random.default_rng(99)
     n = 4000
@@ -250,15 +241,11 @@ def test_sample_matches_product_form():
 
 
 def test_enumerate_empty_history():
-    assert enumerate_conditional_colorings(QueryHistory(()), {}, TINY) == {
-        (): Fraction(1)
-    }
+    assert enumerate_conditional_colorings((), {}, TINY) == {(): Fraction(1)}
 
 
 def test_enumerate_forces_sink_color():
-    dist = enumerate_conditional_colorings(
-        QueryHistory((QueryRecord(10, ()),)), {}, TINY
-    )
+    dist = enumerate_conditional_colorings((QueryRecord(10, ()),), {}, TINY)
     assert dist == {((10, 4),): Fraction(1)}
 
 
@@ -297,10 +284,10 @@ def test_exact_vs_naive_ratio_range_on_open_pair():
 
 
 def test_is_good_partial_rules():
-    kg = knowledge_graph(OPEN_PAIR)
+    kg = dict(OPEN_PAIR)
     assert is_good_partial({0: BLUE, 1: BLUE, 4: 1}, kg, TINY)
     assert not is_good_partial({0: BLUE, 1: 3, 4: 1}, kg, TINY)  # blue into bottom half
     assert not is_good_partial({0: 1, 1: 3, 4: 2}, kg, TINY)  # layer skip
     assert not is_good_partial({0: BLUE, 1: 1, 4: 1, 9: 1}, kg, TINY)  # width 2 exceeded
-    sink_kg = knowledge_graph(QueryHistory((QueryRecord(10, ()),)))
+    sink_kg = {10: ()}
     assert not is_good_partial({10: 2}, sink_kg, TINY)

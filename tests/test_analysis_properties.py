@@ -2,8 +2,8 @@
 
 Also checks that epoch_stats reads a finished run's oracle (what the
 harness passes: record arrays gathered from the hidden graph's rows) and
-its answer map (``oracle.kg.out.items()``) exactly as it reads the
-oracle's QueryHistory.
+its answer map (``oracle.kg.items()``) exactly as it reads the
+oracle's history.
 """
 
 import numpy as np
@@ -25,12 +25,11 @@ from cyclelab import (
     gen_br_pair,
     gen_br_simple,
     gen_coloring,
-    knowledge_graph,
     max_blue_path,
     new_oracle,
 )
 from cyclelab import analysis
-from cyclelab.oracle import QueryHistory
+from cyclelab.analysis import _seen_set
 
 
 def reference_stats(history, coloring, cap) -> EpochStats:
@@ -43,13 +42,13 @@ def reference_stats(history, coloring, cap) -> EpochStats:
     segments = list(dec.closed_epochs)
     if len(dec.current_epoch):
         segments.append(dec.current_epoch)
-    per_epoch = tuple(max_blue_path(knowledge_graph(seg), coloring) for seg in segments)
-    kg = knowledge_graph(history)
-    max_anc = max((ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0)
+    per_epoch = tuple(max_blue_path(dict(seg), coloring) for seg in segments)
+    kg = dict(history)
+    max_anc = max((ancestor_count(kg, v) for v in _seen_set(kg) if coloring.is_blue(v)), default=0)
     return EpochStats(len(segments), sum(surprises), blue_surprises, per_epoch, max_anc)
 
 
-def walk(oracle, v_count: int, steps: list[int]) -> QueryHistory:
+def walk(oracle, v_count: int, steps: list[int]) -> tuple[QueryRecord, ...]:
     """Follow answer entries, jumping to a fresh start on a sink or every 8th draw.
 
     Walks come back to vertices they have seen, so the history has
@@ -160,7 +159,7 @@ def test_answer_map_reads_like_the_history(seed):
         oracle = new_oracle(instance, QueryModel.VERTEX)
         walk(oracle, v_count, walk_steps)
         for cap in (1, 3, 6):
-            got = epoch_stats(oracle.kg.out.items(), coloring, cap)
+            got = epoch_stats(oracle.kg.items(), coloring, cap)
             assert got == epoch_stats(oracle.history, coloring, cap)
             assert got == epoch_stats(oracle, coloring, cap)
 
@@ -180,13 +179,14 @@ def test_answer_map_reads_like_the_history_on_the_fallback(monkeypatch):
     for v in (0, 1, 2):
         oracle.query_vertex(v)
     coloring = tiny_coloring()
-    got = epoch_stats(oracle.kg.out.items(), coloring, 3)
+    got = epoch_stats(oracle.kg.items(), coloring, 3)
     assert len(calls) == 1
     assert got == epoch_stats(oracle.history, coloring, 3) == EpochStats(1, 1, 1, (3,), 2)
-    # the oracle's fallback reads its epoch's pairs from kg.out by vertex
+    # the oracle's fallback reads its epoch's pairs from kg by vertex
     assert epoch_stats(oracle, coloring, 3) == got
     assert len(calls) == 3
-    assert dict(calls[2].out) == dict(calls[0].out) == oracle.kg.out
+    assert type(calls[2]) is type(calls[0]) is dict
+    assert calls[2] == calls[0] == oracle.kg
 
 
 def tiny_coloring() -> Coloring:
@@ -196,8 +196,7 @@ def tiny_coloring() -> Coloring:
 
 def test_isolated_cycle_with_unit_indegrees():
     # 0 -> 1 -> 2 -> 0, all blue: one SCC with no parent SCC.
-    recs = (QueryRecord(0, (1,)), QueryRecord(1, (2,)), QueryRecord(2, (0,)))
-    history = QueryHistory(recs)
+    history = (QueryRecord(0, (1,)), QueryRecord(1, (2,)), QueryRecord(2, (0,)))
     coloring = tiny_coloring()
     # the closing query 2 -> 0 is a blue surprise, and the epoch's blue
     # part is cyclic, so its path entry is its blue vertex count
@@ -207,4 +206,4 @@ def test_isolated_cycle_with_unit_indegrees():
 
 def test_empty_history():
     coloring = tiny_coloring()
-    assert epoch_stats(QueryHistory(()), coloring, 2) == EpochStats(0, 0, 0, (), 0)
+    assert epoch_stats((), coloring, 2) == EpochStats(0, 0, 0, (), 0)

@@ -14,16 +14,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclelab import BRParams, Coloring, QueryRecord, ancestor_count, epoch_stats, knowledge_graph
-from cyclelab.oracle import QueryHistory
+from cyclelab import BRParams, Coloring, QueryRecord, ancestor_count, epoch_stats
+from cyclelab.analysis import _seen_set
 
 
-def bfs_max(history: QueryHistory, coloring: Coloring) -> int:
-    kg = knowledge_graph(history)
-    return max((ancestor_count(kg, v) for v in kg.vertices if coloring.is_blue(v)), default=0)
+def bfs_max(history: tuple[QueryRecord, ...], coloring: Coloring) -> int:
+    kg = dict(history)
+    return max((ancestor_count(kg, v) for v in _seen_set(kg) if coloring.is_blue(v)), default=0)
 
 
-def max_ancestors(history: QueryHistory, coloring: Coloring) -> int:
+def max_ancestors(history: tuple[QueryRecord, ...], coloring: Coloring) -> int:
     return epoch_stats(history, coloring, len(history) or 1).max_ancestors_blue
 
 
@@ -57,7 +57,7 @@ def transcripts(draw):
     sinks = draw(st.lists(vertex, max_size=3))
     queried = list(out) + [v for v in dict.fromkeys(sinks) if v not in out]
     order = draw(st.permutations(queried))
-    history = QueryHistory(tuple(QueryRecord(u, tuple(out.get(u, ()))) for u in order))
+    history = tuple(QueryRecord(u, tuple(out.get(u, ()))) for u in order)
     return history, coloring
 
 
@@ -67,11 +67,11 @@ def test_max_ancestors_match_bfs(case):
     assert max_ancestors(history, coloring) == bfs_max(history, coloring)
 
 
-def transcript(edges) -> QueryHistory:
+def transcript(edges) -> tuple[QueryRecord, ...]:
     out: dict[int, list[int]] = {}
     for u, w in edges:
         out.setdefault(u, []).append(w)
-    return QueryHistory(tuple(QueryRecord(u, tuple(row)) for u, row in out.items()))
+    return tuple(QueryRecord(u, tuple(row)) for u, row in out.items())
 
 
 # BRParams(8, 4, 4, 2): vertices 0-7 blue, then red layers 1-4 of width 4
@@ -151,4 +151,4 @@ def test_chain_longer_than_the_recursion_limit():
     n = 5000
     coloring = Coloring(BRParams(n, 2, n, 2), np.repeat(np.arange(3), n))
     history = transcript([(i + 1, i) for i in range(n - 1)])
-    assert max_ancestors(history, coloring) == n - 1 == ancestor_count(knowledge_graph(history), 0)
+    assert max_ancestors(history, coloring) == n - 1 == ancestor_count(dict(history), 0)

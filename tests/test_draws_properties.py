@@ -216,7 +216,7 @@ class InterruptingOracle(Oracle):
         self.k = k
 
     def query_vertex(self, u):
-        if u not in self.kg.out and self.vertex_query_count >= self.k:
+        if u not in self.kg and self.vertex_query_count >= self.k:
             raise Interrupted
         return super().query_vertex(u)
 

@@ -263,7 +263,7 @@ def test_red_verdict_labels_known_descendants_and_later_walks_stop_on_labels():
     # such as 28, is known but never queried
     pair = hand_pair_l8()
     oracle = new_oracle(pair, model=QueryModel.VERTEX)
-    out = oracle.kg.out
+    out = oracle.kg
     labels: dict[int, int] = {}
     est = wall_identify(oracle, 24, labels, 8, np.random.default_rng(0), num_walks=1)
     assert est == ColorEstimate(3, 1)
@@ -316,8 +316,8 @@ def test_a_sink_walk_from_the_bottom_half_ends_the_test_with_its_exact_layer():
     assert wall_identify(oracle, 36, labels, 8, np.random.default_rng(0)) == ColorEstimate(6, 1)
     assert oracle.vertex_query_count == 3
     # 36 and its two children, and the two sinks its queried child names
-    (child,) = (c for c in (40, 41) if c in oracle.kg.out)
-    sinks = oracle.kg.out[child]
+    (child,) = (c for c in (40, 41) if c in oracle.kg)
+    sinks = oracle.kg[child]
     assert labels == {36: 6, 40: 7, 41: 7, sinks[0]: 8, sinks[1]: 8}
     assert all(labels[u] == pair.coloring.color(u) for u in labels)
     # identify_color learns into a map of its own: the same one-walk stop,
@@ -499,7 +499,7 @@ def test_algorithm2_learned_labels_keep_wall_labels_and_answer_without_a_walk(mo
     learned = {u: layer for u, layer in labels.items() if u not in walls}
     assert out.aux["walls_built"] == 2 and walls and learned
     conflicts = [c for u, layer in learned.items() if layer < 8
-                 for c in oracle.kg.out.get(u, ()) if walls.get(c, layer + 1) != layer + 1]
+                 for c in oracle.kg.get(u, ()) if walls.get(c, layer + 1) != layer + 1]
     assert conflicts
     assert all(labels[m] == layer for m, layer in walls.items())
     assert any(v in learned for v, _, _ in hits)

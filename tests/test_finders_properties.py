@@ -77,7 +77,7 @@ def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, ma
             if not answer:
                 implied.append(layers - steps)
                 k = min(steps, layers // 2)
-                reference_labels(oracle.kg.out, member_layer, path[steps - k], layers - k)
+                reference_labels(oracle.kg, member_layer, path[steps - k], layers - k)
                 break
             cur = answer[int(rng.integers(len(answer)))]
             path.append(cur)

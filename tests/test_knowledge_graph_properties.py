@@ -1,5 +1,8 @@
 """Property tests: the knowledge graph's derived in-edge index and detect_cycle.
 
+The knowledge graph is a plain dict from each queried vertex to its
+answer; an oracle's is ``oracle.kg``, its transcript in query order.
+
 ``reference_detect_cycle`` is the earlier backward search over in-edges;
 the forward search must agree with it on whether a cycle exists and on its
 length, and must return a real simple cycle through the queried vertex.
@@ -20,22 +23,21 @@ from cyclelab import (
     detect_cycle,
     gen_br_pair,
     gen_br_simple,
-    knowledge_graph,
     new_oracle,
     verify_cycle,
 )
-from cyclelab.oracle import KnowledgeGraph
+from cyclelab.analysis import _in_edges, _seen_set
 
-from colouring_law import sinks
+from colouring_law import KG, sinks
 
 
-def reference_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
+def reference_detect_cycle(kg: KG, last: QueryRecord) -> list[int] | None:
     """Shortest cycle through last.vertex, found by walking in-edges back from it."""
     u = last.vertex
     targets = set(last.answer)
     if not targets:
         return None
-    parents = kg.in_edges
+    parents = _in_edges(kg)
     next_hop: dict[int, int] = {}
     frontier = [u]
     seen = {u}
@@ -59,10 +61,9 @@ def reference_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] |
     return None
 
 
-def forward_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | None:
+def forward_detect_cycle(kg: KG, last: QueryRecord) -> list[int] | None:
     """Shortest cycle through last.vertex by a forward BFS over every vertex it meets."""
     u, answer = last
-    out = kg.out
     prev: dict[int, int] = {}
     frontier = []
     for x in answer:
@@ -72,7 +73,7 @@ def forward_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | N
     while frontier:
         nxt = []
         for y in frontier:
-            for z in out.get(y, ()):
+            for z in kg.get(y, ()):
                 if z == u:
                     cycle = [y]
                     while (y := prev[y]) != u:
@@ -87,8 +88,8 @@ def forward_detect_cycle(kg: KnowledgeGraph, last: QueryRecord) -> list[int] | N
     return None
 
 
-def check_against_reference(kg: KnowledgeGraph, last: QueryRecord, hidden: Digraph) -> None:
-    got = detect_cycle(kg, last)
+def check_against_reference(kg: KG, last: QueryRecord, hidden: Digraph) -> None:
+    got = detect_cycle(kg, *last)
     # the same list, vertex for vertex, as the search over every vertex it meets
     assert got == forward_detect_cycle(kg, last)
     want = reference_detect_cycle(kg, last)
@@ -99,7 +100,7 @@ def check_against_reference(kg: KnowledgeGraph, last: QueryRecord, hidden: Digra
     assert got[0] == last.vertex
     assert len(set(got)) == len(got)
     for a, b in zip(got, got[1:] + got[:1]):
-        assert b in kg.out[a]
+        assert b in kg[a]
     assert verify_cycle(hidden, got)
 
 
@@ -160,27 +161,19 @@ def test_detect_cycle_matches_reference_on_added_edges(n, edges):
     for u, v in edges:
         lists[u].append(v)
     hidden = Digraph.from_lists(lists)
-    kg = KnowledgeGraph()
+    kg: KG = {}
     for u, v in edges:
-        kg.add_edge(u, v)
+        kg[u] = kg.get(u, ()) + (v,)  # the birthday sampler's one-entry update
         check_against_reference(kg, QueryRecord(u, (v,)), hidden)
-
-
-def knowledge_graph_of(out: dict[int, tuple[int, ...]]) -> KnowledgeGraph:
-    kg = KnowledgeGraph()
-    for u, row in out.items():
-        kg.add_record(QueryRecord(u, row))
-    return kg
 
 
 def test_detect_cycle_is_shortest_through_the_queried_vertex():
     # 0 -> 1 -> 2 -> 3 -> 0 and the chord 0 -> 3: the chord closes a 2-cycle
-    kg = knowledge_graph_of({1: (2,), 2: (3,), 3: (0,), 0: (1, 3)})
-    assert detect_cycle(kg, QueryRecord(0, (1, 3))) == [0, 3]
+    kg = {1: (2,), 2: (3,), 3: (0,), 0: (1, 3)}
+    assert detect_cycle(kg, 0, (1, 3)) == [0, 3]
     # a self-loop alone closes nothing
-    assert detect_cycle(knowledge_graph_of({5: (5,)}), QueryRecord(5, (5,))) is None
-    kg = knowledge_graph_of({5: (5, 6), 6: (5,)})
-    assert detect_cycle(kg, QueryRecord(5, (5, 6))) == [5, 6]
+    assert detect_cycle({5: (5,)}, 5, (5,)) is None
+    assert detect_cycle({5: (5, 6), 6: (5,)}, 5, (5, 6)) == [5, 6]
 
 
 @given(graphs(), plans, st.lists(st.booleans(), min_size=150, max_size=150))
@@ -193,16 +186,21 @@ def test_in_edges_follow_the_history(instance, plan, reads):
         if not read:
             continue
         history = oracle.history
+        # the knowledge graph is the transcript itself: a plain dict whose
+        # items are the history's records, one per charged query
+        assert type(oracle.kg) is dict
+        assert list(oracle.kg.items()) == list(history)
+        assert len(oracle.kg) == oracle.vertex_query_count
         # cached replays neither append to the transcript nor reorder it
         assert [rec.vertex for rec in history] == list(first_visits)
-        rebuilt = knowledge_graph(history)
-        assert oracle.kg.in_edges == rebuilt.in_edges
-        assert oracle.kg.vertices == rebuilt.vertices
+        rebuilt = dict(history)
+        assert _in_edges(oracle.kg) == _in_edges(rebuilt)
+        assert _seen_set(oracle.kg) == _seen_set(rebuilt)
         assert sinks(oracle.kg) == sinks(rebuilt)
         entries = sorted((rec.vertex, v) for rec in history for v in rec.answer)
-        parents, rebuilt_parents = oracle.kg.in_edges, rebuilt.in_edges
+        parents, rebuilt_parents = _in_edges(oracle.kg), _in_edges(rebuilt)
         assert sorted((p, v) for v, ps in parents.items() for p in ps) == entries
-        for v in (*rebuilt.vertices, -1):
+        for v in (*_seen_set(rebuilt), -1):
             assert parents.get(v, []) == rebuilt_parents.get(v, [])
 
 
@@ -211,19 +209,19 @@ def test_in_edges_follow_the_history(instance, plan, reads):
     st.lists(st.booleans(), min_size=40, max_size=40),
 )
 def test_in_edges_follow_added_edges(edges, reads):
-    kg = KnowledgeGraph()
+    kg: KG = {}
     parents: dict[int, list[int]] = {}
     for (u, v), read in zip(edges, reads):
-        kg.add_edge(u, v)
+        kg[u] = kg.get(u, ()) + (v,)
         parents.setdefault(v, []).append(u)
         if not read:
             continue
-        assert kg.vertices == set(parents).union(*parents.values())
-        # one parent per added entry; the index lists them in out order
-        assert {v: sorted(p) for v, p in kg.in_edges.items()} == {
+        assert _seen_set(kg) == set(parents).union(*parents.values())
+        # one parent per added entry; the index lists them in kg order
+        assert {v: sorted(p) for v, p in _in_edges(kg).items()} == {
             v: sorted(p) for v, p in parents.items()
         }
-        in_edges = kg.in_edges
+        in_edges = _in_edges(kg)
         for v in range(-1, 10):
             assert sorted(in_edges.get(v, [])) == sorted(parents.get(v, []))
 

@@ -15,12 +15,11 @@ from cyclelab import (
     VertexOutOfRange,
     decompose_epochs,
     detect_cycle,
-    knowledge_graph,
     new_oracle,
     validate_br,
     verify_cycle,
 )
-from cyclelab.oracle import QueryHistory
+from cyclelab.analysis import _in_edges, _seen_set
 
 
 def hand_pair_l8() -> BRPair:
@@ -54,7 +53,7 @@ def test_fresh_oracle_is_empty():
     oracle = new_oracle(pair, model=QueryModel.VERTEX)
     assert oracle.vertex_query_count == 0
     assert oracle.adj_query_count == 0
-    assert not oracle.kg.vertices
+    assert oracle.kg == {}
     assert oracle.transcript() == ""
     dec = decompose_epochs(oracle.history, pair.params.epoch_cap)
     assert dec.closed_epochs == ()
@@ -80,8 +79,8 @@ def test_timeout_close_reveals_all_seen():
     assert dec.end_reasons == (EpochReason.TIMEOUT, EpochReason.TIMEOUT)
     assert len(dec.current_epoch) == 0
     # the closes cover every seen vertex, so a close would reveal them all
-    closed = set().union(*(epoch.vertices() for epoch in dec.closed_epochs))
-    assert closed == oracle.kg.vertices
+    closed = set().union(*(_seen_set(dict(epoch)) for epoch in dec.closed_epochs))
+    assert closed == _seen_set(oracle.kg)
 
 
 def test_surprise_closes_epoch_early():
@@ -95,7 +94,7 @@ def test_surprise_closes_epoch_early():
     assert len(dec.closed_epochs) == 1
     assert len(dec.closed_epochs[0]) == 2
     assert dec.end_reasons == (EpochReason.SURPRISE,)
-    assert dec.closed_epochs[0].vertices() == {16, 18, 20, 21}
+    assert _seen_set(dict(dec.closed_epochs[0])) == {16, 18, 20, 21}
 
 
 def test_lenient_mode_replays_from_cache():
@@ -182,7 +181,7 @@ def _fresh_records(count, start=0):
 
 
 def test_decompose_short_history_stays_open():
-    h = QueryHistory(tuple(_fresh_records(3)))
+    h = tuple(_fresh_records(3))
     dec = decompose_epochs(h, epoch_cap=4)
     assert dec.closed_epochs == ()
     assert len(dec.current_epoch) == 3
@@ -193,7 +192,7 @@ def test_decompose_surprise_at_three():
     recs = _fresh_records(2)
     recs.append(QueryRecord(100, (1, 101)))  # 1 already seen
     recs.extend(_fresh_records(2, start=200))
-    dec = decompose_epochs(QueryHistory(tuple(recs)), epoch_cap=10)
+    dec = decompose_epochs(recs, epoch_cap=10)
     assert len(dec.closed_epochs[0]) == 3
     assert dec.end_reasons[0] is EpochReason.SURPRISE
     assert len(dec.current_epoch) == 2
@@ -202,7 +201,7 @@ def test_decompose_surprise_at_three():
 def test_decompose_surprise_wins_tie_at_cap():
     recs = _fresh_records(2)
     recs.append(QueryRecord(100, (1, 101)))  # surprise lands exactly at cap
-    dec = decompose_epochs(QueryHistory(tuple(recs)), epoch_cap=3)
+    dec = decompose_epochs(recs, epoch_cap=3)
     assert dec.end_reasons == (EpochReason.SURPRISE,)
     assert len(dec.closed_epochs) + bool(len(dec.current_epoch)) == 1
 
@@ -211,12 +210,10 @@ def test_decompose_counts_answer_entries_only():
     # Vertex 1 was seen as an answer entry; querying it is no surprise, and
     # neither is the first record's self-loop, but a later answer naming
     # vertex 1 again is a surprise.
-    h = QueryHistory(
-        (
-            QueryRecord(0, (0, 1)),
-            QueryRecord(1, (3, 4)),
-            QueryRecord(6, (1, 7)),
-        )
+    h = (
+        QueryRecord(0, (0, 1)),
+        QueryRecord(1, (3, 4)),
+        QueryRecord(6, (1, 7)),
     )
     dec = decompose_epochs(h, epoch_cap=10)
     assert dec.closed_epochs == (h,)
@@ -226,13 +223,13 @@ def test_decompose_counts_answer_entries_only():
 
 def _splits(records, cap):
     """Closed epoch lengths with their reasons, then the current epoch's length."""
-    dec = decompose_epochs(QueryHistory(tuple(records)), cap)
+    dec = decompose_epochs(records, cap)
     closed = [(len(e), r.value) for e, r in zip(dec.closed_epochs, dec.end_reasons)]
     return closed, len(dec.current_epoch)
 
 
 def test_decompose_empty_history():
-    dec = decompose_epochs(QueryHistory(()), epoch_cap=3)
+    dec = decompose_epochs((), epoch_cap=3)
     assert (dec.closed_epochs, dec.end_reasons) == ((), ())
     assert len(dec.current_epoch) == 0
 
@@ -286,12 +283,12 @@ def test_decompose_answer_ids_far_above_the_queries():
 
 
 def test_knowledge_graph_shapes():
-    assert knowledge_graph(QueryHistory(())).vertices == set()
-    kg = knowledge_graph(QueryHistory((QueryRecord(5, (7, 9)),)))
-    assert kg.vertices == {5, 7, 9}
-    assert sum(map(len, kg.out.values())) == 2
-    assert kg.out_of(5) == (7, 9)
-    assert kg.in_edges.get(7, []) == [5]
+    assert _seen_set({}) == set() and _in_edges({}) == {}
+    kg = dict([QueryRecord(5, (7, 9))])
+    assert _seen_set(kg) == {5, 7, 9}
+    assert sum(map(len, kg.values())) == 2
+    assert kg[5] == (7, 9)
+    assert _in_edges(kg) == {7: [5], 9: [5]}
 
 
 def test_full_outdegree_vertices_were_queried():
@@ -303,39 +300,34 @@ def test_full_outdegree_vertices_were_queried():
         oracle.query_vertex(int(v))
     kg = oracle.kg
     queried = {rec.vertex for rec in oracle.history}
-    full = {v for v in kg.vertices if len(kg.out_of(v)) == d}
+    full = {v for v in _seen_set(kg) if len(kg.get(v, ())) == d}
     assert full <= queried
     # queried vertices are either full or true sinks
     for v in queried:
-        assert len(kg.out_of(v)) in (0, d)
+        assert len(kg[v]) in (0, d)
 
 
 def test_detect_cycle_two_cycle():
-    history = QueryHistory((QueryRecord(0, (1,)), QueryRecord(1, (0,))))
-    kg = knowledge_graph(history)
-    cycle = detect_cycle(kg, history[1])
+    history = (QueryRecord(0, (1,)), QueryRecord(1, (0,)))
+    cycle = detect_cycle(dict(history), *history[1])
     assert cycle is not None and set(cycle) == {0, 1}
     g = Digraph.from_lists([[1], [0]])
     assert verify_cycle(g, cycle)
 
 
 def test_detect_cycle_absent():
-    history = QueryHistory((QueryRecord(0, (1,)), QueryRecord(1, (2,))))
-    kg = knowledge_graph(history)
-    assert detect_cycle(kg, history[1]) is None
+    history = (QueryRecord(0, (1,)), QueryRecord(1, (2,)))
+    assert detect_cycle(dict(history), *history[1]) is None
 
 
 def test_detect_cycle_longer_loop():
-    history = QueryHistory(
-        (
-            QueryRecord(0, (1, 9)),
-            QueryRecord(1, (2, 8)),
-            QueryRecord(2, (3, 7)),
-            QueryRecord(3, (0, 6)),
-        )
+    history = (
+        QueryRecord(0, (1, 9)),
+        QueryRecord(1, (2, 8)),
+        QueryRecord(2, (3, 7)),
+        QueryRecord(3, (0, 6)),
     )
-    kg = knowledge_graph(history)
-    cycle = detect_cycle(kg, history[3])
+    cycle = detect_cycle(dict(history), *history[3])
     assert cycle is not None and set(cycle) == {0, 1, 2, 3}
 
 

@@ -13,7 +13,9 @@ from cyclelab import (
     gen_br_pair,
     new_oracle,
 )
-from cyclelab.oracle import QueryHistory
+from cyclelab.analysis import _seen_set
+
+History = tuple[QueryRecord, ...]
 
 
 @st.composite
@@ -29,7 +31,7 @@ def runs(draw):
     return params, seed, queries
 
 
-def rebuilt_transcript(history: QueryHistory) -> str:
+def rebuilt_transcript(history: History) -> str:
     lines = [" ".join([f"q {rec.vertex} :", *map(str, rec.answer)]) for rec in history]
     return "".join(line + "\n" for line in lines)
 
@@ -50,20 +52,20 @@ def histories(draw):
     """Records over distinct queried vertices whose answers often name seen ones."""
     queried = draw(st.lists(st.integers(0, 11), unique=True, max_size=12))
     answers = st.lists(st.integers(0, 15), max_size=3).map(tuple)
-    return QueryHistory(tuple(QueryRecord(u, draw(answers)) for u in queried))
+    return tuple(QueryRecord(u, draw(answers)) for u in queried)
 
 
-def reference_split(history: QueryHistory, cap: int):
+def reference_split(history: History, cap: int):
     """Epochs from the definition: record k is a surprise iff its answer meets
     the vertices of the first k-1 records; an epoch also closes at cap records."""
     closed, reasons, start = [], [], 0
     for k in range(1, len(history) + 1):
-        surprise = not QueryHistory(history.records[:k - 1]).vertices().isdisjoint(history[k - 1].answer)
+        surprise = not _seen_set(dict(history[:k - 1])).isdisjoint(history[k - 1].answer)
         if surprise or k - start == cap:
-            closed.append(QueryHistory(history.records[start:k]))
+            closed.append(history[start:k])
             reasons.append(EpochReason.SURPRISE if surprise else EpochReason.TIMEOUT)
             start = k
-    return tuple(closed), tuple(reasons), QueryHistory(history.records[start:])
+    return tuple(closed), tuple(reasons), history[start:]
 
 
 @given(histories(), st.integers(1, 6))

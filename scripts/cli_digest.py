@@ -18,21 +18,21 @@ plus alg2 with one walk a colour test (``--n 512 --num-walks 1``), four
 trials,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
-layer count, an odd brsimple n), plus five values refused before any trial
+layer count, an odd brsimple n), plus four values refused before any trial
 runs (``--seed -1``, ``--walls 3`` on alg1, which does not read it,
-``--time-limit 5``, ``--path-target-mult nan`` on alg1 and an ``--out``
-path in a directory that does not exist): 166 in all, some of them usage
-errors, whose stderr and exit status are compared too.  The six bad shapes
+``--time-limit 5`` and an ``--out`` path in a directory that does not
+exist): 165 in all, some of them usage errors, whose stderr and exit
+status are compared too.  The six bad shapes
 exit 2 with one ``cyclelab:`` line; before the shape check in
 ``ExperimentConfig.validate`` they ended in a traceback, so their digests
 differ from those of older checkouts.  "Layers wider than d" runs at the
 default d, so its message changed when that default went from 2 to 8.
-The five bad values also exit 2 with one ``cyclelab:`` line; before they
+The four bad values also exit 2 with one ``cyclelab:`` line; before they
 were refused up front, ``--seed -1`` ended in numpy's traceback, alg1 ran
 as if it had no wall option, ``--time-limit 5`` ran with a wall-clock
-deadline, ``--path-target-mult nan`` ended in a ``math.ceil`` traceback
-and the bad ``--out`` ran every trial before its ``FileNotFoundError``
-traceback, so their digests differ from those of older checkouts too.
+deadline and the bad ``--out`` ran every trial before its
+``FileNotFoundError`` traceback, so their digests differ from those of
+older checkouts too.
 alg2 with one walk a test takes a unanimous verdict of that one walk, as
 alg1 does; checkouts whose stage 2 took an 80% vote refused it, or ran it
 with no stage-2 verdict, so its digest differs from theirs.  alg2 on br
@@ -91,8 +91,6 @@ BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
     ["--algo", "alg1", "--dist", "br", "--n", "2048", "--walls", "3", "--seed", "0"],
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--time-limit", "5", "--seed", "0"],
-    ["--algo", "alg1", "--dist", "br", "--n", "2048", "--d", "8", "--path-target-mult", "nan",
-     "--seed", "0"],
     ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
      "--seed", "0"],
 )

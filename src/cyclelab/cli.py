@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--walls", type=int, default=None,
                         help="alg2: wall count, 0 for a wallless run "
                              "(default: N^(1/4)*L/sqrt(N+L^2))")
-    parser.add_argument("--path-target-mult", type=float, default=None,
-                        help="alg1, alg2: path target as a multiple of sqrt(N) (default 2)")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
     parser.add_argument("--explore-budget", type=int, default=None,
                         help="bfs: vertices explored per repetition (default C*V/log2 V)")
@@ -76,7 +74,6 @@ def main(argv=None) -> int:
         budget=args.budget,
         num_walks=args.num_walks,
         walls=args.walls,
-        path_target_mult=args.path_target_mult,
         reps=args.reps,
         explore_budget=args.explore_budget,
         time_limit=args.time_limit or None,

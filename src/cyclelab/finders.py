@@ -7,12 +7,13 @@ Five strategies:
 * ``run_birthday_sampler`` -- adjacency-model baseline sampling random
   (vertex, slot) cells and counting answer collisions.
 * ``run_algorithm2`` -- first build red "walls" below sampled red
-  vertices, then find a blue seed, grow a long all-blue path with
-  walk-based color tests, and wait for the path to close on itself.  A
-  test's walks stop at a sink, a wall or a learned layer, and its verdict
-  is red only when every walk agrees.  Each red verdict labels the known
-  vertices below it with their layers, each walk that reaches a sink
-  labels the bottom half of its path, and later walks stop on a label.
+  vertices, then find a blue seed and grow an all-blue path with
+  walk-based color tests, checking after every head query for a cycle
+  through the head in everything learned so far.  A test's walks stop at
+  a sink, a wall or a learned layer, and its verdict is red only when
+  every walk agrees.  Each red verdict labels the known vertices below it
+  with their layers, each walk that reaches a sink labels the bottom half
+  of its path, and later walks stop on a label.
 * ``run_algorithm1`` -- ``run_algorithm2`` with no walls: walks stop only
   at sinks and at learned layers.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
@@ -39,8 +40,16 @@ from .oracle import Oracle, QueryModel, detect_cycle
 
 @dataclass
 class FinderOutcome:
+    """A finder's cycle or None, its queries, why it stopped and its counters.
+
+    ``stop`` is ``"cycle"``, ``"budget"``, ``"step_cap"`` (the budget when
+    both ran out), ``"no_seed"`` (alg1, alg2: no vertex can seed a path) or
+    ``"exhausted"`` (birthday: every cell sampled; bfs: every repetition run).
+    """
+
     cycle: list[int] | None
     queries_used: int
+    stop: str
     aux: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -114,6 +123,10 @@ class _Budget:
             return oracle.vertex_query_count
         return self.start + self.max_queries - oracle.adj_query_count
 
+    def stop(self) -> str:
+        """Which limit an ``exhausted()`` budget ran out of; the budget when both did."""
+        return "budget" if self.used() >= self.max_queries else "step_cap"
+
 
 def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
@@ -167,7 +180,6 @@ def run_random_walk_finder(
     aux = {"walks": 0, "restarts": 0, "steps": 0}
     v_count = oracle.v_count
     draw = rng.below
-    cycle = None
     cur: int | None = None
     trail: set[int] = set()
     while not budget.exhausted():
@@ -187,10 +199,10 @@ def run_random_walk_finder(
         if nxt in trail:
             cycle = detect_cycle(oracle.kg, cur, answer)
             assert cycle is not None, "trail collision must close a visible cycle"
-            break
+            return FinderOutcome(cycle, budget.used(), "cycle", aux)
         trail.add(nxt)
         cur = nxt
-    return FinderOutcome(cycle, budget.used(), aux)
+    return FinderOutcome(None, budget.used(), budget.stop(), aux)
 
 
 @_with_draw_source
@@ -222,7 +234,6 @@ def run_birthday_sampler(
     seen: set[int] = set()  # sampled vertices and answers, for the collision count
     seen_cells: set[tuple[int, int]] = set()
     total_cells = v_count * d
-    cycle = None
     while len(seen_cells) < total_cells and not budget.exhausted():
         budget.steps += 1
         cell = (draw(v_count), 1 + draw(d))
@@ -241,8 +252,9 @@ def run_birthday_sampler(
         partial[u] = partial.get(u, ()) + (v,)
         cycle = detect_cycle(partial, u, (v,))
         if cycle is not None:
-            break
-    return FinderOutcome(cycle, budget.used(), aux)
+            return FinderOutcome(cycle, budget.used(), "cycle", aux)
+    stop = "exhausted" if len(seen_cells) == total_cells else budget.stop()
+    return FinderOutcome(None, budget.used(), stop, aux)
 
 
 def _implied_layers(
@@ -473,24 +485,25 @@ def _learn_layers(
 
 def _grow_blue_path(
     oracle: Oracle,
-    params: BRParams,
     rng,
     color_of,
     budget: _Budget,
-    path_target: int,
     aux: dict[str, int],
-) -> list[int] | None:
+    skip,
+) -> tuple[list[int] | None, str]:
     """Seed search plus depth-first blue path growth: alg2's stage 2, and all of alg1.
 
     color_of(v) -> 0 | layer | None is injected; a vertex is appended only
     on a blue verdict.  Dead ends (all children non-blue) backtrack and
-    are never re-entered.  Once the path passes path_target, every head
-    query is followed by a cycle check; a child already on the path closes
-    a cycle at any length.  Gives up, with no further draw, once every
-    vertex has a non-blue verdict or is exhausted while the path is empty,
-    since no seed can start a path then.  rng is the finder's draw source.
+    are never re-entered.  Every head query is followed by a free check,
+    counted in aux["cycle_checks"], for a cycle through the head in the
+    knowledge graph less ``skip``, and the first one found is returned.
+    Gives up ("no_seed"), with no further draw, once every vertex has a
+    non-blue verdict or is exhausted while the path is empty, since no
+    seed can start a path then.  Returns the cycle or None, and the stop
+    reason.  rng is the finder's draw source.
     """
-    v_count = int(params.v_count)  # below() needs a Python int
+    v_count = oracle.v_count
     draw = rng.below
     verdicts: dict[int, int | None] = {}
     exhausted: set[int] = set()
@@ -512,7 +525,7 @@ def _grow_blue_path(
         budget.steps += 1
         if not path:
             if unseedable == v_count:
-                break
+                return None, "no_seed"
             cand = draw(v_count)
             aux["seeds_tested"] += 1
             if cand in exhausted or cached_color(cand) != BLUE:
@@ -522,24 +535,17 @@ def _grow_blue_path(
             continue
         head = path[-1]
         answer = oracle.query_vertex(head)
-        if len(path) >= path_target or any(c in on_path for c in answer):
-            cycle = detect_cycle(oracle.kg, head, answer)
-            if cycle is not None:
-                return cycle
-        if head not in pending:
-            pending[head] = list(answer)
+        aux["cycle_checks"] += 1
+        cycle = detect_cycle(oracle.kg, head, answer, skip=skip)
+        if cycle is not None:
+            return cycle, "cycle"
+        queue = pending.setdefault(head, list(answer))
         nxt = None
-        queue = pending[head]
         while queue and not budget.exhausted():
-            c = queue[0]
-            if c in exhausted or c in on_path:
-                queue.pop(0)
-                continue
-            if cached_color(c) == BLUE:
-                queue.pop(0)
+            c = queue.pop(0)
+            if c not in exhausted and c not in on_path and cached_color(c) == BLUE:
                 nxt = c
                 break
-            queue.pop(0)
         if nxt is not None:
             path.append(nxt)
             on_path.add(nxt)
@@ -550,7 +556,7 @@ def _grow_blue_path(
             path.pop()
             on_path.discard(head)
             aux["backtracks"] += 1
-    return None
+    return None, budget.stop()
 
 
 def build_wall(
@@ -604,7 +610,6 @@ def run_algorithm2(
     num_walls: int | None = None,
     budget: int | None = None,
     num_walks: int = 6,
-    path_target: int | None = None,
 ) -> FinderOutcome:
     """Wall-building stage, then blue path growth with wall-based colors.
 
@@ -629,15 +634,18 @@ def run_algorithm2(
     are sinks, so the build could only fail; when the wall depth reaches
     L every red start is such a start, so stage 1 is skipped (no walls,
     and the run is ``run_algorithm1``'s).  Each stage-1 attempt counts
-    one step against the step cap, as it may charge nothing.  Defaults:
-    path target 2*sqrt(N) rounded up, budget 100*L*sqrt(N) queries
+    one step against the step cap, as it may charge nothing.  After every
+    head query stage 2 checks for a cycle through the head, skipping the
+    layer map: its vertices are red unless a verdict was wrong, and no
+    cycle passes a red vertex.  aux splits stage 2's colour ids, walks and
+    charged queries by verdict (``blue_*``, ``red_*``, ``unknown_*``; a
+    labelled start is red).  Defaults: budget 100*L*sqrt(N) queries
     rounded up; the step cap is 40 * budget + 200 * V.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     layers = params.layers
-    n = params.n_blue
     depth = 1  # floor(log_d W), at least 1 since BRParams keeps d <= W
     while params.outdeg ** (depth + 1) <= params.width:
         depth += 1
@@ -645,10 +653,8 @@ def run_algorithm2(
         num_walls = 0
     elif num_walls is None:
         num_walls = default_num_walls(params)
-    if path_target is None:
-        path_target = math.ceil(2 * math.sqrt(n))
     if budget is None:
-        budget = math.ceil(100 * layers * math.sqrt(n))
+        budget = math.ceil(100 * layers * math.sqrt(params.n_blue))
     tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
 
     aux = {
@@ -662,6 +668,10 @@ def run_algorithm2(
         "wall_hits": 0,
         "stage1_queries": 0,
         "stage2_queries": 0,
+        "cycle_checks": 0,
+        "blue_color_ids": 0, "red_color_ids": 0, "unknown_color_ids": 0,
+        "blue_walks": 0, "red_walks": 0, "unknown_walks": 0,
+        "blue_queries": 0, "red_queries": 0, "unknown_queries": 0,
     }
     v_count = int(params.v_count)  # below() needs a Python int
 
@@ -693,6 +703,7 @@ def run_algorithm2(
     aux["stage1_queries"] = tracker.used()
 
     def wall_color_of(x: int) -> int | None:
+        charged = oracle.vertex_query_count
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
             num_walks=num_walks, stop_at=tracker.ceiling(),
@@ -700,13 +711,17 @@ def run_algorithm2(
         if est.walks_used == 0 and est.color is not None:
             aux["wall_hits"] += 1
         aux["walks"] += est.walks_used
+        verdict = "red" if est.is_red else "blue" if est.is_blue else "unknown"
+        aux[f"{verdict}_color_ids"] += 1
+        aux[f"{verdict}_walks"] += est.walks_used
+        aux[f"{verdict}_queries"] += oracle.vertex_query_count - charged
         if est.is_red and x not in member_layer:
             _learn_layers(oracle.kg, member_layer, x, est.color, layers)
         return est.color
 
-    cycle = _grow_blue_path(oracle, params, rng, wall_color_of, tracker, path_target, aux)
+    cycle, stop = _grow_blue_path(oracle, rng, wall_color_of, tracker, aux, member_layer)
     aux["stage2_queries"] = tracker.used() - aux["stage1_queries"]
-    return FinderOutcome(cycle, tracker.used(), aux)
+    return FinderOutcome(cycle, tracker.used(), stop, aux)
 
 
 def run_algorithm1(
@@ -716,18 +731,15 @@ def run_algorithm1(
     *,
     budget: int | None = None,
     num_walks: int = 6,
-    path_target: int | None = None,
 ) -> FinderOutcome:
-    """Blue-seed search, blue path growth, cycle wait: ``run_algorithm2`` with no walls.
+    """Blue-seed search and blue path growth: ``run_algorithm2`` with no walls.
 
     Color tests walk to sinks or to learned layers, at most 4*L steps
-    each, and take the same unanimous verdict; the bytes, the defaults
-    and the aux counters are alg2's with ``num_walls=0``.
+    each, and take the same unanimous verdict; a cycle check follows
+    every head query.  The bytes, the defaults and the aux counters are
+    alg2's with ``num_walls=0``.
     """
-    return run_algorithm2(
-        oracle, params, rng,
-        num_walls=0, budget=budget, num_walks=num_walks, path_target=path_target,
-    )
+    return run_algorithm2(oracle, params, rng, num_walls=0, budget=budget, num_walks=num_walks)
 
 
 @_with_draw_source
@@ -771,9 +783,10 @@ def run_bfs_heuristic(
             aux["explored"] += 1
             cycle = detect_cycle(oracle.kg, u, answer)
             if cycle is not None:
-                return FinderOutcome(cycle, budget.used(), aux)
+                return FinderOutcome(cycle, budget.used(), "cycle", aux)
             for w in answer:
                 if w not in visited:
                     visited.add(w)
                     frontier.append(w)
-    return FinderOutcome(None, budget.used(), aux)
+    stop = budget.stop() if budget.exhausted() else "exhausted"
+    return FinderOutcome(None, budget.used(), stop, aux)

@@ -53,7 +53,6 @@ _FINDER_OPTIONS = (
     ("reps", ("bfs",)),
     ("explore_budget", ("bfs",)),
     ("num_walks", ("alg1", "alg2")),
-    ("path_target_mult", ("alg1", "alg2")),
 )
 
 
@@ -80,7 +79,6 @@ class ExperimentConfig:
     budget: int | None = None
     num_walks: int = 6
     walls: int | None = None
-    path_target_mult: float | None = None
     reps: int = 1
     explore_budget: int | None = None
     # only None is accepted: a trial stops on its query budget and step cap,
@@ -120,12 +118,6 @@ class ExperimentConfig:
             )
         if self.walls is not None and self.walls < 0:
             raise ConfigError("walls must be >= 0")
-        if self.path_target_mult is not None and self.path_target_mult <= 0:
-            raise ConfigError("path_target_mult must be > 0")
-        if self.path_target_mult is not None and not math.isfinite(
-            self.path_target_mult * math.sqrt(self.n)
-        ):
-            raise ConfigError("path_target_mult * sqrt(n) must be finite")
         for name, algos in _FINDER_OPTIONS:
             if self.algo not in algos and getattr(self, name) != getattr(ExperimentConfig, name):
                 raise ConfigError(f"{name} applies only to {' and '.join(algos)}, not {self.algo}")
@@ -193,9 +185,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     model = QueryModel.ADJ_LIST if config.algo == "birthday" else QueryModel.VERTEX
     oracle = new_oracle(instance, model)
     v_count = hidden.v_count
-    path_target = None
-    if config.path_target_mult is not None and params is not None:
-        path_target = math.ceil(config.path_target_mult * math.sqrt(params.n_blue))
 
     t0 = time.perf_counter()
     if config.algo == "walk":
@@ -206,22 +195,12 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
         outcome = run_birthday_sampler(oracle, cap, rng)
     elif config.algo == "alg1":
         outcome = run_algorithm1(
-            oracle,
-            params,
-            rng,
-            budget=config.budget,
-            num_walks=config.num_walks,
-            path_target=path_target,
+            oracle, params, rng, budget=config.budget, num_walks=config.num_walks
         )
     elif config.algo == "alg2":
         outcome = run_algorithm2(
-            oracle,
-            params,
-            rng,
-            num_walls=config.walls,
-            budget=config.budget,
-            num_walks=config.num_walks,
-            path_target=path_target,
+            oracle, params, rng,
+            num_walls=config.walls, budget=config.budget, num_walks=config.num_walks,
         )
     else:
         outcome = run_bfs_heuristic(

@@ -157,7 +157,7 @@ def new_oracle(pair_or_graph: BRPair | Digraph, model: QueryModel) -> Oracle:
 
 
 def detect_cycle(
-    kg: dict[int, tuple[int, ...]], u: int, answer: tuple[int, ...]
+    kg: dict[int, tuple[int, ...]], u: int, answer: tuple[int, ...], *, skip=()
 ) -> list[int] | None:
     """A shortest cycle through ``u`` visible in the knowledge graph ``kg``.
 
@@ -169,12 +169,16 @@ def detect_cycle(
     frontier: a vertex with no known out-edge cannot lead back, and leaving
     it out changes no other vertex's BFS order or predecessor, so the same
     cycle comes back.  Pure bookkeeping; costs no queries.
+
+    Vertices in ``skip`` never join the frontier either.  On br a red
+    vertex points only into the next red layer, so no cycle passes it, and
+    skipping red vertices returns the same cycle.
     """
     # prev[x] = predecessor of x on a shortest path u -> answer entry -> ... -> x.
     prev: dict[int, int] = {}
     frontier = []
     for x in answer:
-        if x != u and x not in prev and x in kg:
+        if x != u and x not in prev and x in kg and x not in skip:
             prev[x] = u
             frontier.append(x)
     while frontier:
@@ -188,7 +192,7 @@ def detect_cycle(
                     cycle.append(u)
                     cycle.reverse()
                     return cycle
-                if z not in prev and z in kg:
+                if z not in prev and z in kg and z not in skip:
                     prev[z] = y
                     nxt.append(z)
         frontier = nxt

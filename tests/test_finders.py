@@ -5,6 +5,7 @@ import pytest
 
 from cyclelab import (
     BLUE,
+    BRPair,
     BRParams,
     ColorEstimate,
     Digraph,
@@ -25,15 +26,34 @@ from cyclelab import (
     verify_cycle,
     wall_identify,
 )
-from cyclelab import finders
+from cyclelab import detect_cycle, finders
 from cyclelab.finders import _sink_settled, _sink_verdict
 
 from test_oracle import hand_pair_l8
 
 
+class ConstantDraws:
+    """A generator stand-in whose every draw is one value, capped at the bound - 1.
+
+    Not a PCG64 Generator, so a finder draws from it one ``integers`` call
+    at a time.
+    """
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, k):
+        return min(self.value, k - 1)
+
+
+# a directed 2-cycle and a directed path, each of out-degree at most 1
+TWO_CYCLE = Digraph.from_lists([[1], [0]])
+PATH_100 = Digraph.from_lists([[v + 1] for v in range(99)] + [[]])
+
+
 def test_outcome_success_property():
-    assert FinderOutcome(cycle=[0, 1], queries_used=2, aux={}).success
-    assert not FinderOutcome(cycle=None, queries_used=2, aux={}).success
+    assert FinderOutcome(cycle=[0, 1], queries_used=2, stop="cycle", aux={}).success
+    assert not FinderOutcome(cycle=None, queries_used=2, stop="budget", aux={}).success
 
 
 # -- random walk ----------------------------------------------------------------
@@ -82,7 +102,39 @@ def test_walk_sink_restarts_count_against_the_step_cap():
     assert out.aux["restarts"] == 80
 
 
+def test_walk_stop_reasons():
+    # cycle; budget, charged along a long path; step cap, once every sink is known
+    runs = [
+        (TWO_CYCLE, 4, "cycle"),
+        (PATH_100, 3, "budget"),
+        (Digraph.from_lists([[], [], []]), 4, "step_cap"),
+    ]
+    for graph, max_queries, stop in runs:
+        oracle = new_oracle(graph, model=QueryModel.VERTEX)
+        out = run_random_walk_finder(oracle, max_queries, np.random.default_rng(0))
+        assert out.stop == stop
+        assert out.success == (stop == "cycle")
+        assert (out.queries_used == max_queries) == (stop == "budget")
+
+
 # -- birthday sampler -------------------------------------------------------------
+
+
+def test_birthday_stop_reasons():
+    # cycle; every cell of a 3-vertex path sampled; budget; and the step cap,
+    # when every draw names the same cell, so no draw after the first charges
+    dag = Digraph.from_lists([[1], [2], []])
+    runs = [
+        (TWO_CYCLE, 10, np.random.default_rng(0), "cycle", 2),
+        (dag, 10, np.random.default_rng(0), "exhausted", 3),
+        (PATH_100, 5, np.random.default_rng(0), "budget", 5),
+        (dag, 10, ConstantDraws(0), "step_cap", 1),
+    ]
+    for graph, max_queries, rng, stop, queries in runs:
+        oracle = new_oracle(graph, model=QueryModel.ADJ_LIST)
+        out = run_birthday_sampler(oracle, max_queries, rng)
+        assert (out.stop, out.queries_used) == (stop, queries)
+        assert out.success == (stop == "cycle")
 
 
 def test_birthday_needs_adjacency_model():
@@ -382,6 +434,83 @@ def test_algorithm1_finds_verified_cycles():
         assert out.queries_used <= 100 * params.layers * int(params.n_blue**0.5 + 1)
 
 
+@pytest.mark.parametrize("finder", [run_algorithm1, run_algorithm2], ids=["alg1", "alg2"])
+def test_layered_finder_stop_reasons(finder):
+    def run(instance, rng, **kwargs):
+        oracle = new_oracle(instance, model=QueryModel.VERTEX)
+        return finder(oracle, instance.params, rng, **kwargs)
+
+    pair = gen_br_pair(BRParams(1024, 4, 512, 4), np.random.default_rng(46))
+    out = run(pair, np.random.default_rng(0))
+    assert (out.stop, out.success) == ("cycle", True)
+    assert verify_cycle(pair.graph, out.cycle)
+    out = run(pair, np.random.default_rng(0), budget=3)
+    assert (out.stop, out.success, out.queries_used) == ("budget", False, 3)
+    # every draw names red vertex 20 (layer 2): once its verdict is known the
+    # seed search charges nothing, and only the step cap ends it
+    hand = hand_pair_l8()
+    out = run(hand, ConstantDraws(20), budget=10)
+    assert (out.stop, out.success) == ("step_cap", False)
+    assert out.queries_used < 10
+    # every vertex a sink: every verdict is red, at layer L, so no vertex can seed a path
+    sinks = BRPair(hand.params, hand.coloring, Digraph.from_lists([[]] * hand.graph.v_count))
+    out = run(sinks, np.random.default_rng(0))
+    assert (out.stop, out.success, out.queries_used) == ("no_seed", False, hand.graph.v_count)
+
+
+@pytest.mark.parametrize("finder", [run_algorithm1, run_algorithm2], ids=["alg1", "alg2"])
+def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
+    # stage-2 colour ids, walks and charged queries, split by verdict: the ids
+    # and walks sum to the totals less stage 1's walks, and the queries to at
+    # most the whole run's; a budget cut leaves unknown verdicts
+    stage1_walks = []
+
+    def counted(*args, **kwargs):
+        est = identify_color(*args, **kwargs)
+        stage1_walks.append(est.walks_used)
+        return est
+
+    monkeypatch.setattr(finders, "identify_color", counted)
+    rng = np.random.default_rng(44)
+    verdicts = ("blue", "red", "unknown")
+    unknown = 0
+    for budget in (None, 150, 400):
+        stage1_walks.clear()
+        pair = gen_br_pair(BRParams(1024, 4, 512, 4), rng)
+        out = finder(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng, budget=budget)
+        aux = out.aux
+        assert sum(aux[f"{v}_color_ids"] for v in verdicts) == aux["color_ids"]
+        assert sum(aux[f"{v}_walks"] for v in verdicts) == aux["walks"] - sum(stage1_walks)
+        assert sum(aux[f"{v}_queries"] for v in verdicts) <= out.queries_used
+        assert aux["wall_hits"] <= aux["red_color_ids"]  # a labelled start counts as red
+        assert aux["blue_color_ids"] > 0 and aux["red_color_ids"] > 0
+        unknown += aux["unknown_color_ids"]
+    assert unknown > 0
+
+
+def test_algorithm1_returns_the_first_cycle_a_head_check_finds(monkeypatch):
+    # every head query is followed by one check, counted in aux: one per
+    # append, one per backtrack, and the last, which finds a cycle; the run
+    # ends on the first check that finds one, with that very cycle
+    found = []
+
+    def spied(*args, **kwargs):
+        found.append(detect_cycle(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(finders, "detect_cycle", spied)
+    rng = np.random.default_rng(45)
+    for _ in range(5):
+        found.clear()
+        pair = gen_br_pair(BRParams(1024, 4, 512, 4), rng)
+        out = run_algorithm1(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng)
+        assert out.success and out.stop == "cycle"
+        assert out.cycle is found[-1]
+        assert found[:-1] == [None] * (len(found) - 1)
+        assert out.aux["cycle_checks"] == len(found)
+        assert len(found) == out.aux["appends"] + out.aux["backtracks"] + 1
+
+
 def test_algorithm1_respects_budget():
     params = BRParams(1024, 4, 512, 4)
     rng = np.random.default_rng(43)
@@ -402,6 +531,7 @@ def test_algorithm1_stops_seeding_when_no_seed_can_start_a_path():
     oracle = new_oracle(pair, model=QueryModel.VERTEX)
     out = run_algorithm1(oracle, pair.params, rng)
     assert not out.success
+    assert out.stop == "no_seed"
     assert out.aux["color_ids"] == pair.graph.v_count
     assert out.queries_used == oracle.vertex_query_count <= pair.graph.v_count
     assert out.aux["seeds_tested"] < 200_000
@@ -605,6 +735,22 @@ def test_bfs_red_start_finds_nothing():
     out = run_bfs_heuristic(oracle, 1, np.random.default_rng(1), explore_budget=500)
     assert not out.success
     assert out.queries_used <= 13
+
+
+def test_bfs_stop_reasons():
+    # cycle; every repetition run; budget.  The step cap cannot bind: each
+    # step explores a vertex, and the cap is 20 times what the repetitions
+    # may explore.
+    runs = [
+        (TWO_CYCLE, {}, "cycle"),
+        (Digraph.from_lists([[1], [2], []]), {}, "exhausted"),
+        (PATH_100, {"max_queries": 3}, "budget"),
+    ]
+    for graph, kwargs, stop in runs:
+        oracle = new_oracle(graph, model=QueryModel.VERTEX)
+        out = run_bfs_heuristic(oracle, 2, np.random.default_rng(0), **kwargs)
+        assert out.stop == stop
+        assert out.success == (stop == "cycle")
 
 
 def test_bfs_finds_cycles_with_repetitions():

@@ -63,14 +63,9 @@ def test_config_rejects_bad_combinations():
         walk_config(wall_p=5)  # the wall depth is floor(log_d W), not an option
     with pytest.raises(ConfigError):
         walk_config(base_seed=-1).validate()  # numpy refuses a negative seed
-    with pytest.raises(ConfigError):
-        walk_config(path_target_mult=0).validate()  # a path target of zero
-    with pytest.raises(ConfigError):
-        walk_config(path_target_mult=-1).validate()
-    for mult in (float("nan"), float("inf"), 1e308):  # math.ceil raised on these
-        with pytest.raises(ConfigError, match=r"^path_target_mult \* sqrt\(n\) must be finite$"):
-            walk_config(dist="br", algo="alg1", n=2048, d=8, path_target_mult=mult).validate()
-    walk_config(dist="br", algo="alg1", n=2048, d=8, path_target_mult=1e300).validate()
+    with pytest.raises(TypeError):
+        # alg1 and alg2 check for a cycle after every head query, so no path target
+        walk_config(dist="br", algo="alg1", path_target_mult=2)
     walk_config().validate()
     walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
     walk_config(dist="br", algo="alg2", num_walks=2).validate()
@@ -87,7 +82,7 @@ FINDER_OPTIONS = [
     ("reps", 2, {"bfs"}),
     ("explore_budget", 10, {"bfs"}),
     ("num_walks", 3, {"alg1", "alg2"}),
-    ("path_target_mult", 1.5, {"alg1", "alg2"}),
+    ("num_walks", 1, {"alg1", "alg2"}),  # one walk gives a unanimous verdict
 ]
 
 
@@ -111,6 +106,8 @@ def test_trials_stop_on_the_meter_alone(capsys):
         assert "deadline" not in inspect.signature(finder).parameters, finder.__name__
     for finder in (run_algorithm1, run_algorithm2, identify_color, wall_identify):
         assert "max_walk_len" not in inspect.signature(finder).parameters, finder.__name__
+    for finder in (run_algorithm1, run_algorithm2):
+        assert "path_target" not in inspect.signature(finder).parameters, finder.__name__
     # "none" still runs, as --time-limit 0 and as time_limit=None
     assert build_parser().parse_args(["--n", "64"]).time_limit == 0
     assert len(run_experiment(walk_config(time_limit=None))) == 2
@@ -384,13 +381,13 @@ def test_cli_rejects_bad_combination(capsys):
     assert captured.err == (
         "cyclelab: time_limit must be none (--time-limit 0): trials stop on the query budget\n"
     )
-    # math.ceil raised on a path target that is not finite
+    # a colour test needs a walk
     code = main(["--dist", "br", "--algo", "alg1", "--n", "2048", "--d", "8", "--trials", "1",
-                 "--path-target-mult", "nan"])
+                 "--num-walks", "0"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "cyclelab: path_target_mult * sqrt(n) must be finite\n"
+    assert captured.err == "cyclelab: num_walks must be >= 1\n"
     code = main(["--dist", "br", "--algo", "alg2", "--n", "64", "--trials", "1",
                  "--walls", "-1"])
     captured = capsys.readouterr()
@@ -436,6 +433,19 @@ def test_cli_has_no_wall_fan_out_option(capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.endswith("cyclelab: error: unrecognized arguments: --wall-p 5\n")
+
+
+def test_cli_has_no_path_target_option(capsys):
+    # alg1 and alg2 check for a cycle after every head query, so
+    # --path-target-mult is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--algo", "alg1", "--n", "2048", "--trials", "0", "--path-target-mult", "nan"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "cyclelab: error: unrecognized arguments: --path-target-mult nan\n"
+    )
 
 
 def test_cli_runs_alg2_with_one_walk_a_colour_test(capsys):

@@ -8,6 +8,7 @@ the forward search must agree with it on whether a cycle exists and on its
 length, and must return a real simple cycle through the queried vertex.
 ``forward_detect_cycle`` is the forward search before it left unqueried
 vertices off its frontier; ``detect_cycle`` must return its very list.
+On br, skipping red vertices must not change that list either.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelab import (
+    BLUE,
     BRParams,
     Digraph,
     QueryModel,
@@ -104,6 +106,19 @@ def check_against_reference(kg: KG, last: QueryRecord, hidden: Digraph) -> None:
     assert verify_cycle(hidden, got)
 
 
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def br_pairs(draw):
+    """A small layered pair: L in 2..8, W in 2..8, any legal d."""
+    layers = draw(st.sampled_from([2, 4, 6, 8]))
+    width = draw(st.integers(2, 8))
+    n_blue = layers * width // 2
+    d = draw(st.integers(2, min(width, 2 * n_blue - 1)))
+    return gen_br_pair(BRParams(n_blue, layers, width, d), np.random.default_rng(draw(seeds)))
+
+
 @st.composite
 def graphs(draw):
     """A hidden graph: a layered pair, a brsimple graph, or arbitrary lists.
@@ -112,14 +127,9 @@ def graphs(draw):
     and sinks.
     """
     kind = draw(st.sampled_from(["br", "brsimple", "lists"]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
     if kind == "br":
-        layers = draw(st.sampled_from([2, 4, 6, 8]))
-        width = draw(st.integers(2, 8))
-        n_blue = layers * width // 2
-        d = draw(st.integers(2, min(width, 2 * n_blue - 1)))
-        return gen_br_pair(BRParams(n_blue, layers, width, d), rng)
+        return draw(br_pairs())
+    rng = np.random.default_rng(draw(seeds))
     if kind == "brsimple":
         return gen_br_simple(2 * draw(st.integers(1, 60)), draw(st.integers(1, 3)), rng)
     n = draw(st.integers(1, 30))
@@ -174,6 +184,25 @@ def test_detect_cycle_is_shortest_through_the_queried_vertex():
     # a self-loop alone closes nothing
     assert detect_cycle({5: (5,)}, 5, (5,)) is None
     assert detect_cycle({5: (5, 6), 6: (5,)}, 5, (5, 6)) == [5, 6]
+
+
+@given(br_pairs(), plans, seeds)
+def test_skipping_red_vertices_returns_the_same_cycle(pair, plan, seed):
+    # a red vertex points only into the next red layer, so no cycle through
+    # a blue vertex passes it: any set of red vertices, queried or not, may
+    # be skipped, and the very same list comes back
+    oracle = new_oracle(pair, QueryModel.VERTEX)
+    for _ in walk(oracle, plan):
+        pass
+    layer = pair.coloring.layer_by_vertex
+    red = np.flatnonzero(layer != BLUE)
+    rng = np.random.default_rng(seed)
+    # a random subset of the red vertices, of random density, with their layers
+    skip = {int(v): int(layer[v]) for v in red[rng.random(len(red)) < rng.random()]}
+    kg = oracle.kg
+    for u in kg:
+        if layer[u] == BLUE:
+            assert detect_cycle(kg, u, kg[u], skip=skip) == detect_cycle(kg, u, kg[u])
 
 
 @given(graphs(), plans, st.lists(st.booleans(), min_size=150, max_size=150))

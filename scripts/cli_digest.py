@@ -13,32 +13,30 @@ each at three seeds, four trials each, plus alg1 and
 alg2 at the paper's regime (N = 2^20, d = 8, auto L = 32), two trials each,
 plus alg1 on 31 red layers of 512 rows (``--n 8192 --layers 32 --d 8``),
 which the generator draws in two groups of layers, four trials,
-plus alg2 with three walls (``--n 8192 --d 8 --walls 3``), four trials,
 plus alg2 with one walk a colour test (``--n 512 --num-walks 1``), four
 trials,
 plus six instance shapes that no instance can have (``--layers 0``, a
 negative layer count, ``--d 1`` on br, layers wider than d, a br N with no
 layer count, an odd brsimple n), plus four values refused before any trial
-runs (``--seed -1``, ``--walls 3`` on alg1, which does not read it,
+runs (``--seed -1``, ``--walls 3`` on alg2, an option that is gone,
 ``--time-limit 5`` and an ``--out`` path in a directory that does not
-exist): 165 in all, some of them usage errors, whose stderr and exit
+exist): 164 in all, some of them usage errors, whose stderr and exit
 status are compared too.  The six bad shapes
 exit 2 with one ``cyclelab:`` line; before the shape check in
 ``ExperimentConfig.validate`` they ended in a traceback, so their digests
 differ from those of older checkouts.  "Layers wider than d" runs at the
 default d, so its message changed when that default went from 2 to 8.
-The four bad values also exit 2 with one ``cyclelab:`` line; before they
-were refused up front, ``--seed -1`` ended in numpy's traceback, alg1 ran
-as if it had no wall option, ``--time-limit 5`` ran with a wall-clock
-deadline and the bad ``--out`` ran every trial before its
-``FileNotFoundError`` traceback, so their digests differ from those of
-older checkouts too.
+Three bad values also exit 2 with one ``cyclelab:`` line, and
+``--walls`` is an argparse usage error (exit 2); before they were refused,
+``--seed -1`` ended in numpy's traceback, alg2 built three walls,
+``--time-limit 5`` ran with a wall-clock deadline and the bad ``--out``
+ran every trial before its ``FileNotFoundError`` traceback, so their
+digests differ from those of older checkouts too.
 alg2 with one walk a test takes a unanimous verdict of that one walk, as
 alg1 does; checkouts whose stage 2 took an 80% vote refused it, or ran it
-with no stage-2 verdict, so its digest differs from theirs.  alg2 on br
-where the wall depth floor(log_d W) reaches L (the ``--n 512 --d 2``
-configs) skips stage 1 and prints alg1's rows under its own name;
-checkouts that ran its futile wall attempts print other rows there.
+with no stage-2 verdict, so its digest differs from theirs.  alg2 runs
+alg1's finder and prints alg1's rows under its own name; checkouts with a
+wall stage print other rows wherever they built a wall.
 ``--time-limit`` defaults to 0, no deadline, the only value it accepts,
 so only the refused config names it.
 Two configs run at a time.
@@ -71,9 +69,6 @@ PAPER_REGIME = ["--n", "1048576", "--d", "8", "--seed", "1", "--trials", "2"]
 # 31 red layers of 512 rows, drawn by the generator in two groups of layers
 TWO_GROUPS = ["--algo", "alg1", "--dist", "br", "--n", "8192", "--layers", "32", "--d", "8",
               "--seed", "5", *TAIL]
-# alg2 with three walls, so overlapping walls and learned labels keep a digest
-THREE_WALLS = ["--algo", "alg2", "--dist", "br", "--n", "8192", "--d", "8", "--walls", "3",
-               "--seed", "5", *TAIL]
 BAD_SHAPES = (
     ["--dist", "br", "--n", "2048", "--layers", "0"],
     ["--dist", "br", "--n", "2048", "--layers", "-4"],
@@ -89,7 +84,7 @@ ONE_WALK = ["--algo", "alg2", "--dist", "br", "--n", "512", "--num-walks", "1", 
 # then TAIL
 BAD_VALUES = (
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--seed", "-1"],
-    ["--algo", "alg1", "--dist", "br", "--n", "2048", "--walls", "3", "--seed", "0"],
+    ["--algo", "alg2", "--dist", "br", "--n", "2048", "--walls", "3", "--seed", "0"],
     ["--algo", "walk", "--dist", "br", "--n", "2048", "--time-limit", "5", "--seed", "0"],
     ["--algo", "walk", "--dist", "brsimple", "--n", "64", "--out", "/nonexistent/dir/x.csv",
      "--seed", "0"],
@@ -108,7 +103,7 @@ def configs() -> list[list[str]]:
     ]
     paper = [["--algo", algo, "--dist", "br", *PAPER_REGIME] for algo in ("alg1", "alg2")]
     bad = [["--algo", "walk", *shape, "--seed", "0"] for shape in BAD_SHAPES]
-    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, THREE_WALLS, ONE_WALK] + [
+    return [args + TAIL for args in sized + layered] + paper + [TWO_GROUPS, ONE_WALK] + [
         args + TAIL for args in bad + list(BAD_VALUES)
     ]
 

@@ -18,7 +18,6 @@ from .finders import (
     FinderOutcome,
     Wall,
     build_wall,
-    default_num_walls,
     identify_color,
     run_algorithm1,
     run_algorithm2,

@@ -44,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="alg1, alg2: at most NUM_WALKS walks per color "
                              "identification; a test stops once its verdict is settled "
                              "(default 6)")
-    parser.add_argument("--walls", type=int, default=None,
-                        help="alg2: wall count, 0 for a wallless run "
-                             "(default: N^(1/4)*L/sqrt(N+L^2))")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
     parser.add_argument("--explore-budget", type=int, default=None,
                         help="bfs: vertices explored per repetition (default C*V/log2 V)")
@@ -73,7 +70,6 @@ def main(argv=None) -> int:
         d=args.d,
         budget=args.budget,
         num_walks=args.num_walks,
-        walls=args.walls,
         reps=args.reps,
         explore_budget=args.explore_budget,
         time_limit=args.time_limit or None,

@@ -1,23 +1,25 @@
 """Cycle finders that see the hidden graph only through an oracle.
 
-Five strategies:
+Four strategies:
 
 * ``run_random_walk_finder`` -- follow uniform out-steps until the walk
   re-enters its own trail; restart from a random vertex at sinks.
 * ``run_birthday_sampler`` -- adjacency-model baseline sampling random
   (vertex, slot) cells and counting answer collisions.
-* ``run_algorithm2`` -- first build red "walls" below sampled red
-  vertices, then find a blue seed and grow an all-blue path with
+* ``run_algorithm1`` -- find a blue seed and grow an all-blue path with
   walk-based color tests, checking after every head query for a cycle
   through the head in everything learned so far.  A test's walks stop at
-  a sink, a wall or a learned layer, and its verdict is red only when
-  every walk agrees.  Each red verdict labels the known vertices below it
-  with their layers, each walk that reaches a sink labels the bottom half
-  of its path, and later walks stop on a label.
-* ``run_algorithm1`` -- ``run_algorithm2`` with no walls: walks stop only
-  at sinks and at learned layers.
+  a sink or a learned layer, and its verdict is red only when every walk
+  agrees.  Each red verdict labels the known vertices below it with their
+  layers, each walk that reaches a sink labels the bottom half of its
+  path, and later walks stop on a label.  ``run_algorithm2`` is the same
+  finder under the name ``alg2`` rows carry; its wall stage is gone.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
+
+``build_wall`` builds a red "wall", the BFS frontier a fixed depth below
+a red vertex, and ``wall_identify`` walks against any layer map, so wall
+members can calibrate colour tests; no finder builds walls.
 
 Walk-based finders revisit vertices; the oracle answers a revisit from
 its cache at zero query cost.  Every returned cycle is read off the
@@ -491,7 +493,7 @@ def _grow_blue_path(
     aux: dict[str, int],
     skip,
 ) -> tuple[list[int] | None, str]:
-    """Seed search plus depth-first blue path growth: alg2's stage 2, and all of alg1.
+    """Seed search plus depth-first blue path growth: alg1's search.
 
     color_of(v) -> 0 | layer | None is injected; a vertex is appended only
     on a blue verdict.  Dead ends (all children non-blue) backtrack and
@@ -596,63 +598,40 @@ def build_wall(
     return Wall(base, frozenset(frontier), v)
 
 
-def default_num_walls(params: BRParams) -> int:
-    n, layers = params.n_blue, params.layers
-    return max(1, round(n ** 0.25 * layers / math.sqrt(n + layers * layers)))
-
-
 @_with_draw_source
-def run_algorithm2(
+def run_algorithm1(
     oracle: Oracle,
     params: BRParams,
     rng,
     *,
-    num_walls: int | None = None,
     budget: int | None = None,
     num_walks: int = 6,
 ) -> FinderOutcome:
-    """Wall-building stage, then blue path growth with wall-based colors.
+    """Blue-seed search and blue path growth with walk-based colour tests.
 
-    Stage 1 samples vertices, keeps red ones, and BFS-builds a wall
-    depth = floor(log_d W) levels below each, so a wall stops a level
-    short of saturating a layer and costs about W/(d - 1) queries.  Stage
-    2 colors a vertex with ``wall_identify``, walking until a wall member,
-    a learned layer or a sink is hit: the terminator's layer minus the
+    A vertex is coloured with ``wall_identify`` over the finder's layer
+    map, which starts empty: walks run until a learned layer or a sink is
+    hit, at most 4*L steps each, and the terminator's layer minus the
     step count is the start's implied layer.  Red starts repeat one
-    implied value; blue starts scatter.  In both stages the verdict is
-    red only when every terminated walk implies one layer in 1..L, and a
-    test takes at most ``num_walks`` walks and stops once its verdict is
-    settled (see ``_colour_test``).  Learned layers: a red stage-2 verdict at layer
-    l labels the start with l and every vertex known below it with
-    l + depth (``_learn_layers``), at no query, in the map that holds the
-    wall members, where a vertex keeps its first label; stage-2 walks that
-    reach a sink label the bottom half of their paths in the same map
-    (stage-1 tests keep theirs to themselves); a labelled start gets its
-    label with no walk and counts in aux["wall_hits"].  A red
-    start at layer l > L - depth is skipped without a build and counted
-    in aux["wall_failures"]: its BFS would query layer L, whose vertices
-    are sinks, so the build could only fail; when the wall depth reaches
-    L every red start is such a start, so stage 1 is skipped (no walls,
-    and the run is ``run_algorithm1``'s).  Each stage-1 attempt counts
-    one step against the step cap, as it may charge nothing.  After every
-    head query stage 2 checks for a cycle through the head, skipping the
-    layer map: its vertices are red unless a verdict was wrong, and no
-    cycle passes a red vertex.  aux splits stage 2's colour ids, walks and
-    charged queries by verdict (``blue_*``, ``red_*``, ``unknown_*``; a
-    labelled start is red).  Defaults: budget 100*L*sqrt(N) queries
-    rounded up; the step cap is 40 * budget + 200 * V.
+    implied value; blue starts scatter.  The verdict is red only when
+    every terminated walk implies one layer in 1..L, and a test takes at
+    most ``num_walks`` walks and stops once its verdict is settled (see
+    ``_colour_test``).  Learned layers: a red verdict at layer l labels the
+    start with l and every vertex known below it with l plus its distance
+    (``_learn_layers``), at no query, and walks that reach a sink label
+    the bottom half of their paths in the same map, where a vertex keeps
+    its first label; a labelled start gets its label with no walk and
+    counts in aux["wall_hits"].  After every head query the path checks
+    for a cycle through the head, skipping the layer map: its vertices are
+    red unless a verdict was wrong, and no cycle passes a red vertex.  aux
+    splits colour ids, walks and charged queries by verdict (``blue_*``,
+    ``red_*``, ``unknown_*``; a labelled start is red).  Defaults: budget
+    100*L*sqrt(N) queries rounded up; the step cap is 40 * budget + 200 * V.
 
     Draws equal scalar ``int(rng.integers(k))``, buffered on PCG64 (see
     ``_draws``); rng ends where those draws would leave it, even on a raise.
     """
     layers = params.layers
-    depth = 1  # floor(log_d W), at least 1 since BRParams keeps d <= W
-    while params.outdeg ** (depth + 1) <= params.width:
-        depth += 1
-    if depth >= layers:  # every red start is doomed, so no wall can be built
-        num_walls = 0
-    elif num_walls is None:
-        num_walls = default_num_walls(params)
     if budget is None:
         budget = math.ceil(100 * layers * math.sqrt(params.n_blue))
     tracker = _Budget(oracle, budget, step_cap=40 * budget + 200 * params.v_count)
@@ -663,46 +642,15 @@ def run_algorithm2(
         "seeds_tested": 0,
         "appends": 0,
         "backtracks": 0,
-        "walls_built": 0,
-        "wall_failures": 0,
         "wall_hits": 0,
-        "stage1_queries": 0,
-        "stage2_queries": 0,
         "cycle_checks": 0,
         "blue_color_ids": 0, "red_color_ids": 0, "unknown_color_ids": 0,
         "blue_walks": 0, "red_walks": 0, "unknown_walks": 0,
         "blue_queries": 0, "red_queries": 0, "unknown_queries": 0,
     }
-    v_count = int(params.v_count)  # below() needs a Python int
+    member_layer: dict[int, int] = {}  # learned layers
 
-    member_layer: dict[int, int] = {}  # wall members, then learned layers
-    walls: list[Wall] = []
-    attempts = 0
-    while len(walls) < num_walls and attempts < 30 * num_walls + 60 and not tracker.exhausted():
-        attempts += 1
-        tracker.steps += 1  # a test through queried vertices charges nothing, so it counts
-        cand = rng.below(v_count)
-        est = identify_color(
-            oracle, cand, layers, rng,
-            num_walks=num_walks, stop_at=tracker.ceiling(),
-        )
-        aux["walks"] += est.walks_used
-        if not est.is_red:
-            continue
-        if est.color > layers - depth:  # the build would reach the sink layer
-            aux["wall_failures"] += 1
-            continue
-        wall = build_wall(oracle, cand, depth, layer_hint=est.color, stop_at=tracker.ceiling())
-        if wall is None:
-            aux["wall_failures"] += 1
-            continue
-        walls.append(wall)
-        aux["walls_built"] += 1
-        for m in wall.members:
-            member_layer.setdefault(m, wall.layer_estimate)
-    aux["stage1_queries"] = tracker.used()
-
-    def wall_color_of(x: int) -> int | None:
+    def color_of(x: int) -> int | None:
         charged = oracle.vertex_query_count
         est = wall_identify(
             oracle, x, member_layer, layers, rng,
@@ -719,12 +667,11 @@ def run_algorithm2(
             _learn_layers(oracle.kg, member_layer, x, est.color, layers)
         return est.color
 
-    cycle, stop = _grow_blue_path(oracle, rng, wall_color_of, tracker, aux, member_layer)
-    aux["stage2_queries"] = tracker.used() - aux["stage1_queries"]
+    cycle, stop = _grow_blue_path(oracle, rng, color_of, tracker, aux, member_layer)
     return FinderOutcome(cycle, tracker.used(), stop, aux)
 
 
-def run_algorithm1(
+def run_algorithm2(
     oracle: Oracle,
     params: BRParams,
     rng,
@@ -732,14 +679,13 @@ def run_algorithm1(
     budget: int | None = None,
     num_walks: int = 6,
 ) -> FinderOutcome:
-    """Blue-seed search and blue path growth: ``run_algorithm2`` with no walls.
+    """``run_algorithm1``, byte for byte, under the name that ``alg2`` rows carry.
 
-    Color tests walk to sinks or to learned layers, at most 4*L steps
-    each, and take the same unanimous verdict; a cycle check follows
-    every head query.  The bytes, the defaults and the aux counters are
-    alg2's with ``num_walls=0``.
+    alg2 used to build walls first (a BFS frontier below a sampled red
+    vertex, whose members' layers calibrate later walks).  On held-out
+    seeds the walls cost queries and saved none, so that stage is gone.
     """
-    return run_algorithm2(oracle, params, rng, num_walls=0, budget=budget, num_walks=num_walks)
+    return run_algorithm1(oracle, params, rng, budget=budget, num_walks=num_walks)
 
 
 @_with_draw_source

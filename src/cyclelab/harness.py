@@ -49,7 +49,6 @@ CSV_COLUMNS = (
 # each finder option, and the finders that read it; any other finder runs
 # the same with or without it, so a non-default value there is refused
 _FINDER_OPTIONS = (
-    ("walls", ("alg2",)),
     ("reps", ("bfs",)),
     ("explore_budget", ("bfs",)),
     ("num_walks", ("alg1", "alg2")),
@@ -78,7 +77,6 @@ class ExperimentConfig:
     d: int = 8
     budget: int | None = None
     num_walks: int = 6
-    walls: int | None = None
     reps: int = 1
     explore_budget: int | None = None
     # only None is accepted: a trial stops on its query budget and step cap,
@@ -116,8 +114,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "time_limit must be none (--time-limit 0): trials stop on the query budget"
             )
-        if self.walls is not None and self.walls < 0:
-            raise ConfigError("walls must be >= 0")
         for name, algos in _FINDER_OPTIONS:
             if self.algo not in algos and getattr(self, name) != getattr(ExperimentConfig, name):
                 raise ConfigError(f"{name} applies only to {' and '.join(algos)}, not {self.algo}")
@@ -193,15 +189,9 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     elif config.algo == "birthday":
         cap = config.budget or math.ceil(10 * math.sqrt(v_count))
         outcome = run_birthday_sampler(oracle, cap, rng)
-    elif config.algo == "alg1":
-        outcome = run_algorithm1(
-            oracle, params, rng, budget=config.budget, num_walks=config.num_walks
-        )
-    elif config.algo == "alg2":
-        outcome = run_algorithm2(
-            oracle, params, rng,
-            num_walls=config.walls, budget=config.budget, num_walks=config.num_walks,
-        )
+    elif config.algo in ("alg1", "alg2"):
+        finder = run_algorithm1 if config.algo == "alg1" else run_algorithm2
+        outcome = finder(oracle, params, rng, budget=config.budget, num_walks=config.num_walks)
     else:
         outcome = run_bfs_heuristic(
             oracle,

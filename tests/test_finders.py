@@ -460,29 +460,34 @@ def test_layered_finder_stop_reasons(finder):
 
 @pytest.mark.parametrize("finder", [run_algorithm1, run_algorithm2], ids=["alg1", "alg2"])
 def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
-    # stage-2 colour ids, walks and charged queries, split by verdict: the ids
-    # and walks sum to the totals less stage 1's walks, and the queries to at
-    # most the whole run's; a budget cut leaves unknown verdicts
-    stage1_walks = []
+    # colour ids, walks and charged queries, split by verdict: the ids and
+    # walks sum to the totals, and the queries to at most the whole run's; a
+    # budget cut leaves unknown verdicts.  A start labelled before its test
+    # gets its label with no walk, and each such test is one wall hit
+    hits = []  # (label before the test, estimate) of each test on a labelled start
 
-    def counted(*args, **kwargs):
-        est = identify_color(*args, **kwargs)
-        stage1_walks.append(est.walks_used)
+    def spied(oracle, v, member_layer, *args, **kwargs):
+        label = member_layer.get(v)
+        est = wall_identify(oracle, v, member_layer, *args, **kwargs)
+        if label is not None:
+            hits.append((label, est))
         return est
 
-    monkeypatch.setattr(finders, "identify_color", counted)
+    monkeypatch.setattr(finders, "wall_identify", spied)
     rng = np.random.default_rng(44)
     verdicts = ("blue", "red", "unknown")
     unknown = 0
     for budget in (None, 150, 400):
-        stage1_walks.clear()
+        hits.clear()
         pair = gen_br_pair(BRParams(1024, 4, 512, 4), rng)
         out = finder(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng, budget=budget)
         aux = out.aux
         assert sum(aux[f"{v}_color_ids"] for v in verdicts) == aux["color_ids"]
-        assert sum(aux[f"{v}_walks"] for v in verdicts) == aux["walks"] - sum(stage1_walks)
+        assert sum(aux[f"{v}_walks"] for v in verdicts) == aux["walks"]
         assert sum(aux[f"{v}_queries"] for v in verdicts) <= out.queries_used
         assert aux["wall_hits"] <= aux["red_color_ids"]  # a labelled start counts as red
+        assert aux["wall_hits"] == len(hits) > 0
+        assert all(est == ColorEstimate(label, 0) for label, est in hits)
         assert aux["blue_color_ids"] > 0 and aux["red_color_ids"] > 0
         unknown += aux["unknown_color_ids"]
     assert unknown > 0
@@ -589,52 +594,8 @@ def test_algorithm2_finds_verified_cycles():
         assert out.success
         assert verify_cycle(pair.graph, out.cycle)
         assert out.queries_used == oracle.vertex_query_count
-        assert out.aux["stage1_queries"] > 0
-        assert out.aux["stage2_queries"] > 0
-        assert out.aux["stage1_queries"] + out.aux["stage2_queries"] == out.queries_used
-
-
-def test_algorithm2_learned_labels_keep_wall_labels_and_answer_without_a_walk(monkeypatch):
-    # hand pair L = 8 with every wall labelled one layer too deep, so a red
-    # verdict above a wall would label its members otherwise: the members
-    # keep their wall labels, and a labelled start, wall member or learned,
-    # gets its label with no walk and counts as a wall hit
-    real_build, real_identify = finders.build_wall, finders.wall_identify
-    maps = []  # the layer map every stage-2 test gets, and its wall labels
-    hits = []  # (start, label, estimate) of each test on a labelled start
-
-    def deep_wall(*args, **kwargs):
-        wall = real_build(*args, **kwargs)
-        return wall and finders.Wall(wall.layer_estimate + 1, wall.members, wall.origin)
-
-    def spied(oracle, v, member_layer, *args, **kwargs):
-        if not maps:
-            maps.append((member_layer, dict(member_layer)))  # wall members alone so far
-        label = member_layer.get(v)  # a label the start had before its test
-        est = real_identify(oracle, v, member_layer, *args, **kwargs)
-        if label is not None:
-            hits.append((v, label, est))
-        return est
-
-    monkeypatch.setattr(finders, "build_wall", deep_wall)
-    monkeypatch.setattr(finders, "wall_identify", spied)
-    pair = hand_pair_l8()
-    oracle = new_oracle(pair, model=QueryModel.VERTEX)
-    # seed 120 gives learned labels with a wall member among their children
-    # (6 such children); 27 of seeds 0..199 give any, since a red verdict or
-    # a sink walk needs its walks to miss those members.  A start labelled
-    # by its own sink walk took a walk, so it is no hit
-    out = run_algorithm2(oracle, pair.params, np.random.default_rng(120))
-    labels, walls = maps[0]
-    learned = {u: layer for u, layer in labels.items() if u not in walls}
-    assert out.aux["walls_built"] == 2 and walls and learned
-    conflicts = [c for u, layer in learned.items() if layer < 8
-                 for c in oracle.kg.get(u, ()) if walls.get(c, layer + 1) != layer + 1]
-    assert conflicts
-    assert all(labels[m] == layer for m, layer in walls.items())
-    assert any(v in learned for v, _, _ in hits)
-    assert all(est == ColorEstimate(label, 0) for _, label, est in hits)
-    assert out.aux["wall_hits"] == len(hits)
+        # no wall stage, so no wall counters
+        assert not {"walls_built", "wall_failures", "stage1_queries"} & out.aux.keys()
 
 
 @pytest.mark.parametrize("shape, params, trials", [
@@ -645,81 +606,34 @@ def test_algorithm2_learned_labels_keep_wall_labels_and_answer_without_a_walk(mo
 @pytest.mark.parametrize("finder", [run_algorithm1, run_algorithm2], ids=["alg1", "alg2"])
 def test_learned_layers_are_rarely_wrong(monkeypatch, finder, shape, params, trials):
     # a blue start judged red passes its mistake down to its known
-    # descendants; on frozen seeds, at most 1% of the learned (non-wall)
-    # labels may be wrong against the hidden colouring, for either finder,
-    # and every trial finds a verified cycle
+    # descendants; on frozen seeds, at most 1% of the learned labels may be
+    # wrong against the hidden colouring, for either finder, and every trial
+    # finds a verified cycle
     maps = []
 
     def spied(*args, **kwargs):
         if not maps:
-            maps.append((args[2], set(args[2])))  # the layer map and its wall members
+            maps.append(args[2])  # the layer map
         return wall_identify(*args, **kwargs)
 
     monkeypatch.setattr(finders, "wall_identify", spied)
     rng = np.random.default_rng(2111)
-    wrong = labels = wall_wrong = wall_labels = found = 0
+    wrong = labels = found = 0
     for _ in range(trials):
         maps.clear()
         pair = gen_br_pair(params, rng)
         out = finder(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng)
         found += out.success and verify_cycle(pair.graph, out.cycle)
         lay = pair.coloring.layer_by_vertex
-        layer_map, walls = maps[0]  # one layer map a trial, handed to every colour test
-        for u, layer in layer_map.items():
-            miss = int(lay[u]) != layer
-            if u in walls:
-                wall_labels += 1
-                wall_wrong += miss
-            else:
-                labels += 1
-                wrong += miss
+        layer_map = maps[0]  # one layer map a trial, handed to every colour test
+        labels += len(layer_map)
+        wrong += sum(int(lay[u]) != layer for u, layer in layer_map.items())
     rate = wrong / labels
     print(f"{finder.__name__} learned labels at {shape}: {wrong}/{labels} wrong "
           f"({100 * rate:.2f}%, bound 1.00%, margin {100 * (0.01 - rate):.2f} points); "
-          f"wall labels {wall_wrong}/{wall_labels} wrong; {found}/{trials} cycles")
+          f"{found}/{trials} cycles")
     assert found == trials
     assert rate <= 0.01
-
-
-def test_algorithm2_stage1_attempts_count_against_the_step_cap(monkeypatch):
-    # at N = 64, L = 8, W = 16, d = 2 (wall depth 4, V = 192) with every
-    # vertex queried first nothing is charged, and only the step cap
-    # (40 x budget + 200 x V) can end stage 1 before its num_walls walls
-    # or its 30 x num_walls + 60 attempts
-    rng = np.random.default_rng(5)
-    pair = gen_br_pair(BRParams(64, 8, 16, 2), rng)
-    oracle = new_oracle(pair, model=QueryModel.VERTEX)
-    for v in range(pair.graph.v_count):
-        oracle.query_vertex(v)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return identify_color(*args, **kwargs)
-
-    monkeypatch.setattr(finders, "identify_color", counted)
-    num_walls = 40 * 1 + 200 * pair.graph.v_count + 1  # more than the step cap allows
-    out = run_algorithm2(oracle, pair.params, rng, num_walls=num_walls, budget=1)
-    assert out.queries_used == 0
-    assert 0 < out.aux["walls_built"] < num_walls
-    assert len(calls) <= 40 * 1 + 200 * pair.graph.v_count
-
-
-@pytest.mark.parametrize("n, d", [(64, 8), (512, 2)])
-def test_algorithm2_skips_stage1_when_the_wall_depth_reaches_the_layer_count(n, d):
-    # floor(log_d W) >= L (L = 2, depth 2; L = 4, W = 256, depth 8): every
-    # red start's wall would reach the sink layer, so alg2 is alg1 byte for
-    # byte, and even an asked-for wall count starts no attempt
-    params = auto_params(n, d)
-    pair = gen_br_pair(params, np.random.default_rng(n))
-    runs = []
-    for finder, kwargs in ((run_algorithm1, {}), (run_algorithm2, {"num_walls": 3})):
-        rng = np.random.default_rng(17)
-        oracle = new_oracle(pair, model=QueryModel.VERTEX)
-        out = finder(oracle, params, rng, **kwargs)
-        runs.append((out, oracle.transcript(), rng.bit_generator.state))
-    assert runs[0] == runs[1]
-    assert runs[1][0].aux["stage1_queries"] == 0
 
 
 # -- breadth-first heuristic ------------------------------------------------------

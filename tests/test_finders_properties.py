@@ -1,5 +1,5 @@
 """Property tests: the colour-walk loop and the wall build against their one-call-per-step
-references, which poll the budget before every step."""
+references, which poll the budget before every step; and alg2 against alg1."""
 
 import copy
 import functools
@@ -20,6 +20,8 @@ from cyclelab import (
     gen_br_simple,
     identify_color,
     new_oracle,
+    run_algorithm1,
+    run_algorithm2,
     wall_identify,
 )
 from cyclelab import finders
@@ -356,3 +358,38 @@ def test_ceiling_agrees_with_exhausted(model):
         budget.steps += 1
         assert (oracle.vertex_query_count >= budget.ceiling()) == budget.exhausted()
     assert budget.exhausted()
+
+
+@st.composite
+def finder_cases(draw):
+    """Small BRParams, a seed, a budget (None for the default) and a walk count.
+
+    Every shape with floor(log_d W) < L, most of those drawn, is one where
+    alg2 used to build walls before its path search.
+    """
+    layers = draw(st.sampled_from([2, 4, 6, 8]))
+    width = draw(st.integers(2, 16))
+    n_blue = layers * width // 2
+    d = draw(st.integers(2, min(width, 2 * n_blue - 1)))
+    params = BRParams(n_blue, layers, width, d)
+    return {
+        "params": params,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "budget": draw(st.none() | st.integers(1, 3 * params.v_count)),
+        "num_walks": draw(st.integers(1, 6)),
+    }
+
+
+@given(finder_cases())
+def test_algorithm2_runs_the_algorithm1_finder(case):
+    # the same outcome (cycle, queries, stop reason, counters), the same
+    # knowledge graph in query order and the same generator state afterwards
+    params = case["params"]
+    pair = gen_br_pair(params, np.random.default_rng(case["seed"]))
+    runs = []
+    for finder in (run_algorithm1, run_algorithm2):
+        oracle = new_oracle(pair, QueryModel.VERTEX)
+        rng = np.random.default_rng(case["seed"] + 1)
+        out = finder(oracle, params, rng, budget=case["budget"], num_walks=case["num_walks"])
+        runs.append((out, list(oracle.kg.items()), rng.bit_generator.state))
+    assert runs[0] == runs[1]

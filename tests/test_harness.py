@@ -57,8 +57,8 @@ def test_config_rejects_bad_combinations():
         walk_config(num_walks=0).validate()  # every color test inconclusive
     with pytest.raises(ConfigError):
         walk_config(algo="bfs", explore_budget=0).validate()  # explores nothing
-    with pytest.raises(ConfigError):
-        walk_config(walls=-1).validate()  # used to run as zero walls
+    with pytest.raises(TypeError):
+        walk_config(dist="br", algo="alg2", walls=0)  # alg2 builds no walls
     with pytest.raises(TypeError):
         walk_config(wall_p=5)  # the wall depth is floor(log_d W), not an option
     with pytest.raises(ConfigError):
@@ -67,18 +67,17 @@ def test_config_rejects_bad_combinations():
         # alg1 and alg2 check for a cycle after every head query, so no path target
         walk_config(dist="br", algo="alg1", path_target_mult=2)
     walk_config().validate()
-    walk_config(dist="br", algo="alg2", walls=0).validate()  # a wallless alg2 run
     walk_config(dist="br", algo="alg2", num_walks=2).validate()
     walk_config(dist="br", algo="alg1", num_walks=1).validate()
-    # one walk gives a unanimous verdict, in alg2's stage 2 as in alg1
+    # one walk gives a unanimous verdict, in alg2 as in alg1
     walk_config(dist="br", algo="alg2", num_walks=1).validate()
     walk_config(base_seed=0).validate()
 
 
 # each finder option, a value other than its default, and the finders that read it
 FINDER_OPTIONS = [
-    ("walls", 3, {"alg2"}),
-    ("walls", 0, {"alg2"}),  # no walls is a choice too: alg1 is alg2 with none
+    ("explore_budget", 1, {"bfs"}),  # the least budget is a choice, not a refusal
+    ("num_walks", 12, {"alg1", "alg2"}),  # more walks than the default
     ("reps", 2, {"bfs"}),
     ("explore_budget", 10, {"bfs"}),
     ("num_walks", 3, {"alg1", "alg2"}),
@@ -218,13 +217,11 @@ def test_trial_alg1_end_to_end():
                                    dict(n=16384, d=8)],
                          ids=["2^11, d=8", "2^11, L=32, d=3", "2^14, d=8"])
 def test_alg1_rows_are_alg2_rows_without_walls(shape):
-    # one colour-test rule: alg1 is alg2 with no walls, so every CSV column
-    # but algo is the same, epoch statistics included
+    # alg2 runs alg1's finder, so every CSV column but algo is the same,
+    # epoch statistics included
     for seed in range(3):
-        rows = [
-            run_trial(ExperimentConfig(dist="br", algo=algo, trials=1, **shape, **walls), seed)
-            for algo, walls in (("alg1", {}), ("alg2", {"walls": 0}))
-        ]
+        rows = [run_trial(ExperimentConfig(dist="br", algo=algo, trials=1, **shape), seed)
+                for algo in ("alg1", "alg2")]
         alg1, alg2 = (records_to_csv([r]).splitlines()[1].split(",") for r in rows)
         assert alg1[2] == "alg1" and alg2[2] == "alg2"
         assert alg1[:2] + alg1[3:] == alg2[:2] + alg2[3:], (shape, seed)
@@ -388,12 +385,6 @@ def test_cli_rejects_bad_combination(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "cyclelab: num_walks must be >= 1\n"
-    code = main(["--dist", "br", "--algo", "alg2", "--n", "64", "--trials", "1",
-                 "--walls", "-1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "cyclelab: walls must be >= 0\n"
 
 
 @pytest.mark.parametrize(
@@ -410,7 +401,7 @@ def test_cli_rejects_bad_combination(capsys):
         (["--algo", "bfs", "--explore-budget", "0"], "explore_budget must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
         # finder options that the chosen finder would ignore
-        (["--algo", "alg1", "--walls", "3"], "walls applies only to alg2, not alg1"),
+        (["--algo", "alg1", "--reps", "2"], "reps applies only to bfs, not alg1"),
         (["--num-walks", "3"], "num_walks applies only to alg1 and alg2, not walk"),
         (["--algo", "alg2", "--reps", "2"], "reps applies only to bfs, not alg2"),
         (["--layers", "4096"], "outdeg 8 exceeds layer width 1"),  # the default d
@@ -426,13 +417,23 @@ def test_cli_rejects_bad_instance_shapes(args, message, capsys):
 
 
 def test_cli_has_no_wall_fan_out_option(capsys):
-    # the wall depth is floor(log_d W), so --wall-p is a usage error
+    # alg2 builds no walls, so --wall-p is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["--algo", "alg2", "--n", "2048", "--trials", "0", "--wall-p", "5"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.endswith("cyclelab: error: unrecognized arguments: --wall-p 5\n")
+
+
+def test_cli_has_no_walls_option(capsys):
+    # alg2 builds no walls, so --walls is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--algo", "alg2", "--n", "2048", "--trials", "0", "--walls", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("cyclelab: error: unrecognized arguments: --walls 3\n")
 
 
 def test_cli_has_no_path_target_option(capsys):

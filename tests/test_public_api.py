@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "build_wall",
     "color_token",
     "decompose_epochs",
-    "default_num_walls",
     "detect_cycle",
     "epoch_stats",
     "finders",
@@ -89,7 +88,7 @@ def sizes() -> str:
 def test_public_names_are_pinned():
     print(sizes())
     assert sorted(cyclelab.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60
 
 
 if __name__ == "__main__":

@@ -598,6 +598,26 @@ def test_algorithm2_finds_verified_cycles():
         assert not {"walls_built", "wall_failures", "stage1_queries"} & out.aux.keys()
 
 
+@pytest.mark.parametrize("n, d", [(64, 8), (512, 2)])
+def test_algorithm2_skips_stage1_when_the_wall_depth_reaches_the_layer_count(monkeypatch, n, d):
+    # floor(log_d W) >= L (L = 2, depth 2; L = 4, W = 256, depth 8): shapes
+    # where even the old wall stage started no attempt.  alg2 is alg1 byte
+    # for byte here too, and it builds no wall
+    params = auto_params(n, d)
+    pair = gen_br_pair(params, np.random.default_rng(n))
+    walls = []
+    monkeypatch.setattr(finders, "build_wall", lambda *a, **k: walls.append(a))
+    runs = []
+    for finder in (run_algorithm1, run_algorithm2):
+        rng = np.random.default_rng(17)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
+        out = finder(oracle, params, rng)
+        runs.append((out, oracle.transcript(), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert walls == []
+    assert "stage1_queries" not in runs[1][0].aux
+
+
 @pytest.mark.parametrize("shape, params, trials", [
     ("2^11, d=8", auto_params(2048, 8), 200),
     ("2^11, L=32, d=3", BRParams(2048, 32, 128, 3), 200),

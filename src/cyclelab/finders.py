@@ -8,8 +8,9 @@ Four strategies:
   (vertex, slot) cells and counting answer collisions.
 * ``run_algorithm1`` -- find a blue seed and grow an all-blue path with
   walk-based color tests, checking after every head query for a cycle
-  through the head in everything learned so far.  A test's walks stop at
-  a sink or a learned layer, and its verdict is red only when every walk
+  through the head in everything learned so far, unless nothing was
+  charged since that head's last check.  A test's walks stop at a sink
+  or a learned layer, and its verdict is red only when every walk
   agrees.  Each red verdict labels the known vertices below it with their
   layers, each walk that reaches a sink labels the bottom half of its
   path, and later walks stop on a label.  ``run_algorithm2`` is the same
@@ -17,9 +18,11 @@ Four strategies:
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
 
-``build_wall`` builds a red "wall", the BFS frontier a fixed depth below
-a red vertex, and ``wall_identify`` walks against any layer map, so wall
-members can calibrate colour tests; no finder builds walls.
+``wall_identify`` is the one colour test: one walk loop against any layer
+map, which its sink walks extend.  ``identify_color`` is ``wall_identify``
+over an empty map.  ``build_wall`` builds a red "wall", the BFS frontier a
+fixed depth below a red vertex, whose members can calibrate colour tests;
+no finder builds walls.
 
 Walk-based finders revisit vertices; the oracle answers a revisit from
 its cache at zero query cost.  Every returned cycle is read off the
@@ -93,10 +96,10 @@ class _Budget:
     through cached territory must still terminate.  Every finder loop
     counts a step on each pass that may charge nothing, so each loop
     ends.  Callers poll ``exhausted()`` before they charge a query, so the
-    budget is never overdrawn.  Colour tests and wall builds instead get
-    ``ceiling()``, taken once as they start, and compare the oracle's
-    vertex-query count with it (see ``_implied_layers`` and
-    ``build_wall``); that is exact, because neither moves ``steps`` or the
+    budget is never overdrawn.  A colour test's walk loop
+    (``_implied_layers``) and a wall build instead get ``ceiling()``, taken
+    once as they start, and compare the oracle's vertex-query count with
+    it; that is exact, because neither moves ``steps`` or the
     adjacency count, so the comparison agrees with ``exhausted()`` at
     every point of the test or build.
     """
@@ -133,7 +136,7 @@ class _Budget:
 def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
 
-    Wraps the finders and the two colour tests, which draw through
+    Wraps the finders and ``wall_identify``, which draw through
     ``rng.below`` and ``rng.stream``.  Whatever way one ends, a return or
     an exception, the caller's generator is left exactly where
     ``int(rng.integers(k))`` draws would have left it.  A draw source
@@ -266,16 +269,14 @@ def _implied_layers(
     layers: int,
     rng,
     num_walks: int,
-    max_walk_len: int,
     stop_at: int | None,
-    settled,
 ) -> tuple[list[int], int]:
     """Random walks from v; returns the start layers they imply and the walks tried.
 
     A walk ends at a sink, implying L - steps, or after at least one step
     on a vertex of ``member_layer`` (a wall member, or a layer the finder
     has learned), implying that vertex's layer - steps.  Walks cut short
-    by max_walk_len or by the query ceiling ``stop_at`` imply nothing.
+    after 4L steps or by the query ceiling ``stop_at`` imply nothing.
 
     A walk that reaches a sink after s steps teaches ``member_layer`` exact
     layers: on br a vertex in layer j > L/2 has parents only in layer
@@ -285,13 +286,16 @@ def _implied_layers(
     vertex below; a sink start gets L.  A blue start's sink walk implies at
     most L/2 - 1, so only a red start in layer L/2 or deeper is labelled.
 
-    At most ``num_walks`` walks; a test stops once its verdict is settled,
-    or once v has a label in ``member_layer``, which the colour tests then
-    return as its layer; within a test only a sink walk of at most L/2
-    steps gives v a label.  settled(implied, left, layers) is asked before
-    each walk, with ``left`` the walks still to go, and a true result
-    means no outcome of those walks (any value, or no termination) can
-    change the caller's unanimous verdict.
+    At most ``num_walks`` walks.  No walk starts once v has a label in
+    ``member_layer``, which ``wall_identify`` then returns as its layer
+    (within a test only a sink walk of at most L/2 steps gives v one), or
+    once ``_sink_verdict`` is BLUE: a walk that differs from the first, or
+    implies a layer outside 1..L, stays in the record, so no walk left can
+    undo that verdict.  A red verdict is never settled that way before the
+    last walk, since any walk left could still differ.  When earlier walks
+    stepped onto wrong labels and disagree, the blue stands, even though a
+    later sink walk might have labelled a red start; a blue start is never
+    labelled, so only wrong labels can do this.
 
     stop_at is an oracle meter reading (``vertex_query_count``), None for
     no ceiling; a finder passes its budget's ``_Budget.ceiling()``.  The
@@ -316,10 +320,11 @@ def _implied_layers(
     out = oracle.kg
     cached = out.get
     half = layers // 2
+    max_walk_len = 4 * layers
     stream = rng.stream
     bound = 0  # the bound take() serves; reopened when an answer's length differs
-    for left in range(num_walks, 0, -1):
-        if (v in member_layer or settled(implied, left, layers)
+    for _ in range(num_walks):
+        if (v in member_layer or _sink_verdict(implied, layers) == BLUE
                 or oracle.vertex_query_count >= stop_at):
             break
         attempted += 1
@@ -361,30 +366,16 @@ def _sink_verdict(implied: list[int], layers: int) -> int | None:
     return layer
 
 
-def _sink_settled(implied: list[int], left: int, layers: int) -> bool:
-    """True once ``_sink_verdict`` is BLUE, which no walk left can undo.
-
-    A walk that differs from the first, or implies a layer outside 1..L,
-    stays in the record.  A red verdict is never settled by this rule
-    before the last walk, since any walk left could still differ; the
-    walk loop ends a red test early only through the start's label, once
-    a sink walk of at most L/2 steps teaches it (``_implied_layers``).
-    When earlier walks stepped onto wrong labels and disagree, the settled
-    blue stands, even though a later sink walk might have labelled a red
-    start; a blue start is never labelled, so only wrong labels can do
-    this.
-    """
-    return _sink_verdict(implied, layers) == BLUE
-
-
-def _colour_test(
+@_with_draw_source
+def wall_identify(
     oracle: Oracle,
     v: int,
     member_layer: dict[int, int],
     layers: int,
     rng,
-    num_walks: int,
-    stop_at: int | None,
+    *,
+    num_walks: int = 6,
+    stop_at: int | None = None,
 ) -> ColorEstimate:
     """Colour v by walk lengths against sinks and the labels of ``member_layer``.
 
@@ -399,28 +390,27 @@ def _colour_test(
     ``member_layer`` gets its layer with no walk.
 
     Sink walks label the bottom half of their paths in ``member_layer``
-    itself (see ``_implied_layers``), and later walks stop on those labels.
-    A start that its own sink walk labels (layer L/2 or deeper) ends the
-    test with that label: that one walk's layer, or L for a sink.
+    itself (see ``_implied_layers``), so the caller's map keeps them for
+    every later test, and later walks stop on them.  A start that its own sink walk
+    labels (layer L/2 or deeper) ends the test with that label: that one
+    walk's layer, or L for a sink.
 
     At most ``num_walks`` walks; a test stops once its verdict is settled:
     blue at the first walk that differs from the first or implies a layer
-    outside 1..L (``_sink_settled``), or the start's label once it has
-    one.  Any other red verdict takes every walk.  Walks charge no query
-    once the oracle's ``vertex_query_count`` reaches ``stop_at`` (see
-    ``_implied_layers``), so a caller's budget is never overdrawn
-    mid-test; an interrupted walk counts as non-terminating.  rng is a
-    draw source, which its owner syncs.
+    outside 1..L, or the start's label once it has one.  Any other red
+    verdict takes every walk.  Walks charge no query once the oracle's
+    ``vertex_query_count`` reaches ``stop_at`` (see ``_implied_layers``),
+    so a caller's budget is never overdrawn mid-test; an interrupted walk
+    counts as non-terminating.  rng is a numpy Generator or a finder's
+    draw source; a Generator ends where scalar ``int(rng.integers(k))``
+    draws would leave it, even on a raise.
     """
     if v in member_layer:
         return ColorEstimate(member_layer[v], 0)
-    implied, attempted = _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, 4 * layers, stop_at, _sink_settled
-    )
+    implied, attempted = _implied_layers(oracle, v, member_layer, layers, rng, num_walks, stop_at)
     return ColorEstimate(member_layer.get(v, _sink_verdict(implied, layers)), attempted)
 
 
-@_with_draw_source
 def identify_color(
     oracle: Oracle,
     v: int,
@@ -432,32 +422,10 @@ def identify_color(
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
 
-    ``_colour_test`` over a fresh, empty layer map, so walks stop only at
-    sinks and at the labels this test's own sink walks teach.  rng is a
-    numpy Generator or a finder's draw source; a Generator ends where
-    scalar ``int(rng.integers(k))`` draws would leave it, even on a raise.
+    ``wall_identify`` over a fresh, empty layer map, so walks stop only at
+    sinks and at the labels this test's own sink walks teach.
     """
-    return _colour_test(oracle, v, {}, layers, rng, num_walks, stop_at)
-
-
-@_with_draw_source
-def wall_identify(
-    oracle: Oracle,
-    v: int,
-    member_layer: dict[int, int],
-    layers: int,
-    rng,
-    *,
-    num_walks: int = 6,
-    stop_at: int | None = None,
-) -> ColorEstimate:
-    """Color a vertex by walk lengths against walls and learned layers as well as sinks.
-
-    ``_colour_test`` over the caller's ``member_layer``, whose labels its
-    sink walks extend for every later test.  rng is a numpy Generator or
-    a finder's draw source, as in ``identify_color``.
-    """
-    return _colour_test(oracle, v, member_layer, layers, rng, num_walks, stop_at)
+    return wall_identify(oracle, v, {}, layers, rng, num_walks=num_walks, stop_at=stop_at)
 
 
 def _learn_layers(
@@ -500,6 +468,9 @@ def _grow_blue_path(
     are never re-entered.  Every head query is followed by a free check,
     counted in aux["cycle_checks"], for a cycle through the head in the
     knowledge graph less ``skip``, and the first one found is returned.
+    A head met again at the meter reading of its last check is not
+    re-checked: the graph grows only on a charged query and ``skip`` only
+    grows, so that check could only repeat its ``None``.
     Gives up ("no_seed"), with no further draw, once every vertex has a
     non-blue verdict or is exhausted while the path is empty, since no
     seed can start a path then.  Returns the cycle or None, and the stop
@@ -521,6 +492,7 @@ def _grow_blue_path(
                 unseedable += 1
         return verdicts[x]
 
+    checked: dict[int, int] = {}  # head -> meter reading at its last cycle check
     path: list[int] = []
     on_path: set[int] = set()
     while not budget.exhausted():
@@ -537,10 +509,13 @@ def _grow_blue_path(
             continue
         head = path[-1]
         answer = oracle.query_vertex(head)
-        aux["cycle_checks"] += 1
-        cycle = detect_cycle(oracle.kg, head, answer, skip=skip)
-        if cycle is not None:
-            return cycle, "cycle"
+        meter = oracle.vertex_query_count
+        if checked.get(head) != meter:
+            checked[head] = meter
+            aux["cycle_checks"] += 1
+            cycle = detect_cycle(oracle.kg, head, answer, skip=skip)
+            if cycle is not None:
+                return cycle, "cycle"
         queue = pending.setdefault(head, list(answer))
         nxt = None
         while queue and not budget.exhausted():
@@ -616,14 +591,16 @@ def run_algorithm1(
     implied value; blue starts scatter.  The verdict is red only when
     every terminated walk implies one layer in 1..L, and a test takes at
     most ``num_walks`` walks and stops once its verdict is settled (see
-    ``_colour_test``).  Learned layers: a red verdict at layer l labels the
+    ``wall_identify``).  Learned layers: a red verdict at layer l labels the
     start with l and every vertex known below it with l plus its distance
     (``_learn_layers``), at no query, and walks that reach a sink label
     the bottom half of their paths in the same map, where a vertex keeps
     its first label; a labelled start gets its label with no walk and
     counts in aux["wall_hits"].  After every head query the path checks
     for a cycle through the head, skipping the layer map: its vertices are
-    red unless a verdict was wrong, and no cycle passes a red vertex.  aux
+    red unless a verdict was wrong, and no cycle passes a red vertex.  A
+    head met again with nothing charged since its last check is not
+    re-checked (see ``_grow_blue_path``).  aux
     splits colour ids, walks and charged queries by verdict (``blue_*``,
     ``red_*``, ``unknown_*``; a labelled start is red).  Defaults: budget
     100*L*sqrt(N) queries rounded up; the step cap is 40 * budget + 200 * V.

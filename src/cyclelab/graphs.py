@@ -87,7 +87,7 @@ class BRParams:
         return self.layers // 2
 
 
-def auto_params(n_blue: int, outdeg: int = 2) -> BRParams:
+def auto_params(n_blue: int, outdeg: int) -> BRParams:
     """Pick the canonical layering for a given blue count.
 
     The layer count L is the even divisor of 2N nearest to (2N)^(2/9),

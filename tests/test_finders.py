@@ -27,8 +27,9 @@ from cyclelab import (
     wall_identify,
 )
 from cyclelab import detect_cycle, finders
-from cyclelab.finders import _sink_settled, _sink_verdict
+from cyclelab.finders import _sink_verdict
 
+from test_finders_properties import blue_is_settled
 from test_oracle import hand_pair_l8
 
 
@@ -254,42 +255,39 @@ SETTLE_LAYERS = 3
 WALK_OUTCOMES = (None, 0, 1, 2, 3, 4)
 
 
-def verdicts_left(verdict, settled, implied, left):
+def verdicts_left(implied, left):
     """Every verdict that the walks left can still give; checks the settle rule on the way."""
     if left == 0:
-        return {verdict(implied, SETTLE_LAYERS)}
+        return {_sink_verdict(implied, SETTLE_LAYERS)}
     finals = set()
     for outcome in WALK_OUTCOMES:
         after = implied if outcome is None else implied + [outcome]
-        finals |= verdicts_left(verdict, settled, after, left - 1)
+        finals |= verdicts_left(after, left - 1)
     # settled exactly when no outcome of the walks left changes the verdict,
     # and then the walks done already give it
-    assert settled(implied, left, SETTLE_LAYERS) == (len(finals) == 1), (implied, left, finals)
+    assert blue_is_settled(implied, SETTLE_LAYERS) == (len(finals) == 1), (implied, left, finals)
     if len(finals) == 1:
-        assert finals == {verdict(implied, SETTLE_LAYERS)}, (implied, left)
+        assert finals == {_sink_verdict(implied, SETTLE_LAYERS)}, (implied, left)
     return finals
 
 
-# the one verdict rule and its settle rule, which both colour tests take
-@pytest.mark.parametrize("verdict, settled", [(_sink_verdict, _sink_settled)])
-def test_settle_rules_over_every_outcome_sequence(verdict, settled, monkeypatch):
+# the one verdict rule, and the settle rule of the walk loop, whose walks
+# test_walk_loop_matches_reference pins to the reference's draw for draw
+def test_settle_rule_over_every_outcome_sequence(monkeypatch):
     for num_walks in range(1, 7):
-        finals = verdicts_left(verdict, settled, [], num_walks)
+        finals = verdicts_left([], num_walks)
     assert BLUE in finals and None in finals and set(range(1, SETTLE_LAYERS + 1)) <= finals
-    # identify_color and wall_identify hand the walk loop this settle rule,
-    # and give this verdict on whatever layers its walks imply
+    # identify_color and wall_identify give this verdict on whatever layers
+    # the walk loop's walks imply
     oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
-    rules = []
     for implied in ([], [3], [3, 3], [3, 2], [0], [9], [3, 3, 3, 3, 3, 4]):
         def scripted(*args, implied=implied):
-            rules.append(args[-1])
             return list(implied), len(implied)
 
         monkeypatch.setattr(finders, "_implied_layers", scripted)
         for est in (identify_color(oracle, 0, 8, np.random.default_rng(0)),
                     wall_identify(oracle, 0, {5: 2}, 8, np.random.default_rng(0))):
-            assert est == ColorEstimate(verdict(implied, 8), len(implied)), implied
-    assert rules and all(rule is settled for rule in rules)
+            assert est == ColorEstimate(_sink_verdict(implied, 8), len(implied)), implied
 
 
 def test_identify_stops_once_blue_is_settled():
@@ -496,7 +494,9 @@ def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
 def test_algorithm1_returns_the_first_cycle_a_head_check_finds(monkeypatch):
     # every head query is followed by one check, counted in aux: one per
     # append, one per backtrack, and the last, which finds a cycle; the run
-    # ends on the first check that finds one, with that very cycle
+    # ends on the first check that finds one, with that very cycle.  (These
+    # paths never backtrack, so no head is met again at the meter reading
+    # of its last check, where the check is skipped.)
     found = []
 
     def spied(*args, **kwargs):
@@ -514,6 +514,30 @@ def test_algorithm1_returns_the_first_cycle_a_head_check_finds(monkeypatch):
         assert found[:-1] == [None] * (len(found) - 1)
         assert out.aux["cycle_checks"] == len(found)
         assert len(found) == out.aux["appends"] + out.aux["backtracks"] + 1
+
+
+def test_algorithm1_checks_no_head_twice_at_one_meter_reading(monkeypatch):
+    # a head the path backtracks to is checked again only once a query was
+    # charged since its last check; before that the knowledge graph and the
+    # labels it skips are what they were, so the check could only repeat
+    # its None.  At d = 2 dead ends are common, and so are such returns.
+    checks = []
+
+    def spied(kg, u, answer, **kwargs):
+        checks.append((u, len(kg)))  # one entry of kg per charged query
+        return detect_cycle(kg, u, answer, **kwargs)
+
+    monkeypatch.setattr(finders, "detect_cycle", spied)
+    rng = np.random.default_rng(46)
+    backtracks = 0
+    for _ in range(5):
+        checks.clear()
+        pair = gen_br_pair(auto_params(512, 2), rng)
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
+        out = run_algorithm1(oracle, pair.params, rng)
+        assert len(set(checks)) == len(checks) == out.aux["cycle_checks"]
+        backtracks += out.aux["backtracks"]
+    assert backtracks > 0
 
 
 def test_algorithm1_respects_budget():

@@ -26,12 +26,7 @@ from cyclelab import (
 )
 from cyclelab import finders
 from cyclelab._draws import DrawSource, ScalarDraws
-from cyclelab.finders import (
-    _Budget,
-    _implied_layers,
-    _sink_settled,
-    _sink_verdict,
-)
+from cyclelab.finders import _Budget, _implied_layers, _sink_verdict
 from cyclelab.oracle import VertexOutOfRange
 
 
@@ -53,23 +48,33 @@ def reference_labels(out, member_layer, anchor, layer):
     member_layer.update(fresh)
 
 
-def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop):
+def blue_is_settled(implied, layers):
+    """The settle rule: no walk starts once the walks so far give a blue verdict."""
+    return _sink_verdict(implied, layers) == BLUE
+
+
+def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, stop, *,
+                             settle=True, sink_walks=None):
     """One query_vertex call and one stop() poll before every step.
 
-    A walk that reaches a sink after s steps labels the vertex k = min(s, L/2)
-    steps above the sink with L - k, and every known vertex below it; no
-    walk starts once v has a label.
+    Walks run for at most 4L steps.  A walk that reaches a sink after s
+    steps labels the vertex k = min(s, L/2) steps above the sink with L - k,
+    and every known vertex below it, and its number (from 1) goes on
+    ``sink_walks`` when that is a list.  No walk starts once v has a label,
+    nor, with ``settle``, once ``blue_is_settled``; without it the walks
+    left run all the same.
     """
     implied = []
     attempted = 0
     for _ in range(num_walks):
-        if v in member_layer or (stop is not None and stop()):
+        if (v in member_layer or (settle and blue_is_settled(implied, layers))
+                or (stop is not None and stop())):
             break
         attempted += 1
         cur = v
         path = [v]
         steps = 0
-        while steps <= max_walk_len:
+        while steps <= 4 * layers:
             if steps >= 1 and cur in member_layer:
                 implied.append(member_layer[cur] - steps)
                 break
@@ -80,6 +85,8 @@ def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, ma
                 implied.append(layers - steps)
                 k = min(steps, layers // 2)
                 reference_labels(oracle.kg, member_layer, path[steps - k], layers - k)
+                if sink_walks is not None:
+                    sink_walks.append(attempted)
                 break
             cur = answer[int(rng.integers(len(answer)))]
             path.append(cur)
@@ -100,7 +107,6 @@ def walk_cases(draw):
         "params": params,
         "seed": draw(st.integers(0, 2**32 - 1)),
         "num_walks": draw(st.integers(0, 8)),
-        "max_walk_len": draw(st.integers(0, 4 * layers)),
         # wall origins; an empty list leaves member_layer empty
         "walls": draw(st.lists(st.tuples(vertex, st.integers(0, 2)), max_size=3)),
         # small enough that the budget often runs out in the middle of a walk
@@ -125,23 +131,6 @@ def twin(case):
     return oracle, member_layer, np.random.default_rng(case["seed"] + 1), budget, pair.coloring
 
 
-def walk_once(loop, oracle, v, member_layer, layers, rng, case, stop):
-    return loop(
-        oracle, v, member_layer, layers, rng, case["num_walks"], case["max_walk_len"], stop
-    )
-
-
-def never_settled(implied, left, layers):
-    return False
-
-
-def full_walks(oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop_at):
-    """The walk loop with a rule that never settles, so it runs every walk."""
-    return _implied_layers(
-        oracle, v, member_layer, layers, rng, num_walks, max_walk_len, stop_at, never_settled
-    )
-
-
 @given(walk_cases(), st.booleans())
 def test_walk_loop_matches_reference(case, fast):
     # the loop draws from a DrawSource over rng (fast) or from the scalar
@@ -155,11 +144,12 @@ def test_walk_loop_matches_reference(case, fast):
         # one budget step per colour test, as in the path-growth loop
         ref_budget.steps += 1
         budget.steps += 1
-        want = walk_once(
-            reference_implied_layers, ref_oracle, v, ref_members, layers, ref_rng, case,
-            ref_budget.exhausted,
+        want = reference_implied_layers(
+            ref_oracle, v, ref_members, layers, ref_rng, case["num_walks"], ref_budget.exhausted
         )
-        got = walk_once(full_walks, oracle, v, members, layers, walk_rng, case, budget.ceiling())
+        got = _implied_layers(
+            oracle, v, members, layers, walk_rng, case["num_walks"], budget.ceiling()
+        )
         walk_rng.sync()
         assert got == want
         assert members == ref_members
@@ -192,8 +182,8 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         budget.steps += 1
         ref_oracle, ref_rng, ref_budget, ref_members = copy.deepcopy((oracle, rng, budget, members))
         want = reference_implied_layers(
-            ref_oracle, v, ref_members, layers, ref_rng, num_walks, 4 * layers,
-            ref_budget.exhausted,
+            ref_oracle, v, ref_members, layers, ref_rng, num_walks, ref_budget.exhausted,
+            settle=False,
         )
         walked.clear()
         known = members.get(v)  # identify_color's own map starts empty
@@ -219,7 +209,7 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
         if attempted == want_attempted:  # the same walks, the same stop
             assert est.color == want_color
         else:  # settled early: blue, which only a label can override
-            assert est.is_blue and _sink_settled(implied, want_attempted - attempted, layers)
+            assert est.is_blue and blue_is_settled(implied, layers)
             if est.color != want_color:
                 # a later walk labelled the start with its true layer: the
                 # walks before it disagreed, which needs a wrong wall label
@@ -238,9 +228,7 @@ def test_last_charged_query_can_still_step_onto_a_wall():
     members = dict.fromkeys(wall.members, wall.layer_estimate)
     budget = _Budget(oracle, 1, 10)
     draws = DrawSource(np.random.default_rng(1))
-    implied, attempted = _implied_layers(
-        oracle, other, members, 4, draws, 3, 16, budget.ceiling(), _sink_settled
-    )
+    implied, attempted = _implied_layers(oracle, other, members, 4, draws, 3, budget.ceiling())
     draws.sync()
     # the query on `other` spends the budget; its walk still ends on the
     # wall, and no further walk starts
@@ -299,7 +287,7 @@ def test_colour_test_stops_mid_walk_on_the_polled_query(max_queries):
     ref_budget, budget = _Budget(ref_oracle, max_queries, 10), _Budget(oracle, max_queries, 10)
     ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
     implied, attempted = reference_implied_layers(
-        ref_oracle, v, {}, 8, ref_rng, 6, 32, ref_budget.exhausted
+        ref_oracle, v, {}, 8, ref_rng, 6, ref_budget.exhausted
     )
     est = identify_color(oracle, v, 8, rng, num_walks=6, stop_at=budget.ceiling())
     assert oracle.history == ref_oracle.history

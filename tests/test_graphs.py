@@ -28,11 +28,11 @@ def test_auto_params_small():
     # Search starts at round((2N)^(2/9)) and widens to the nearest even
     # divisor of 2N with width >= 2.  For N=4 that start is round(8^(2/9)) = 2,
     # which already divides 8.
-    p = auto_params(4)
+    p = auto_params(4, 2)
     assert (p.layers, p.width) == (2, 4)
 
     # Divisors of 6 are {1, 2, 3, 6}; L=2 is the only usable even one.
-    p = auto_params(3)
+    p = auto_params(3, 2)
     assert (p.layers, p.width) == (2, 3)
 
     # (2 * 2^17)^(2/9) = 2^(18*2/9) = 16 exactly, no search needed.
@@ -43,7 +43,7 @@ def test_auto_params_small():
 
 def test_auto_params_rejects_degenerate_order():
     with pytest.raises(NoValidLayering):
-        auto_params(1)
+        auto_params(1, 2)
 
 
 def test_auto_params_matches_bruteforce():

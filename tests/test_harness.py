@@ -27,6 +27,7 @@ from cyclelab import (
 )
 from cyclelab import harness
 from cyclelab.cli import build_parser, main
+from cyclelab.finders import _implied_layers
 
 
 def walk_config(**overrides):
@@ -103,8 +104,10 @@ def test_trials_stop_on_the_meter_alone(capsys):
                run_bfs_heuristic)
     for finder in finders:
         assert "deadline" not in inspect.signature(finder).parameters, finder.__name__
-    for finder in (run_algorithm1, run_algorithm2, identify_color, wall_identify):
+    for finder in (run_algorithm1, run_algorithm2, identify_color, wall_identify,
+                   _implied_layers):
         assert "max_walk_len" not in inspect.signature(finder).parameters, finder.__name__
+    assert "settled" not in inspect.signature(_implied_layers).parameters
     for finder in (run_algorithm1, run_algorithm2):
         assert "path_target" not in inspect.signature(finder).parameters, finder.__name__
     # "none" still runs, as --time-limit 0 and as time_limit=None

@@ -7,6 +7,7 @@ steps.  Every label such a walk teaches must equal the hidden colouring,
 with no tolerance: in both colour tests, and in whole alg1 and alg2 runs.
 """
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,9 @@ from cyclelab import (
 )
 from cyclelab import finders
 
-real_walks, real_learn = finders._implied_layers, finders._learn_layers
+from test_finders_properties import reference_implied_layers
+
+real_walks = finders._implied_layers
 
 
 @st.composite
@@ -50,12 +53,13 @@ def sink_cases(draw):
 class CheckedWalks:
     """The walk loop, checked call by call against the hidden colouring.
 
-    Every label a call teaches must be the vertex's layer.  The walks of a
-    call are counted through its settle rule, which the loop asks before
-    each walk while the start has no label, so each sink walk's labelling
-    is known by its walk number.  A start in layer L/2 or deeper whose
-    first walk reaches a sink must end the call after that one walk with
-    its true layer as its label; so must a sink start, with layer L.
+    Every label a call teaches must be the vertex's layer.  Each call
+    first syncs its draw source and runs ``reference_implied_layers`` on
+    a copy of the oracle, the generator and the labels; the loop must
+    match it, and the reference numbers the walks that reached a sink.
+    A start in layer L/2 or deeper whose first walk reaches a sink must
+    end the call after that one walk with its true layer as its label;
+    so must a sink start, with layer L.
     """
 
     def __init__(self, coloring):
@@ -63,24 +67,19 @@ class CheckedWalks:
         self.calls = 0
         self.one_walk = 0  # calls that a first-walk sink ended
 
-    def __call__(self, oracle, v, member_layer, layers, rng, num_walks, max_walk_len,
-                 stop_at, settled):
+    def __call__(self, oracle, v, member_layer, layers, rng, num_walks, stop_at):
         before = dict(member_layer)
-        walk = 0
+        rng.sync()
+        ref_oracle, ref_rng, ref_labels = copy.deepcopy((oracle, rng.rng, member_layer))
+        stop = None if stop_at is None else lambda: ref_oracle.vertex_query_count >= stop_at
         sink_walks = []
-
-        def counted(implied, left, layers):
-            nonlocal walk
-            walk += 1
-            return settled(implied, left, layers)
-
-        def learn(out, labels, anchor, layer, layers):
-            sink_walks.append(walk)
-            real_learn(out, labels, anchor, layer, layers)
-
-        with mock.patch.object(finders, "_learn_layers", learn):
-            implied, attempted = real_walks(oracle, v, member_layer, layers, rng, num_walks,
-                                            max_walk_len, stop_at, counted)
+        want = reference_implied_layers(ref_oracle, v, ref_labels, layers, ref_rng, num_walks,
+                                        stop, sink_walks=sink_walks)
+        implied, attempted = real_walks(oracle, v, member_layer, layers, rng, num_walks, stop_at)
+        rng.sync()
+        assert (implied, attempted) == want
+        assert member_layer == ref_labels
+        assert rng.rng.bit_generator.state == ref_rng.bit_generator.state
         self.calls += 1
         taught = {u: layer for u, layer in member_layer.items() if u not in before}
         assert all(self.color(u) == layer for u, layer in taught.items()), taught

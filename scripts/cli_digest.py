@@ -34,7 +34,13 @@ ran every trial before its ``FileNotFoundError`` traceback, so their
 digests differ from those of older checkouts too.
 alg2 with one walk a test takes a unanimous verdict of that one walk, as
 alg1 does; checkouts whose stage 2 took an 80% vote refused it, or ran it
-with no stage-2 verdict, so its digest differs from theirs.  alg2 runs
+with no stage-2 verdict, so its digest differs from theirs.  Every alg1 and
+alg2 config on br but the one-walk one (45 configs) differs from
+checkouts whose colour tests took six walks by default, each drawing its
+own first step: the default is now four walks, which leave the start on
+distinct children.  The one-walk config does not differ from those
+checkouts, because a single walk's offset is its own first draw, so it
+draws and walks as before.  alg2 runs
 alg1's finder and prints alg1's rows under its own name; checkouts with a
 wall stage print other rows wherever they built a wall.
 ``--time-limit`` defaults to 0, no deadline, the only value it accepts,

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import sys
 
+from .finders import NUM_WALKS
 from .harness import (
     ALGORITHMS,
     DISTRIBUTIONS,
@@ -40,10 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None,
                         help="query budget per trial (default: per-algorithm)")
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    parser.add_argument("--num-walks", type=int, default=6,
+    parser.add_argument("--num-walks", type=int, default=NUM_WALKS,
                         help="alg1, alg2: at most NUM_WALKS walks per color "
-                             "identification; a test stops once its verdict is settled "
-                             "(default 6)")
+                             "identification, which leave the start on distinct "
+                             "children; a test stops once its verdict is settled "
+                             f"(default {NUM_WALKS})")
     parser.add_argument("--reps", type=int, default=1, help="bfs: repetitions (default 1)")
     parser.add_argument("--explore-budget", type=int, default=None,
                         help="bfs: vertices explored per repetition (default C*V/log2 V)")

@@ -9,11 +9,12 @@ Four strategies:
 * ``run_algorithm1`` -- find a blue seed and grow an all-blue path with
   walk-based color tests, checking after every head query for a cycle
   through the head in everything learned so far, unless nothing was
-  charged since that head's last check.  A test's walks stop at a sink
-  or a learned layer, and its verdict is red only when every walk
-  agrees.  Each red verdict labels the known vertices below it with their
-  layers, each walk that reaches a sink labels the bottom half of its
-  path, and later walks stop on a label.  ``run_algorithm2`` is the same
+  charged since that head's last check.  A test's walks (at most
+  ``NUM_WALKS``, 4, by default) leave its start on distinct children and
+  stop at a sink or a learned layer, and its verdict is red only when
+  every walk agrees.  Each red verdict labels the known vertices below it
+  with their layers, each walk that reaches a sink labels the bottom half
+  of its path, and later walks stop on a label.  ``run_algorithm2`` is the same
   finder under the name ``alg2`` rows carry; its wall stage is gone.
 * ``run_bfs_heuristic`` -- repeated budgeted breadth-first searches from
   random starts.
@@ -41,6 +42,12 @@ from dataclasses import dataclass, field
 from ._draws import draw_source
 from .graphs import BLUE, BRParams
 from .oracle import Oracle, QueryModel, detect_cycle
+
+# The default most walks a colour test takes, for alg1, alg2 and the CLI.
+# Its walks leave the start on distinct children, which decorrelates them
+# enough that four keep false red verdicts about as rare as six walks with
+# shared first steps did.
+NUM_WALKS = 4
 
 
 @dataclass
@@ -273,6 +280,15 @@ def _implied_layers(
 ) -> tuple[list[int], int]:
     """Random walks from v; returns the start layers they imply and the walks tried.
 
+    The first walk draws its first step, an offset r into v's answer, as
+    every later step is drawn; walk k (from 0) steps first to child
+    (r + k) mod d, with no draw of its own.  On br the order of an answer
+    is uniform and independent of the colours, so the first min(num_walks,
+    d) walks leave v on a uniform ordered choice of distinct children, for
+    one draw a test, and a single walk draws what an unconstrained one
+    does.  Walks that share a first edge tend to agree, so distinct first
+    edges make a blue start's walks disagree sooner.
+
     A walk ends at a sink, implying L - steps, or after at least one step
     on a vertex of ``member_layer`` (a wall member, or a layer the finder
     has learned), implying that vertex's layer - steps.  Walks cut short
@@ -308,9 +324,10 @@ def _implied_layers(
     step count not at all during a test, so walks stop exactly where a
     poll of ``_Budget.exhausted()`` before every step would stop them.
 
-    Each step draws from ``rng.stream(len(answer))`` (see ``_draws``),
-    reopened only when an answer's length differs from the last one's,
-    which never happens on br or brsimple; the draws equal ``below``'s.
+    The offset and each later step draw from ``rng.stream(len(answer))``
+    (see ``_draws``), reopened only when an answer's length differs from
+    the last one's, which never happens on br or brsimple; the draws equal
+    ``below``'s.
     rng is a draw source, which its owner syncs.
     """
     if stop_at is None:
@@ -322,18 +339,30 @@ def _implied_layers(
     half = layers // 2
     max_walk_len = 4 * layers
     stream = rng.stream
-    bound = 0  # the bound take() serves; reopened when an answer's length differs
-    for _ in range(num_walks):
+    for walk in range(num_walks):
         if (v in member_layer or _sink_verdict(implied, layers) == BLUE
                 or oracle.vertex_query_count >= stop_at):
             break
         attempted += 1
-        cur = v
-        path = [v]  # path[i] is the vertex after i steps
-        steps = 0
-        halted = False
+        if not walk:
+            children = cached(v)
+            if children is None:
+                children = oracle.query_vertex(v)
+            if not children:
+                implied.append(layers)
+                _learn_layers(out, member_layer, v, layers, layers)
+                break
+            # the bound take() serves; reopened when an answer's length differs
+            bound = len(children)
+            take = stream(bound)
+            offset = take()
+        # False after the first walk, which left v cached
+        halted = oracle.vertex_query_count >= stop_at
+        cur = children[(offset + walk) % len(children)]
+        path = [v, cur]  # path[i] is the vertex after i steps
+        steps = 1
         while steps <= max_walk_len:
-            if steps >= 1 and cur in member_layer:
+            if cur in member_layer:
                 implied.append(member_layer[cur] - steps)
                 break
             if halted:
@@ -374,7 +403,7 @@ def wall_identify(
     layers: int,
     rng,
     *,
-    num_walks: int = 6,
+    num_walks: int = NUM_WALKS,
     stop_at: int | None = None,
 ) -> ColorEstimate:
     """Colour v by walk lengths against sinks and the labels of ``member_layer``.
@@ -382,6 +411,8 @@ def wall_identify(
     Each walk runs until it steps onto a vertex of ``member_layer`` (a
     wall member or a learned layer) or a sink, for at most 4L steps; the
     terminator's layer minus the step count is the start's implied layer.
+    The walks leave v on distinct children while it has unused ones, from
+    one drawn offset into its answer (see ``_implied_layers``).
     From a red start every walk implies one fixed value, pinning its layer
     exactly; from a blue start they scatter.  The verdict is red when
     every terminated walk implies one layer in 1..L, blue on any scatter
@@ -417,7 +448,7 @@ def identify_color(
     layers: int,
     rng,
     *,
-    num_walks: int = 6,
+    num_walks: int = NUM_WALKS,
     stop_at: int | None = None,
 ) -> ColorEstimate:
     """Estimate a vertex's color from random-walk distances to sinks.
@@ -580,7 +611,7 @@ def run_algorithm1(
     rng,
     *,
     budget: int | None = None,
-    num_walks: int = 6,
+    num_walks: int = NUM_WALKS,
 ) -> FinderOutcome:
     """Blue-seed search and blue path growth with walk-based colour tests.
 
@@ -590,9 +621,10 @@ def run_algorithm1(
     step count is the start's implied layer.  Red starts repeat one
     implied value; blue starts scatter.  The verdict is red only when
     every terminated walk implies one layer in 1..L, and a test takes at
-    most ``num_walks`` walks and stops once its verdict is settled (see
-    ``wall_identify``).  Learned layers: a red verdict at layer l labels the
-    start with l and every vertex known below it with l plus its distance
+    most ``num_walks`` walks, which leave the start on distinct children,
+    and stops once its verdict is settled (see ``wall_identify``).
+    Learned layers: a red verdict at layer l labels the start with l and
+    every vertex known below it with l plus its distance
     (``_learn_layers``), at no query, and walks that reach a sink label
     the bottom half of their paths in the same map, where a vertex keeps
     its first label; a labelled start gets its label with no walk and
@@ -654,7 +686,7 @@ def run_algorithm2(
     rng,
     *,
     budget: int | None = None,
-    num_walks: int = 6,
+    num_walks: int = NUM_WALKS,
 ) -> FinderOutcome:
     """``run_algorithm1``, byte for byte, under the name that ``alg2`` rows carry.
 

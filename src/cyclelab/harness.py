@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import epoch_stats
 from .finders import (
+    NUM_WALKS,
     run_algorithm1,
     run_algorithm2,
     run_bfs_heuristic,
@@ -76,7 +77,7 @@ class ExperimentConfig:
     # toward 0 as N grows, outside the paper's promise of epsilon * d * V
     d: int = 8
     budget: int | None = None
-    num_walks: int = 6
+    num_walks: int = NUM_WALKS
     reps: int = 1
     explore_budget: int | None = None
     # only None is accepted: a trial stops on its query budget and step cap,

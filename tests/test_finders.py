@@ -342,7 +342,7 @@ def test_red_verdict_labels_known_descendants_and_later_walks_stop_on_labels():
     # 26 shares 24's children: every walk ends on 28 or 29 after one step,
     # implying 4 - 1 = 3, and only 26 itself is queried
     est = wall_identify(oracle, 26, labels, 8, np.random.default_rng(1))
-    assert est == ColorEstimate(3, 6)
+    assert est == ColorEstimate(3, finders.NUM_WALKS)
     assert oracle.vertex_query_count == queries + 1 and 28 not in out
     # a labelled start gets its label with no walk, no query and no draw
     rng = np.random.default_rng(2)
@@ -378,7 +378,67 @@ def test_a_sink_walk_from_the_bottom_half_ends_the_test_with_its_exact_layer():
     # a start above the bottom half is never labelled by its own walks: a
     # red verdict from layer 3 still takes every walk, though its later
     # walks may stop on the labels that its first one taught
-    assert identify_color(oracle, 25, 8, np.random.default_rng(2)) == ColorEstimate(3, 6)
+    est = identify_color(oracle, 25, 8, np.random.default_rng(2))
+    assert est == ColorEstimate(3, finders.NUM_WALKS)
+
+
+def test_colour_test_on_constant_draws_terminates():
+    # every draw one value: the first walk's offset is that value, capped at
+    # d - 1, and walk k leaves the start on child (offset + k) mod d with no
+    # draw of its own, so the test ends where a rule that redrew until the
+    # first children differ would loop for ever.  From layer 1 of 8 every
+    # walk ends at a sink, so the red verdict takes every walk, and the first
+    # d of them query each of the start's children
+    pair = gen_br_pair(BRParams(256, 8, 64, 4), np.random.default_rng(33))
+    red = int(pair.coloring.layer_vertices(1)[0])
+    blue = next(v for v in range(pair.params.v_count) if pair.coloring.is_blue(v))
+    for value in (0, 2, 3, 9):
+        oracle = new_oracle(pair, model=QueryModel.VERTEX)
+        est = identify_color(oracle, red, 8, ConstantDraws(value), num_walks=6)
+        assert est == ColorEstimate(1, 6)
+        assert set(pair.graph.out_list(red)) <= oracle.kg.keys()
+        est = wall_identify(oracle, blue, {}, 8, ConstantDraws(value), num_walks=6)
+        assert est.walks_used <= 6
+
+
+def test_one_walk_tests_draw_what_shared_first_steps_drew():
+    # with one walk a test there is no later walk to place, and the offset is
+    # that walk's own first draw: verdicts, walk counts and the generator's
+    # state are frozen here from the rule in which each walk drew its first
+    # step, as one test after another and as a whole alg1 run
+    params = BRParams(64, 8, 16, 4)
+    pair = gen_br_pair(params, np.random.default_rng(31))
+    oracle = new_oracle(pair, model=QueryModel.VERTEX)
+    rng = np.random.default_rng(32)
+    labels: dict[int, int] = {}
+    got = []
+    for v in range(0, params.v_count, 8):
+        est = wall_identify(oracle, v, labels, params.layers, rng, num_walks=1)
+        got.append((est.color, est.walks_used))
+    assert got == [
+        (1, 1), (4, 1), (3, 1), (0, 1), (3, 1), (6, 0), (1, 1), (1, 1), (3, 1), (4, 1),
+        (7, 0), (8, 0), (2, 1), (0, 1), (0, 1), (4, 1), (5, 0), (6, 0), (3, 1), (5, 1),
+        (2, 1), (4, 1), (1, 1), (7, 0),
+    ]
+    assert (oracle.vertex_query_count, len(labels)) == (56, 42)
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 177488721926471963103171427147978392574,
+                  "inc": 302235580631359622804948280511983440719},
+        "has_uint32": 0, "uinteger": 2540218547,
+    }
+    params = auto_params(2048, 8)
+    pair = gen_br_pair(params, np.random.default_rng(34))
+    rng = np.random.default_rng(35)
+    out = run_algorithm1(new_oracle(pair, model=QueryModel.VERTEX), params, rng, num_walks=1)
+    assert (out.stop, out.queries_used, out.aux["walks"], out.aux["color_ids"]) == (
+        "cycle", 221, 48, 50)
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 57625849399995435517794383486074377844,
+                  "inc": 51899738388229508565838890383619209737},
+        "has_uint32": 1, "uinteger": 1413163831,
+    }
 
 
 # -- blue path growth -----------------------------------------------------------
@@ -472,7 +532,10 @@ def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
         return est
 
     monkeypatch.setattr(finders, "wall_identify", spied)
-    rng = np.random.default_rng(44)
+    # the first seed from 44 up whose three runs each test a labelled start
+    # and together leave an unknown verdict, with 6 shared first steps and
+    # with 4 walks on distinct first children alike
+    rng = np.random.default_rng(50)
     verdicts = ("blue", "red", "unknown")
     unknown = 0
     for budget in (None, 150, 400):
@@ -492,28 +555,69 @@ def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
 
 
 def test_algorithm1_returns_the_first_cycle_a_head_check_finds(monkeypatch):
-    # every head query is followed by one check, counted in aux: one per
-    # append, one per backtrack, and the last, which finds a cycle; the run
-    # ends on the first check that finds one, with that very cycle.  (These
-    # paths never backtrack, so no head is met again at the meter reading
-    # of its last check, where the check is skipped.)
+    # every head query is followed by one check, counted in aux, unless the
+    # head is met again at the meter reading of its last check, where the
+    # check is skipped; the head queries are one per append, one per
+    # backtrack, and the last, whose check finds a cycle.  The run ends on
+    # the first check that finds one, with that very cycle.  At d = 4 these
+    # paths rarely backtrack; at d = 2 dead ends are common, and so are heads
+    # met again after a backtrack, and a run may end with no seed left, after
+    # a backtrack and with no last head query.
+    events = []  # "head" for each head query, "check" for each cycle check
     found = []
+    testing = []  # non-empty while a colour test runs, whose walks query too
 
     def spied(*args, **kwargs):
+        events.append("check")
         found.append(detect_cycle(*args, **kwargs))
         return found[-1]
 
+    def spied_test(*args, **kwargs):
+        testing.append(True)
+        try:
+            return wall_identify(*args, **kwargs)
+        finally:
+            testing.pop()
+
     monkeypatch.setattr(finders, "detect_cycle", spied)
-    rng = np.random.default_rng(45)
-    for _ in range(5):
-        found.clear()
-        pair = gen_br_pair(BRParams(1024, 4, 512, 4), rng)
-        out = run_algorithm1(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng)
-        assert out.success and out.stop == "cycle"
-        assert out.cycle is found[-1]
-        assert found[:-1] == [None] * (len(found) - 1)
-        assert out.aux["cycle_checks"] == len(found)
-        assert len(found) == out.aux["appends"] + out.aux["backtracks"] + 1
+    monkeypatch.setattr(finders, "wall_identify", spied_test)
+    for params, seed in ((BRParams(1024, 4, 512, 4), 45), (auto_params(512, 2), 46)):
+        rng = np.random.default_rng(seed)
+        backtracks = skips = cycles = 0
+        for _ in range(5):
+            events.clear()
+            found.clear()
+            pair = gen_br_pair(params, rng)
+            oracle = new_oracle(pair, model=QueryModel.VERTEX)
+
+            def head_query(u, query=oracle.query_vertex):
+                if not testing:
+                    events.append("head")
+                return query(u)
+
+            oracle.query_vertex = head_query
+            out = run_algorithm1(oracle, pair.params, rng)
+            cycle = out.stop == "cycle"
+            assert out.success == cycle and out.stop in ("cycle", "no_seed")
+            if cycle:
+                assert out.cycle is found[-1] and events[-2:] == ["head", "check"]
+            else:
+                assert found[-1] is None
+            assert found[:-1] == [None] * (len(found) - 1)
+            assert out.aux["cycle_checks"] == len(found) == events.count("check")
+            # a head query that no check follows was skipped
+            skipped = sum(e == "head" and after != "check"
+                          for e, after in zip(events, events[1:] + ["head"]))
+            assert len(found) + skipped == out.aux["appends"] + out.aux["backtracks"] + cycle
+            backtracks += out.aux["backtracks"]
+            skips += skipped
+            cycles += cycle
+        print(f"first-cycle runs at d={params.outdeg}: {cycles}/5 cycles, "
+              f"{backtracks} backtracks, {skips} skipped checks")
+        if params.outdeg == 2:
+            assert cycles > 0 and backtracks > 0 and skips > 0
+        else:
+            assert cycles == 5
 
 
 def test_algorithm1_checks_no_head_twice_at_one_meter_reading(monkeypatch):

@@ -57,16 +57,20 @@ def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, st
                              settle=True, sink_walks=None):
     """One query_vertex call and one stop() poll before every step.
 
-    Walks run for at most 4L steps.  A walk that reaches a sink after s
-    steps labels the vertex k = min(s, L/2) steps above the sink with L - k,
-    and every known vertex below it, and its number (from 1) goes on
-    ``sink_walks`` when that is a list.  No walk starts once v has a label,
-    nor, with ``settle``, once ``blue_is_settled``; without it the walks
-    left run all the same.
+    The first walk's first step draws an offset r below the start's
+    out-degree d; walk k (from 0) steps first to child (r + k) mod d with
+    no draw, and every later step draws.  Walks run for at most 4L steps.
+    A walk that reaches a sink after s steps labels the vertex
+    k = min(s, L/2) steps above the sink with L - k, and every known
+    vertex below it, and its number (from 1) goes on ``sink_walks`` when
+    that is a list.  No walk starts once v has a label, nor, with
+    ``settle``, once ``blue_is_settled``; without it the walks left run
+    all the same.
     """
     implied = []
     attempted = 0
-    for _ in range(num_walks):
+    offset = None
+    for walk in range(num_walks):
         if (v in member_layer or (settle and blue_is_settled(implied, layers))
                 or (stop is not None and stop())):
             break
@@ -88,7 +92,12 @@ def reference_implied_layers(oracle, v, member_layer, layers, rng, num_walks, st
                 if sink_walks is not None:
                     sink_walks.append(attempted)
                 break
-            cur = answer[int(rng.integers(len(answer)))]
+            if steps:
+                cur = answer[int(rng.integers(len(answer)))]
+            else:
+                if offset is None:
+                    offset = int(rng.integers(len(answer)))
+                cur = answer[(offset + walk) % len(answer)]
             path.append(cur)
             steps += 1
     return implied, attempted
@@ -215,6 +224,64 @@ def test_colour_tests_stop_on_the_full_walk_verdict(case, walls):
                 # walks before it disagreed, which needs a wrong wall label
                 assert want_color == ref_members[v] == coloring.color(v)
                 assert any(coloring.color(u) != layer for u, layer in members.items())
+
+
+class LoggedLabels(dict):
+    """A layer map that logs each key the walk loop asks it about."""
+
+    def __init__(self, log, *args):
+        super().__init__(*args)
+        self.log = log
+
+    def __contains__(self, key):
+        self.log.append(key)
+        return super().__contains__(key)
+
+
+WALK_START = object()
+
+
+@given(walk_cases(), st.booleans())
+def test_first_walks_leave_the_start_on_distinct_children(case, walls):
+    # the loop asks for the verdict so far before each walk, and each walk
+    # then asks the layer map about its first child before anything else, so
+    # a log of both gives every walk's first child.  Those of one test are
+    # consecutive children of the start, cyclically from one offset; the
+    # first min(num_walks, d) are distinct.  With only the exact labels that
+    # sink walks teach, a layer-1 start above L/2 takes every walk, since its
+    # red verdict is never settled early
+    params = case["params"]
+    layers = params.layers
+    oracle, members, rng, _, coloring = twin(case)
+    if not walls:
+        members = {}
+    log = []
+
+    def logged_verdict(implied, layers):
+        log.append(WALK_START)
+        return _sink_verdict(implied, layers)
+
+    starts = [*case["starts"], int(coloring.layer_vertices(1)[0])]
+    draws = DrawSource(rng)
+    with mock.patch.object(finders, "_sink_verdict", logged_verdict):
+        for v in starts:
+            log.clear()
+            labels = LoggedLabels(log, members)
+            _, attempted = _implied_layers(
+                oracle, v, labels, layers, draws, case["num_walks"], None
+            )
+            members = dict(labels)
+            children = oracle.kg.get(v)
+            if not attempted or not children:  # a labelled start, or a sink
+                continue
+            firsts = [log[i + 1] for i, e in enumerate(log[:-1]) if e is WALK_START]
+            assert len(firsts) == attempted
+            d = len(children)
+            offset = children.index(firsts[0])
+            assert firsts == [children[(offset + k) % d] for k in range(attempted)]
+            assert len(set(firsts[:d])) == min(attempted, d)
+            if not walls and coloring.color(v) == 1 and layers > 2:
+                assert attempted == case["num_walks"]
 
 
 def test_last_charged_query_can_still_step_onto_a_wall():

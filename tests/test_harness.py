@@ -27,7 +27,7 @@ from cyclelab import (
 )
 from cyclelab import harness
 from cyclelab.cli import build_parser, main
-from cyclelab.finders import _implied_layers
+from cyclelab.finders import NUM_WALKS, _implied_layers
 
 
 def walk_config(**overrides):
@@ -97,6 +97,16 @@ def test_config_refuses_options_the_finder_ignores(option, value, readers):
                 config.validate()
         # the default value is no choice, whatever the finder
         walk_config(dist="br", algo=algo, **{option: getattr(ExperimentConfig, option)}).validate()
+
+
+def test_every_walk_count_default_reads_one_constant():
+    # the CLI, the config and every colour-test entry point default to
+    # finders.NUM_WALKS, four walks a test
+    assert NUM_WALKS == 4
+    assert build_parser().parse_args(["--n", "64"]).num_walks == NUM_WALKS
+    assert ExperimentConfig.num_walks == NUM_WALKS
+    for entry in (run_algorithm1, run_algorithm2, identify_color, wall_identify):
+        assert inspect.signature(entry).parameters["num_walks"].default == NUM_WALKS
 
 
 def test_trials_stop_on_the_meter_alone(capsys):

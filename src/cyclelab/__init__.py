@@ -4,14 +4,10 @@ from .analysis import (
     EpochDecomposition,
     EpochReason,
     EpochStats,
-    FasResult,
-    TooLarge,
     ancestor_count,
-    backedge_count,
     decompose_epochs,
     epoch_stats,
     max_blue_path,
-    min_fas_exact,
 )
 from .finders import (
     ColorEstimate,
@@ -37,12 +33,10 @@ from .graphs import (
     NoValidLayering,
     OddVertexCount,
     auto_params,
-    color_token,
     gen_br_graph,
     gen_br_pair,
     gen_br_simple,
     gen_coloring,
-    validate_br,
 )
 from .harness import (
     ConfigError,

@@ -1,20 +1,14 @@
-"""Structural diagnostics for query transcripts.
+"""Transcript statistics: the epoch rule, surprises, blue surprises,
+longest all-blue paths and ancestor counts.
 
-Two groups of tools:
-
-* Acyclicity distance: exact minimum feedback arc set on small graphs
-  (bitmask DP; the tests check it against a factorial brute force).
-  Parallel edges collapse to one for this count.
-* Transcript statistics: the epoch rule, surprises, blue surprises,
-  longest all-blue paths, ancestor counts.  Queries are grouped into
-  epochs of at most L/2; an epoch closes early when a query answer names
-  an already-seen vertex (a "surprise").  Only ``_epoch_ends`` applies
-  this rule, on arrays of the records: a record is a surprise iff one of
-  its answer entries was first named by an earlier record, and the cap
-  closes fall at fixed strides between surprises.  A knowledge graph is
-  a dict from each queried vertex to its answer, in query order, such as
-  ``Oracle.kg``; ``_seen_set`` and ``_in_edges`` derive its seen vertices
-  and its parents.
+Queries are grouped into epochs of at most L/2; an epoch closes early
+when a query answer names an already-seen vertex (a "surprise").  Only
+``_epoch_ends`` applies this rule, on arrays of the records: a record is
+a surprise iff one of its answer entries was first named by an earlier
+record, and the cap closes fall at fixed strides between surprises.  A
+knowledge graph is a dict from each queried vertex to its answer, in
+query order, such as ``Oracle.kg``; ``_seen_set`` and ``_in_edges``
+derive its seen vertices and its parents.
 """
 
 from __future__ import annotations
@@ -23,103 +17,12 @@ import enum
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
 
-from .graphs import BLUE, Coloring, Digraph
+from .graphs import BLUE, Coloring
 from .oracle import Oracle, QueryModel, QueryRecord
-
-
-class TooLarge(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# feedback arc set
-
-
-@dataclass(frozen=True)
-class FasResult:
-    min_fas: int
-    witness_ordering: tuple[int, ...]
-    epsilon: Fraction
-
-
-def _dedup_edges(graph: Digraph) -> list[tuple[int, int]]:
-    seen = set()
-    for u, v in graph.edges():
-        seen.add((u, v))
-    return sorted(seen)
-
-
-def backedge_count(graph: Digraph, ordering) -> int:
-    """Edges (u, v) with u placed after v; parallel edges count once."""
-    pos = {v: i for i, v in enumerate(ordering)}
-    return sum(1 for u, v in _dedup_edges(graph) if pos[u] > pos[v])
-
-
-def _epsilon(graph: Digraph, min_fas: int) -> Fraction:
-    dn = graph.max_out_degree() * graph.v_count
-    return Fraction(min_fas, dn) if dn else Fraction(0)
-
-
-def min_fas_exact(graph: Digraph) -> FasResult:
-    """Exact minimum feedback arc set by DP over vertex subsets.
-
-    dp[S] is the fewest backedges over orderings of S; appending v last
-    adds |out(v) & S| backedges.  Runs in O(2^V * V) with numpy popcount
-    waves, so V is capped at 22.
-    """
-    v_count = graph.v_count
-    if v_count > 22:
-        raise TooLarge(f"subset DP supports at most 22 vertices, got {v_count}")
-    out_mask = np.zeros(v_count, dtype=np.int64)
-    for u, v in _dedup_edges(graph):
-        out_mask[u] |= 1 << v
-
-    full = (1 << v_count) - 1
-    dp = np.full(full + 1, np.iinfo(np.uint16).max, dtype=np.uint16)
-    dp[0] = 0
-    states = np.arange(full + 1, dtype=np.int64)
-    popcounts = np.bitwise_count(states)
-    # Wave k holds all subsets of size k; dp of wave k+1 reads only wave k,
-    # so plain fancy-indexed minimum is safe (T = S|bit is unique per v).
-    waves = [states[popcounts == k] for k in range(v_count)]
-    for k in range(v_count):
-        wave = waves[k]
-        for v in range(v_count):
-            bit = 1 << v
-            s = wave[(wave & bit) == 0]
-            if not len(s):
-                continue
-            t = s | bit
-            cand = dp[s] + np.bitwise_count(out_mask[v] & s).astype(np.uint16)
-            dp[t] = np.minimum(dp[t], cand)
-
-    best = int(dp[full])
-    order_rev = []
-    t = full
-    while t:
-        for v in range(v_count):
-            bit = 1 << v
-            if not t & bit:
-                continue
-            s = t & ~bit
-            if int(dp[s]) + int(out_mask[v] & s).bit_count() == int(dp[t]):
-                order_rev.append(v)
-                t = s
-                break
-        else:
-            raise AssertionError("dp table admits no witness step")
-    witness = tuple(reversed(order_rev))
-    assert backedge_count(graph, witness) == best
-    return FasResult(best, witness, _epsilon(graph, best))
-
-
-# ---------------------------------------------------------------------------
-# transcript statistics
 
 
 class EpochReason(enum.Enum):

@@ -17,6 +17,8 @@ Two distributions are provided:
   in-degree exactly d, and the graph is far from acyclic.
 
 Colors are encoded as small ints: 0 is blue, i in 1..L is red layer i.
+The structural check of a generated pair against these rules lives with
+the tests, in ``tests/br_reference.py``.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ class InfeasibleSampling(ValueError):
 
 class OddVertexCount(ValueError):
     """brsimple needs an even number of vertices."""
-
-
-def color_token(color: int) -> str:
-    """Render a color as ``b`` or ``r<i>``, as validate_br's messages do."""
-    return "b" if color == BLUE else f"r{color}"
 
 
 @dataclass(frozen=True)
@@ -169,8 +166,7 @@ class Digraph:
     together with a ``memoryview`` of each, so ``out_list`` slices a
     memoryview and returns a tuple of Python ints without making a numpy
     scalar.  Lists may contain repeats for brsimple graphs (parallel
-    matchings can reuse an edge); BR graphs always have distinct entries,
-    which validate_br checks.
+    matchings can reuse an edge); BR graphs always have distinct entries.
     """
 
     __slots__ = ("_offsets", "_targets", "_offset_view", "_target_view", "v_count")
@@ -219,12 +215,6 @@ class Digraph:
         if self.v_count == 0:
             return 0
         return int(np.max(np.diff(self._offsets)))
-
-    def edges(self):
-        """Yield (u, v) pairs in adjacency order."""
-        for u in range(self.v_count):
-            for v in self.out_list(u):
-                yield u, v
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized edge view: (sources, targets) arrays."""
@@ -448,56 +438,3 @@ def gen_br_simple(n: int, d: int, rng: np.random.Generator) -> Digraph:
     for k in range(d):
         block[s2, k] = s1[rng.permutation(half)]
     return Digraph(np.arange(n + 1, dtype=np.int64) * d, block.reshape(-1))
-
-
-def validate_br(pair: BRPair) -> list[str]:
-    """Structural check of a blue/red pair; returns violations as strings.
-
-    Empty result means valid.  Checks class sizes, out-degrees, entry
-    distinctness, self-loops, the sink rule (only bottom-layer vertices may
-    have empty lists, and they all must), and the edge color rules.
-    """
-    p = pair.params
-    colors = pair.coloring.layer_by_vertex
-    g = pair.graph
-    out: list[str] = []
-
-    counts = np.bincount(colors, minlength=p.layers + 1)
-    expected = [p.n_blue] + [p.width] * p.layers
-    for c, (got, want) in enumerate(zip(counts, expected)):
-        if got != want:
-            out.append(f"class {color_token(c)}: {got} vertices, expected {want}")
-
-    src, dst = g.edge_arrays()
-    degs = np.bincount(src, minlength=g.v_count)
-    bad_deg = np.flatnonzero((degs != 0) & (degs != p.outdeg))
-    for v in bad_deg[:20]:
-        out.append(f"vertex {v}: out-degree {degs[v]} not in {{0, {p.outdeg}}}")
-
-    sinks = degs == 0
-    for v in np.flatnonzero(sinks & (colors != p.layers))[:20]:
-        out.append(f"vertex {v}: non-red_L sink ({color_token(int(colors[v]))})")
-    for v in np.flatnonzero(~sinks & (colors == p.layers))[:20]:
-        out.append(f"vertex {v}: red_{p.layers} vertex has out-edges")
-
-    # Per-list distinctness and self-loops, vectorized over full-degree rows.
-    full = np.flatnonzero(degs == p.outdeg)
-    rows = dst[degs[src] == p.outdeg].reshape(-1, p.outdeg)
-    s = np.sort(rows, axis=1)
-    for r in np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))[:20]:
-        out.append(f"vertex {full[r]}: repeated entry in adjacency list")
-    for r in np.flatnonzero((rows == full[:, None]).any(axis=1))[:20]:
-        out.append(f"vertex {full[r]}: self-loop")
-
-    cu, cv = colors[src], colors[dst]
-    ok = np.where(
-        cu == BLUE,
-        (cv == BLUE) | ((cv >= 1) & (cv <= p.layers // 2)),
-        cv == cu + 1,
-    )
-    for j in np.flatnonzero(~ok)[:20]:
-        out.append(
-            f"edge {src[j]}->{dst[j]}: {color_token(int(cu[j]))} -> "
-            f"{color_token(int(cv[j]))} not allowed"
-        )
-    return out

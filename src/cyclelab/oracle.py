@@ -12,10 +12,11 @@ no epoch state.
 
 The knowledge graph of a vertex-model run is ``Oracle.kg``, a plain dict
 from each queried vertex to its answer in query order: the transcript
-and the answer cache at once.  A query history never repeats a vertex:
-asking about a vertex again tells a finder nothing new, so a repeated
-vertex query is answered from ``kg`` at no cost, which the walk-based
-finders rely on.
+and the answer cache at once, with no copy kept beside it
+(``Oracle.history`` builds its records on each read).  A query history
+never repeats a vertex: asking about a vertex again tells a finder
+nothing new, so a repeated vertex query is answered from ``kg`` at no
+cost, which the walk-based finders rely on.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ class Oracle:
     vertex to its answer, and nothing else.  A vertex already queried is
     answered from ``kg`` at no cost, so ``kg`` is at once the answer cache
     and the transcript in query order; ``history`` builds a tuple of its
-    records from it on each read.  ``history`` and ``transcript`` cost O(q)
-    a read.  An ``ADJ_LIST`` oracle records no answers, so it has neither
-    and raises ``ValueError`` for both.
+    records from it on each read, at O(q) a read.  An ``ADJ_LIST`` oracle
+    records no answers, so it has no history and raises ``ValueError``.
 
     ``hidden_graph``/``hidden_coloring`` exist for harnesses and tests
     (cycle verification, accuracy scoring); finders must not touch them,
@@ -101,7 +101,9 @@ class Oracle:
     @property
     def history(self) -> tuple[QueryRecord, ...]:
         """The transcript as records, in query order; ``kg``'s items, copied."""
-        return tuple(itertools.starmap(QueryRecord, self._answers().items()))
+        if self.model is QueryModel.ADJ_LIST:
+            raise ValueError("an adjacency-list oracle records no transcript")
+        return tuple(itertools.starmap(QueryRecord, self.kg.items()))
 
     # -- queries ---------------------------------------------------------
 
@@ -132,20 +134,6 @@ class Oracle:
         self.adj_query_count += 1
         row = self._graph.out_list(u)
         return row[i - 1] if i <= len(row) else None
-
-    # -- transcripts ------------------------------------------------------
-
-    def _answers(self) -> dict[int, tuple[int, ...]]:
-        if self.model is QueryModel.ADJ_LIST:
-            raise ValueError("an adjacency-list oracle records no transcript")
-        return self.kg
-
-    def transcript(self) -> str:
-        """Text dump: one `q <u> : <answers>` line per charged vertex query."""
-        return "".join(
-            f"q {u} : {' '.join(map(str, answer))}".rstrip() + "\n"
-            for u, answer in self._answers().items()
-        )
 
 
 def new_oracle(pair_or_graph: BRPair | Digraph, model: QueryModel) -> Oracle:

@@ -12,8 +12,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cyclelab import BLUE, BRParams, QueryRecord, TooLarge
+from cyclelab import BLUE, BRParams, QueryRecord
 from cyclelab.analysis import _in_edges, _seen_set
+
+from fas_reference import TooLarge
 
 KG = dict[int, tuple[int, ...]]  # a knowledge graph: queried vertex -> its answer
 

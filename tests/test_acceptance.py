@@ -18,14 +18,12 @@ from cyclelab import (
     ExperimentConfig,
     QueryModel,
     QueryRecord,
-    backedge_count,
     build_wall,
     decompose_epochs,
     fit_scaling,
     gen_br_pair,
     identify_color,
     max_blue_path,
-    min_fas_exact,
     new_oracle,
     records_to_csv,
     run_algorithm1,
@@ -33,15 +31,15 @@ from cyclelab import (
     run_bfs_heuristic,
     run_experiment,
     run_random_walk_finder,
-    validate_br,
     verify_cycle,
     wall_identify,
 )
 from cyclelab.analysis import _seen_set
 from cyclelab.graphs import Digraph
 
+from br_reference import validate_br
 from colouring_law import classify_trees, enumerate_conditional_colorings, sample_naive_coloring
-from fas_reference import min_fas_bruteforce
+from fas_reference import backedge_count, min_fas_bruteforce, min_fas_exact
 
 # the whole module is the slow end-to-end tier; `pytest -m "not acceptance"`
 # skips it for a fast inner loop

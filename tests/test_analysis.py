@@ -12,12 +12,9 @@ from cyclelab import (
     Coloring,
     Digraph,
     QueryRecord,
-    TooLarge,
     ancestor_count,
-    backedge_count,
     epoch_stats,
     max_blue_path,
-    min_fas_exact,
 )
 
 from colouring_law import (
@@ -28,7 +25,7 @@ from colouring_law import (
     is_good_partial,
     sample_naive_coloring,
 )
-from fas_reference import min_fas_bruteforce
+from fas_reference import TooLarge, backedge_count, min_fas_bruteforce, min_fas_exact
 from test_oracle import hand_pair_l8
 
 TINY = BRParams(4, 4, 2, 2)

@@ -523,23 +523,31 @@ def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
     # budget cut leaves unknown verdicts.  A start labelled before its test
     # gets its label with no walk, and each such test is one wall hit
     hits = []  # (label before the test, estimate) of each test on a labelled start
+    tests = []  # (meter at the start, whether the test can be cut, its kind) of each test
 
     def spied(oracle, v, member_layer, *args, **kwargs):
         label = member_layer.get(v)
+        meter = oracle.vertex_query_count
+        fresh = v not in oracle.kg and label is None
+        labels = set(member_layer) if fresh else ()
         est = wall_identify(oracle, v, member_layer, *args, **kwargs)
         if label is not None:
             hits.append((label, est))
+        children = oracle.kg[v] if fresh else ()
+        # charged at its start, a non-sink whose children all lack a label
+        cuttable = bool(children) and labels.isdisjoint(children)
+        kind = ("hit" if label is not None else "blue" if est.is_blue
+                else "red" if est.is_red else None)
+        tests.append((meter, cuttable, kind))
         return est
 
     monkeypatch.setattr(finders, "wall_identify", spied)
-    # the first seed from 44 up whose three runs each test a labelled start
-    # and together leave an unknown verdict, with 6 shared first steps and
-    # with 4 walks on distinct first children alike
-    rng = np.random.default_rng(50)
     verdicts = ("blue", "red", "unknown")
-    unknown = 0
-    for budget in (None, 150, 400):
+
+    def run(seed, budget):
         hits.clear()
+        tests.clear()
+        rng = np.random.default_rng(seed)
         pair = gen_br_pair(BRParams(1024, 4, 512, 4), rng)
         out = finder(new_oracle(pair, model=QueryModel.VERTEX), pair.params, rng, budget=budget)
         aux = out.aux
@@ -550,8 +558,28 @@ def test_colour_tests_are_counted_by_verdict(finder, monkeypatch):
         assert aux["wall_hits"] == len(hits) > 0
         assert all(est == ColorEstimate(label, 0) for label, est in hits)
         assert aux["blue_color_ids"] > 0 and aux["red_color_ids"] > 0
-        unknown += aux["unknown_color_ids"]
-    assert unknown > 0
+        return out
+
+    run(50, None)
+    # A budget only stops a finder, so a run on the same seed with budget
+    # m + 1 repeats this one up to a test that starts at meter reading m.
+    # If that start was neither cached nor labelled and is no sink, its
+    # query spends the last of the budget and the first walk's first step
+    # lands on an unlabelled child: the walk ends there, and no other walk
+    # starts, so the test is cut with no walk terminated.  The cut falls
+    # after a wall hit, a blue and a red verdict, which the run must count.
+    seen = set()
+    for meter, cuttable, kind in tests:
+        if cuttable and {"hit", "blue", "red"} <= seen:
+            break
+        seen.add(kind)
+    else:
+        pytest.fail("no test to cut")
+    cut = run(50, meter + 1)
+    assert (cut.stop, cut.queries_used) == ("budget", meter + 1)
+    assert cut.aux["unknown_color_ids"] >= 1
+    assert tests[-1][1:] == (True, None)  # the cut test, unknown
+    run(50, 400)  # a budget that falls wherever it falls keeps the counts whole
 
 
 def test_algorithm1_returns_the_first_cycle_a_head_check_finds(monkeypatch):
@@ -740,7 +768,7 @@ def test_algorithm2_skips_stage1_when_the_wall_depth_reaches_the_layer_count(mon
         rng = np.random.default_rng(17)
         oracle = new_oracle(pair, model=QueryModel.VERTEX)
         out = finder(oracle, params, rng)
-        runs.append((out, oracle.transcript(), rng.bit_generator.state))
+        runs.append((out, oracle.history, rng.bit_generator.state))
     assert runs[0] == runs[1]
     assert walls == []
     assert "stage1_queries" not in runs[1][0].aux

@@ -14,14 +14,14 @@ from cyclelab import (
     OddVertexCount,
     QueryModel,
     auto_params,
-    color_token,
     gen_br_pair,
     gen_br_simple,
     gen_coloring,
     new_oracle,
     run_random_walk_finder,
-    validate_br,
 )
+
+from br_reference import color_token, validate_br
 
 
 def test_auto_params_small():
@@ -217,7 +217,7 @@ def test_layer_marginals_uniform():
 
 def test_br_simple_two_vertices_force_cycle():
     g = gen_br_simple(2, 1, np.random.default_rng(0))
-    assert sorted(g.edges()) == [(0, 1), (1, 0)]
+    assert [g.out_list(u) for u in range(2)] == [(1,), (0,)]
 
 
 def test_br_simple_degrees():

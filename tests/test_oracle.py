@@ -16,10 +16,11 @@ from cyclelab import (
     decompose_epochs,
     detect_cycle,
     new_oracle,
-    validate_br,
     verify_cycle,
 )
 from cyclelab.analysis import _in_edges, _seen_set
+
+from br_reference import validate_br
 
 
 def hand_pair_l8() -> BRPair:
@@ -54,7 +55,7 @@ def test_fresh_oracle_is_empty():
     assert oracle.vertex_query_count == 0
     assert oracle.adj_query_count == 0
     assert oracle.kg == {}
-    assert oracle.transcript() == ""
+    assert oracle.history == ()
     dec = decompose_epochs(oracle.history, pair.params.epoch_cap)
     assert dec.closed_epochs == ()
     assert len(dec.current_epoch) == 0
@@ -139,15 +140,13 @@ def test_adjacency_slots():
 
 def test_adjacency_oracle_has_no_transcript():
     # adjacency answers are single entries and are not recorded, so a
-    # transcript would read empty however many queries were charged
+    # history would read empty however many queries were charged
     oracle = new_oracle(hand_pair_l8(), model=QueryModel.ADJ_LIST)
     for slot in (1, 2):
         oracle.query_adj(16, slot)
     assert oracle.adj_query_count == 2
     with pytest.raises(ValueError, match="adjacency-list"):
         oracle.history
-    with pytest.raises(ValueError, match="adjacency-list"):
-        oracle.transcript()
 
 
 def test_adjacency_simulation_costs_factor_d():
@@ -347,4 +346,9 @@ def test_transcript_records_queries():
     oracle = new_oracle(hand_pair_l8(), model=QueryModel.VERTEX)
     for v in (16, 17, 44, 16, 24):  # a sink, and a replay that is not charged
         oracle.query_vertex(v)
-    assert oracle.transcript() == "q 16 : 20 21\nq 17 : 22 23\nq 44 :\nq 24 : 28 29\n"
+    assert oracle.history == (
+        QueryRecord(16, (20, 21)),
+        QueryRecord(17, (22, 23)),
+        QueryRecord(44, ()),
+        QueryRecord(24, (28, 29)),
+    )

@@ -31,9 +31,9 @@ def runs(draw):
     return params, seed, queries
 
 
-def rebuilt_transcript(history: History) -> str:
-    lines = [" ".join([f"q {rec.vertex} :", *map(str, rec.answer)]) for rec in history]
-    return "".join(line + "\n" for line in lines)
+def rebuilt_history(graph, queries: list[int]) -> History:
+    """One record per distinct queried vertex, in first-query order."""
+    return tuple(QueryRecord(u, graph.out_list(u)) for u in dict.fromkeys(queries))
 
 
 @given(runs())
@@ -44,7 +44,7 @@ def test_live_bookkeeping_matches_rebuild(run):
     for u in queries:
         assert oracle.query_vertex(u) == pair.graph.out_list(u)
     assert oracle.vertex_query_count == len(oracle.history) == len(set(queries))
-    assert oracle.transcript() == rebuilt_transcript(oracle.history)
+    assert oracle.history == rebuilt_history(pair.graph, queries)
 
 
 @st.composite

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "EpochReason",
     "EpochStats",
     "ExperimentConfig",
-    "FasResult",
     "FinderOutcome",
     "IndexOutOfRange",
     "InfeasibleSampling",
@@ -34,16 +33,13 @@ PUBLIC_NAMES = [
     "QueryModel",
     "QueryRecord",
     "ScalingFit",
-    "TooLarge",
     "TrialRecord",
     "VertexOutOfRange",
     "Wall",
     "analysis",
     "ancestor_count",
     "auto_params",
-    "backedge_count",
     "build_wall",
-    "color_token",
     "decompose_epochs",
     "detect_cycle",
     "epoch_stats",
@@ -57,7 +53,6 @@ PUBLIC_NAMES = [
     "harness",
     "identify_color",
     "max_blue_path",
-    "min_fas_exact",
     "new_oracle",
     "oracle",
     "records_to_csv",
@@ -68,7 +63,6 @@ PUBLIC_NAMES = [
     "run_experiment",
     "run_random_walk_finder",
     "run_trial",
-    "validate_br",
     "verify_cycle",
     "wall_identify",
 ]
@@ -88,7 +82,7 @@ def sizes() -> str:
 def test_public_names_are_pinned():
     print(sizes())
     assert sorted(cyclelab.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 54
 
 
 if __name__ == "__main__":

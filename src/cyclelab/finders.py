@@ -144,10 +144,10 @@ def _with_draw_source(finder):
     """Run a finder on a draw source over its ``rng`` argument, synced back on exit.
 
     Wraps the finders and ``wall_identify``, which draw through
-    ``rng.below`` and ``rng.stream``.  Whatever way one ends, a return or
-    an exception, the caller's generator is left exactly where
-    ``int(rng.integers(k))`` draws would have left it.  A draw source
-    passed as ``rng`` is used as it is, and its owner syncs it.
+    ``rng.below``.  Whatever way one ends, a return or an exception, the
+    caller's generator is left exactly where ``int(rng.integers(k))``
+    draws would have left it.  A draw source passed as ``rng`` is used as
+    it is, and its owner syncs it.
     """
     at = list(inspect.signature(finder).parameters).index("rng")
 
@@ -324,10 +324,6 @@ def _implied_layers(
     step count not at all during a test, so walks stop exactly where a
     poll of ``_Budget.exhausted()`` before every step would stop them.
 
-    The offset and each later step draw from ``rng.stream(len(answer))``
-    (see ``_draws``), reopened only when an answer's length differs from
-    the last one's, which never happens on br or brsimple; the draws equal
-    ``below``'s.
     rng is a draw source, which its owner syncs.
     """
     if stop_at is None:
@@ -338,7 +334,7 @@ def _implied_layers(
     cached = out.get
     half = layers // 2
     max_walk_len = 4 * layers
-    stream = rng.stream
+    below = rng.below
     for walk in range(num_walks):
         if (v in member_layer or _sink_verdict(implied, layers) == BLUE
                 or oracle.vertex_query_count >= stop_at):
@@ -352,10 +348,7 @@ def _implied_layers(
                 implied.append(layers)
                 _learn_layers(out, member_layer, v, layers, layers)
                 break
-            # the bound take() serves; reopened when an answer's length differs
-            bound = len(children)
-            take = stream(bound)
-            offset = take()
+            offset = below(len(children))
         # False after the first walk, which left v cached
         halted = oracle.vertex_query_count >= stop_at
         cur = children[(offset + walk) % len(children)]
@@ -376,10 +369,7 @@ def _implied_layers(
                 k = min(steps, half)
                 _learn_layers(out, member_layer, path[steps - k], layers - k, layers)
                 break
-            if len(answer) != bound:
-                bound = len(answer)
-                take = stream(bound)
-            cur = answer[take()]
+            cur = answer[below(len(answer))]
             path.append(cur)
             steps += 1
     return implied, attempted

@@ -24,7 +24,7 @@ the tests, in ``tests/br_reference.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

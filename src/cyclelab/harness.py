@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,12 +40,6 @@ from .oracle import QueryModel, new_oracle, verify_cycle
 
 DISTRIBUTIONS = ("br", "brsimple")
 ALGORITHMS = ("walk", "birthday", "alg1", "alg2", "bfs")
-
-CSV_COLUMNS = (
-    "schema,dist,algo,n,layers,width,d,seed,queries,success,cycle_len,"
-    "epochs,surprises,blue_surprises,max_blue_path,max_anc_blue,ms"
-)
-
 
 # each finder option, and the finders that read it; any other finder runs
 # the same with or without it, so a non-default value there is refused
@@ -142,6 +136,11 @@ class TrialRecord:
     max_blue_path: int | None
     max_anc_blue: int | None
     ms: float
+
+
+# the CSV header: the schema tag, then every TrialRecord field in order
+_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
+CSV_COLUMNS = ",".join(("schema", *_RECORD_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -247,31 +246,23 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
 
 
 def _cell(value) -> str:
-    return "" if value is None else str(value)
+    """None as an empty cell, a bool as 1 or 0, anything else as str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
 
 
 def records_to_csv(records, *, timings: bool = False) -> str:
     lines = [CSV_COLUMNS]
     for r in records:
-        cells = (
-            "v1",
-            r.dist,
-            r.algo,
-            str(r.n),
-            _cell(r.layers),
-            _cell(r.width),
-            str(r.d),
-            str(r.seed),
-            str(r.queries),
-            "1" if r.success else "0",
-            _cell(r.cycle_len),
-            _cell(r.epochs),
-            _cell(r.surprises),
-            _cell(r.blue_surprises),
-            _cell(r.max_blue_path),
-            _cell(r.max_anc_blue),
-            str(int(round(r.ms))) if timings else "0",
-        )
+        cells = ["v1"]
+        for name in _RECORD_FIELDS:
+            value = getattr(r, name)
+            if name == "ms":
+                value = int(round(value)) if timings else 0
+            cells.append(_cell(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,6 @@ import pytest
 from cyclelab import (
     BLUE,
     BRParams,
-    Coloring,
     Digraph,
     QueryRecord,
     ancestor_count,

@@ -23,12 +23,21 @@ from cyclelab._draws import BLOCK, DrawSource, ScalarDraws, draw_source
 from cyclelab.oracle import Oracle
 
 # weighted towards k = 1 (no bits used), small k, and k just above 2**31,
-# where about half of all draws are rejected
+# where about half of all draws are rejected; the edge bounds are no
+# rejection (2, 8, 2**32), rare rejection (3, 2**32 - 1) and about half
+# rejected (2**31 + 1)
 BOUNDS = st.one_of(
     st.just(1),
+    st.sampled_from([2, 3, 8, 2**31 + 1, 2**32 - 1, 2**32]),
     st.integers(2, 16),
     st.integers(2**31 + 1, 2**31 + 2**20),
     st.integers(1, 2**32 - 1),
+)
+# (k, repeats, sync afterwards): runs of below calls, each maybe followed
+# by a sync; long repeats cross block boundaries
+DRAW_RUNS = st.lists(
+    st.tuples(BOUNDS, st.one_of(st.integers(1, 4), st.integers(BLOCK, 3 * BLOCK)), st.booleans()),
+    max_size=8,
 )
 
 
@@ -40,68 +49,20 @@ def entry_state(seed: int, scalar_draws: int) -> np.random.Generator:
     return rng
 
 
-@given(
-    st.integers(0, 2**64 - 1),
-    st.integers(0, 2),
-    # (k, repeats, sync afterwards): long repeats cross block boundaries
-    st.lists(
-        st.tuples(BOUNDS, st.one_of(st.integers(1, 4), st.integers(BLOCK, 3 * BLOCK)), st.booleans()),
-        max_size=8,
-    ),
-)
-def test_source_matches_scalar_draws(seed, scalar_draws, runs):
-    ref = entry_state(seed, scalar_draws)
-    rng = entry_state(seed, scalar_draws)
-    source = draw_source(rng)
-    assert type(source) is DrawSource
+def run_draws(source, ref, runs, synced):
+    """Draw runs from source and the matching scalar draws from ref; synced() after each sync."""
     for k, repeats, sync in runs:
         want = [int(ref.integers(k)) for _ in range(repeats)]
-        got = [source.below(k) for _ in range(repeats)]
-        assert got == want
+        assert [source.below(k) for _ in range(repeats)] == want
         if sync:
             source.sync()
-            assert rng.bit_generator.state == ref.bit_generator.state
-    source.sync()
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
-
-
-# the bounds a stream must get right: no bits (1), no rejection (2, 8, 2**32),
-# rare rejection (3, 2**32 - 1) and about half rejected (2**31 + 1)
-STREAM_BOUNDS = st.one_of(st.sampled_from([1, 2, 3, 8, 2**31 + 1, 2**32 - 1, 2**32]), BOUNDS)
-# (op, k, repeats): runs of stream takes or below calls, or a sync; a run of
-# no takes opens a stream and uses nothing, long runs cross block boundaries
-DRAW_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["stream", "below", "sync"]),
-        STREAM_BOUNDS,
-        st.one_of(st.integers(0, 4), st.integers(BLOCK, 3 * BLOCK)),
-    ),
-    max_size=10,
-)
-
-
-def run_draw_ops(source, ref, ops, synced):
-    """Apply ops to source and the matching scalar draws to ref; synced() after each sync."""
-    for op, k, repeats in ops:
-        if op == "sync":
-            source.sync()
             synced()
-            continue
-        want = [int(ref.integers(k)) for _ in range(repeats)]
-        if op == "stream":
-            # reopened after any other draw, the same callable while still open
-            take = source.stream(k)
-            got = [take() for _ in range(repeats)]
-        else:
-            got = [source.below(k) for _ in range(repeats)]
-        assert got == want
     source.sync()
     synced()
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2), DRAW_OPS)
-def test_streams_interleave_with_scalar_draws(seed, scalar_draws, ops):
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2), DRAW_RUNS)
+def test_source_matches_scalar_draws(seed, scalar_draws, runs):
     ref = entry_state(seed, scalar_draws)
     rng = entry_state(seed, scalar_draws)
     source = draw_source(rng)
@@ -110,12 +71,12 @@ def test_streams_interleave_with_scalar_draws(seed, scalar_draws, ops):
     def synced():
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    run_draw_ops(source, ref, ops, synced)
+    run_draws(source, ref, runs, synced)
     assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2), DRAW_OPS)
-def test_scalar_streams_interleave_with_scalar_draws(seed, scalar_draws, ops):
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2), DRAW_RUNS)
+def test_scalar_streams_interleave_with_scalar_draws(seed, scalar_draws, runs):
     rng = np.random.Generator(np.random.Philox(seed))
     ref = np.random.Generator(np.random.Philox(seed))
     for _ in range(scalar_draws):
@@ -130,24 +91,8 @@ def test_scalar_streams_interleave_with_scalar_draws(seed, scalar_draws, ops):
         for key in ("has_uint32", "uinteger"):
             assert state[key] == ref_state[key]
 
-    run_draw_ops(source, ref, ops, synced)
+    run_draws(source, ref, runs, synced)
     assert rng.bit_generator.random_raw(8).tolist() == ref.bit_generator.random_raw(8).tolist()
-
-
-def test_an_open_stream_is_settled_by_every_other_draw():
-    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
-    source = DrawSource(rng)
-    take = source.stream(2**31 + 1)
-    assert source.stream(2**31 + 1) is take  # still open
-    want = [int(ref.integers(2**31 + 1)) for _ in range(5)]
-    assert [take() for _ in range(5)] == want
-    assert source.below(10) == int(ref.integers(10))  # settles the stream
-    take = source.stream(2**31 + 1)
-    assert [take() for _ in range(2 * BLOCK)] == [
-        int(ref.integers(2**31 + 1)) for _ in range(2 * BLOCK)
-    ]
-    source._put_back()
-    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2), st.integers(2**32, 2**62))

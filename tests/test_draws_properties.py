@@ -39,6 +39,16 @@ DRAW_RUNS = st.lists(
     st.tuples(BOUNDS, st.one_of(st.integers(1, 4), st.integers(BLOCK, 3 * BLOCK)), st.booleans()),
     max_size=8,
 )
+# the same runs, some with bounds past 32 bits, which the source hands to
+# numpy's scalar integers after a sync; these runs stay short, while long
+# buffered runs between them cross block boundaries
+MIXED_RUNS = st.lists(
+    st.one_of(
+        st.tuples(BOUNDS, st.one_of(st.integers(1, 4), st.integers(BLOCK, 3 * BLOCK)), st.booleans()),
+        st.tuples(st.integers(2**32 + 1, 2**62), st.integers(1, 4), st.booleans()),
+    ),
+    max_size=8,
+)
 
 
 def entry_state(seed: int, scalar_draws: int) -> np.random.Generator:
@@ -63,6 +73,20 @@ def run_draws(source, ref, runs, synced):
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2), DRAW_RUNS)
 def test_source_matches_scalar_draws(seed, scalar_draws, runs):
+    ref = entry_state(seed, scalar_draws)
+    rng = entry_state(seed, scalar_draws)
+    source = draw_source(rng)
+    assert type(source) is DrawSource
+
+    def synced():
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    run_draws(source, ref, runs, synced)
+    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2), MIXED_RUNS)
+def test_streams_interleave_with_scalar_draws(seed, scalar_draws, runs):
     ref = entry_state(seed, scalar_draws)
     rng = entry_state(seed, scalar_draws)
     source = draw_source(rng)
